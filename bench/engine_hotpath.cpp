@@ -5,17 +5,12 @@
 // is a trivial fan-out so the measured time is arena append + crash filter +
 // delivery sweep into (receiver, tag) normal form.
 //
-// Extra flags (stripped before Google Benchmark sees the command line):
-//   --simd=scalar|avx2|avx512|auto   force the engine's dispatch tier
-//                                    (clamped to what the CPU supports;
-//                                    equivalent to the LFT_SIMD env var)
-//   --json=PATH                      write one flat JSON row per benchmark
-//                                    run (bench, m, simd, ms, items/s) in
-//                                    the shared BENCH_*.json row schema that
-//                                    scripts/check_hotpath_regression.py and
-//                                    scripts/bench_report.py consume
-//   --print-simd-tier                print the resolved tier and exit (CI
-//                                    uses this to label artifacts)
+// Extra flag (stripped before Google Benchmark sees the command line):
+//   --json=PATH   write one flat JSON row per benchmark run (bench, simd,
+//                 ms, items/s) in the shared BENCH_*.json row schema that
+//                 scripts/check_hotpath_regression.py and
+//                 scripts/bench_report.py consume. `simd` is always
+//                 "scalar", which continues the series in bench/history/.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -26,7 +21,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "common/simd.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -36,11 +30,6 @@ using namespace lft::sim;
 
 constexpr NodeId kNodes = 1024;
 constexpr Round kRounds = 4;
-
-// Dispatch tier under test for every benchmark in this binary; one tier per
-// invocation keeps the JSON rows unambiguous (CI runs the binary once per
-// tier it gates).
-simd::Tier g_tier = simd::Tier::kAuto;
 
 /// Every node sends `fan` messages per round to a fixed pseudo-random set of
 /// receivers, cycling through 7 tags, then halts after kRounds.
@@ -78,9 +67,7 @@ void run_fanout(benchmark::State& state, std::size_t body_bytes) {
   const int fan = static_cast<int>(messages / kNodes);
   std::int64_t delivered = 0;
   for (auto _ : state) {
-    EngineConfig config;
-    config.simd = g_tier;
-    Engine engine(kNodes, config);
+    Engine engine(kNodes, EngineConfig{});
     for (NodeId v = 0; v < kNodes; ++v) {
       engine.set_process(v, std::make_unique<FanoutProcess>(v, fan, body_bytes));
     }
@@ -107,8 +94,7 @@ BENCHMARK(BM_SendDeliverBody)
     ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects one flat JSON row per
-/// non-aggregate run, tagged with the resolved dispatch tier, in the schema
-/// shared by every BENCH_*.json artifact.
+/// non-aggregate run, in the schema shared by every BENCH_*.json artifact.
 class RowCaptureReporter final : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -116,7 +102,7 @@ class RowCaptureReporter final : public benchmark::ConsoleReporter {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       rows.begin_row();
       rows.field("bench", run.benchmark_name());
-      rows.field("simd", std::string(simd::tier_name(simd::resolve_tier(g_tier))));
+      rows.field("simd", std::string("scalar"));
       rows.field("ms_per_iter", run.GetAdjustedRealTime());
       const auto it = run.counters.find("items_per_second");
       rows.field("items_per_second", it == run.counters.end() ? 0.0 : it->second.value);
@@ -127,40 +113,18 @@ class RowCaptureReporter final : public benchmark::ConsoleReporter {
   lft::bench::JsonRows rows;
 };
 
-bool parse_tier(const char* name, simd::Tier& out) {
-  if (std::strcmp(name, "scalar") == 0) out = simd::Tier::kScalar;
-  else if (std::strcmp(name, "avx2") == 0) out = simd::Tier::kAvx2;
-  else if (std::strcmp(name, "avx512") == 0) out = simd::Tier::kAvx512;
-  else if (std::strcmp(name, "auto") == 0) out = simd::Tier::kAuto;
-  else return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
-  bool print_tier = false;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--simd=", 7) == 0) {
-      if (!parse_tier(arg + 7, g_tier)) {
-        std::fprintf(stderr, "unknown --simd tier '%s' (scalar|avx2|avx512|auto)\n", arg + 7);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strcmp(arg, "--print-simd-tier") == 0) {
-      print_tier = true;
+    if (std::strncmp(argv[i], "--json=", 7) == 0) {
+      json_path = argv[i] + 7;
     } else {
       args.push_back(argv[i]);
     }
-  }
-  if (print_tier) {
-    std::printf("%s\n", simd::tier_name(simd::resolve_tier(g_tier)));
-    return 0;
   }
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());

@@ -1,31 +1,20 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the engine hot path, per SIMD dispatch tier.
+"""Perf-regression gate for the engine hot path.
 
 Compares measured send/deliver throughput against the checked-in baseline
 (bench/hotpath_baseline.json) and fails when any benchmark's items_per_second
-drops below its tier's floor (baseline / factor). CI runs the gate once per
-tier it cares about: the scalar tier is held to the original pre-SIMD
-baseline (vectorization must never tax the fallback path), and each SIMD
-tier is held to its own recorded baseline.
+drops below its floor (baseline / factor).
 
 Accepted results formats (auto-detected):
   * google-benchmark --benchmark_out JSON (object with a "benchmarks" list);
-  * the engine_hotpath --json row array ([{"bench", "simd",
-    "items_per_second", ...}, ...]).
+  * the engine_hotpath --json row array ([{"bench", "items_per_second",
+    ...}, ...]).
 With repetitions, aggregate rows are skipped / per-rep rows are reduced to
 their median, so the gate sees one number per benchmark.
 
-Accepted baseline formats:
-  * v1: flat {benchmark name -> items_per_second} map (plus "_"-prefixed
-    comment keys) — tier-blind, as before;
-  * v2: {"_schema": 2, "tiers": {tier: {"factor": F, "benchmarks": {...}}}}
-    — per-tier floors, each tier with its own slack factor.
+The baseline is {"factor": F, "benchmarks": {name -> items_per_second}}.
 
-The tier is taken from --tier, else from the results rows' "simd" field
-(which engine_hotpath stamps on every row), else "scalar".
-
-Usage: check_hotpath_regression.py RESULTS_JSON BASELINE_JSON
-           [--tier scalar|avx2|avx512] [--factor F]
+Usage: check_hotpath_regression.py RESULTS_JSON BASELINE_JSON [--factor F]
 """
 
 import argparse
@@ -35,20 +24,16 @@ import sys
 
 
 def load_measurements(path):
-    """Returns ({benchmark name -> median items/s}, tier-or-None)."""
+    """Returns {benchmark name -> median items/s}."""
     with open(path, encoding="utf-8") as f:
         results = json.load(f)
 
     samples = {}
-    tiers = set()
     if isinstance(results, list):  # engine_hotpath --json row array
         for row in results:
             ips = row.get("items_per_second")
-            if ips is None:
-                continue
-            samples.setdefault(row["bench"], []).append(ips)
-            if "simd" in row:
-                tiers.add(row["simd"])
+            if ips is not None:
+                samples.setdefault(row["bench"], []).append(ips)
     else:  # google-benchmark --benchmark_out object
         for bench in results.get("benchmarks", []):
             # Skip aggregate rows (mean/median/stddev) if repetitions were used.
@@ -58,48 +43,26 @@ def load_measurements(path):
             if ips is not None:
                 samples.setdefault(bench["name"], []).append(ips)
 
-    measured = {name: statistics.median(vals) for name, vals in samples.items()}
-    tier = tiers.pop() if len(tiers) == 1 else None
-    return measured, tier
-
-
-def load_baseline(path, tier):
-    """Returns ({benchmark name -> items/s floor source}, default factor)."""
-    with open(path, encoding="utf-8") as f:
-        baseline = json.load(f)
-
-    if baseline.get("_schema") == 2:
-        section = baseline.get("tiers", {}).get(tier)
-        if section is None:
-            return None, None
-        return section["benchmarks"], section.get("factor")
-    # v1: flat tier-blind map with "_"-prefixed comment keys.
-    return {k: v for k, v in baseline.items() if not k.startswith("_")}, None
+    return {name: statistics.median(vals) for name, vals in samples.items()}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", help="results JSON (either accepted format)")
-    parser.add_argument("baseline", help="baseline JSON (v1 flat or v2 per-tier)")
-    parser.add_argument("--tier", default=None,
-                        help="baseline tier section to gate against "
-                             "(default: the results' own simd field)")
+    parser.add_argument("baseline", help="baseline JSON")
     parser.add_argument("--factor", type=float, default=None,
                         help="fail when measured < baseline / factor "
-                             "(default: the tier's recorded factor, else 2)")
+                             "(default: the baseline's recorded factor)")
     args = parser.parse_args()
 
-    measured, results_tier = load_measurements(args.results)
-    tier = args.tier or results_tier or "scalar"
-    benchmarks, tier_factor = load_baseline(args.baseline, tier)
-    if benchmarks is None:
-        print(f"error: baseline has no tier section {tier!r}", file=sys.stderr)
-        return 2
-    factor = args.factor if args.factor is not None else (tier_factor or 2.0)
+    measured = load_measurements(args.results)
+    with open(args.baseline, encoding="utf-8") as f:
+        baseline = json.load(f)
+    factor = args.factor if args.factor is not None else baseline["factor"]
 
     failures = []
     checked = 0
-    for name, floor_source in sorted(benchmarks.items()):
+    for name, floor_source in sorted(baseline["benchmarks"].items()):
         if name not in measured:
             print(f"note: baseline entry {name!r} not in results, skipped")
             continue
@@ -108,7 +71,7 @@ def main() -> int:
         got = measured[name]
         ratio = got / floor_source
         status = "OK " if got >= floor else "FAIL"
-        print(f"{status} [{tier}] {name}: {got:,.0f} items/s "
+        print(f"{status} {name}: {got:,.0f} items/s "
               f"(baseline {floor_source:,.0f}, ratio {ratio:.2f}, floor {floor:,.0f})")
         if got < floor:
             failures.append(name)
@@ -117,11 +80,10 @@ def main() -> int:
         print("error: no baseline benchmarks matched the results", file=sys.stderr)
         return 2
     if failures:
-        print(f"perf regression [{tier}]: {', '.join(failures)} dropped below "
+        print(f"perf regression: {', '.join(failures)} dropped below "
               f"baseline / {factor:.2f}", file=sys.stderr)
         return 1
-    print(f"perf gate passed [{tier}] "
-          f"({checked} benchmarks within {factor:.2f}x of baseline)")
+    print(f"perf gate passed ({checked} benchmarks within {factor:.2f}x of baseline)")
     return 0
 
 

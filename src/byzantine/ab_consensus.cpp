@@ -384,7 +384,6 @@ AbOutcome run_ab_consensus_plan(const AbParams& params, std::span<const std::uin
   engine_config.threads = options.threads;
   engine_config.scratch = options.scratch;
   engine_config.trace = options.trace;
-  engine_config.simd = options.simd;
   engine_config.telemetry = options.telemetry;
   sim::Engine engine(params.n, engine_config);
 

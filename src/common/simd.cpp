@@ -1,24 +1,15 @@
-// Tier detection, dispatch, and the scalar reference kernels. The scalar
-// implementations here are the semantics: the AVX2/AVX-512 TUs restate the
-// same exact integer computations on wider lanes and are held bit-identical
-// to these loops by tests/test_simd.cpp.
+// The delivery sweep's flat-array kernels (see common/simd.hpp).
 #include "common/simd.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace lft::simd {
 
-namespace {
-
-// ---- scalar reference kernels ----------------------------------------------
-
-void histogram_u32_scalar(const std::uint32_t* keys, std::size_t n,
-                          std::uint32_t* counts) {
+void histogram_u32(const std::uint32_t* keys, std::size_t n, std::uint32_t* counts) {
   for (std::size_t i = 0; i < n; ++i) ++counts[keys[i]];
 }
 
-std::uint32_t exclusive_scan_u32_scalar(std::uint32_t* a, std::size_t n) {
+std::uint32_t exclusive_scan_u32(std::uint32_t* a, std::size_t n) {
   std::uint32_t sum = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t count = a[i];
@@ -28,17 +19,16 @@ std::uint32_t exclusive_scan_u32_scalar(std::uint32_t* a, std::size_t n) {
   return sum;
 }
 
-void scatter_records40_scalar(const std::byte* src, std::size_t n,
-                              const std::uint32_t* keys, std::uint32_t* next_slot,
-                              std::byte* dst) {
+void scatter_records40(const std::byte* src, std::size_t n, const std::uint32_t* keys,
+                       std::uint32_t* next_slot, std::byte* dst) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t slot = next_slot[keys[i]]++;
     std::memcpy(dst + std::size_t{40} * slot, src + std::size_t{40} * i, 40);
   }
 }
 
-std::uint32_t build_keys40_scalar(const std::byte* records, std::size_t n,
-                                  unsigned tag_bits, std::uint32_t* keys) {
+std::uint32_t build_keys40(const std::byte* records, std::size_t n, unsigned tag_bits,
+                           std::uint32_t* keys) {
   std::uint32_t max_tag = 0;
   for (std::size_t i = 0; i < n; ++i) {
     // One 8-byte load covers {u32 to @4, u32 tag @8}.
@@ -50,187 +40,6 @@ std::uint32_t build_keys40_scalar(const std::byte* records, std::size_t n,
     keys[i] = (to << tag_bits) | tag;
   }
   return max_tag;
-}
-
-std::uint64_t xor_mul_words_scalar(std::uint64_t seed, const std::byte* bytes,
-                                   std::size_t len, std::uint64_t salt0) {
-  std::uint64_t acc = seed;
-  std::uint64_t salt = salt0;
-  std::size_t left = len;
-  const std::byte* p = bytes;
-  while (left >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    acc ^= word * salt;
-    salt += 2;
-    p += 8;
-    left -= 8;
-  }
-  if (left != 0) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, left);
-    acc ^= word * salt;  // tail is zero-padded; callers disambiguate by length
-  }
-  return acc;
-}
-
-std::uint64_t sum_headers40_scalar(const std::byte* records, std::size_t n) {
-  using namespace detail;
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::byte* r = records + std::size_t{40} * i;
-    std::uint64_t from_to;   // little-endian: from | to << 32
-    std::uint64_t tag_len;   // little-endian: tag | body_len << 32
-    std::uint64_t value;
-    std::uint64_t bits;
-    std::memcpy(&from_to, r, 8);
-    std::memcpy(&tag_len, r + 8, 8);
-    std::memcpy(&value, r + 16, 8);
-    std::memcpy(&bits, r + 24, 8);
-    // digest_header wants (from << 32) | to and (tag << 32) | body_len:
-    // a 32-bit rotate of the loaded words.
-    const std::uint64_t addr = (from_to << 32) | (from_to >> 32);
-    const std::uint64_t tagw = (tag_len << 32) | (tag_len >> 32);
-    std::uint64_t w = addr * kMulAddr;
-    w ^= value * kMulValue;
-    w ^= tagw * kMulTag;
-    w ^= bits * kMulBits;
-    sum += w;
-  }
-  return sum;
-}
-
-constexpr detail::KernelTable kScalarKernels = {
-    histogram_u32_scalar,    exclusive_scan_u32_scalar, scatter_records40_scalar,
-    build_keys40_scalar,     xor_mul_words_scalar,      sum_headers40_scalar,
-};
-
-// ---- dispatch --------------------------------------------------------------
-
-const detail::KernelTable* table_for(Tier tier) noexcept {
-  switch (tier) {
-    case Tier::kAvx512:
-      if (const auto* t = detail::avx512_kernels()) return t;
-      [[fallthrough]];
-    case Tier::kAvx2:
-      if (const auto* t = detail::avx2_kernels()) return t;
-      [[fallthrough]];
-    default:
-      return &kScalarKernels;
-  }
-}
-
-bool cpu_supports(Tier tier) noexcept {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  switch (tier) {
-    case Tier::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Tier::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512cd") != 0;
-    default:
-      return true;
-  }
-#else
-  return tier == Tier::kScalar;
-#endif
-}
-
-Tier detect_tier_uncached() noexcept {
-  if (tier_compiled(Tier::kAvx512) && cpu_supports(Tier::kAvx512)) return Tier::kAvx512;
-  if (tier_compiled(Tier::kAvx2) && cpu_supports(Tier::kAvx2)) return Tier::kAvx2;
-  return Tier::kScalar;
-}
-
-}  // namespace
-
-const char* tier_name(Tier tier) noexcept {
-  switch (tier) {
-    case Tier::kScalar:
-      return "scalar";
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kAvx512:
-      return "avx512";
-    default:
-      return "auto";
-  }
-}
-
-std::optional<Tier> parse_tier(std::string_view name) noexcept {
-  if (name == "scalar") return Tier::kScalar;
-  if (name == "avx2") return Tier::kAvx2;
-  if (name == "avx512") return Tier::kAvx512;
-  if (name == "auto") return Tier::kAuto;
-  return std::nullopt;
-}
-
-bool tier_compiled(Tier tier) noexcept {
-  switch (tier) {
-    case Tier::kScalar:
-      return true;
-    case Tier::kAvx2:
-      return detail::avx2_kernels() != nullptr;
-    case Tier::kAvx512:
-      return detail::avx512_kernels() != nullptr;
-    default:
-      return false;
-  }
-}
-
-Tier detect_tier() noexcept {
-  static const Tier detected = detect_tier_uncached();
-  return detected;
-}
-
-Tier apply_env_override(const char* env_value, Tier detected) noexcept {
-  if (env_value == nullptr || *env_value == '\0') return detected;
-  const auto parsed = parse_tier(env_value);
-  if (!parsed.has_value() || *parsed == Tier::kAuto) return detected;
-  return *parsed < detected ? *parsed : detected;
-}
-
-Tier default_tier() noexcept {
-  static const Tier tier = apply_env_override(std::getenv("LFT_SIMD"), detect_tier());
-  return tier;
-}
-
-Tier resolve_tier(Tier request) noexcept {
-  if (request == Tier::kAuto) return default_tier();
-  const Tier detected = detect_tier();
-  return request < detected ? request : detected;
-}
-
-void histogram_u32(Tier tier, const std::uint32_t* keys, std::size_t n,
-                   std::uint32_t* counts) {
-  table_for(resolve_tier(tier))->histogram_u32(keys, n, counts);
-}
-
-std::uint32_t exclusive_scan_u32(Tier tier, std::uint32_t* a, std::size_t n) {
-  return table_for(resolve_tier(tier))->exclusive_scan_u32(a, n);
-}
-
-void scatter_records40(Tier tier, const std::byte* src, std::size_t n,
-                       const std::uint32_t* keys, std::uint32_t* next_slot,
-                       std::byte* dst) {
-  table_for(resolve_tier(tier))->scatter_records40(src, n, keys, next_slot, dst);
-}
-
-std::uint32_t build_keys40(Tier tier, const std::byte* records, std::size_t n,
-                           unsigned tag_bits, std::uint32_t* keys) {
-  return table_for(resolve_tier(tier))->build_keys40(records, n, tag_bits, keys);
-}
-
-std::uint64_t xor_mul_words(Tier tier, std::uint64_t seed, const std::byte* bytes,
-                            std::size_t len, std::uint64_t salt0) {
-  return table_for(resolve_tier(tier))->xor_mul_words(seed, bytes, len, salt0);
-}
-
-std::uint64_t sum_headers40(Tier tier, const std::byte* records, std::size_t n) {
-  return table_for(resolve_tier(tier))->sum_headers40(records, n);
 }
 
 }  // namespace lft::simd

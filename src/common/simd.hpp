@@ -1,65 +1,22 @@
-// Runtime-dispatched SIMD layer for the message-plane hot kernels.
-//
-// The engine's delivery sweep and the forensics digest accumulators are
-// counting/permutation/fold kernels over flat arrays — exactly the shapes
-// wide vectors like. This header exposes them behind a *tier* abstraction:
-//
-//   kScalar   portable reference implementation (always compiled, always
-//             available); the other tiers are verified against it bit for
-//             bit and exist purely for speed.
-//   kAvx2     256-bit x86 path (compiled into simd_avx2.cpp with -mavx2).
-//   kAvx512   512-bit x86 path (simd_avx512.cpp with -mavx512{f,bw,dq,vl,cd}).
-//
-// Tier selection is runtime CPUID dispatch: detect_tier() returns the best
-// tier both compiled in and supported by the executing CPU, default_tier()
-// additionally honors the LFT_SIMD=scalar|avx2|avx512 environment override,
-// and EngineConfig::simd / core::RunOptions::simd force a tier per engine
-// (clamped to what the machine supports, so a forced kAvx512 degrades to the
-// best available tier instead of faulting).
-//
-// Determinism contract: every kernel is an exact integer computation
-// (wrapping adds/multiplies, XOR, permutation), so all tiers return
-// bit-identical results on all inputs — scalar is the reference
-// implementation, not a fallback stub, and tests/test_simd.cpp holds each
-// tier to it at lane-boundary sizes. Nothing here is approximate.
+// Flat-array kernels behind the engine's delivery sweep: the key build,
+// histogram, prefix scan and stable 40-byte record scatter of the fused
+// counting sort (sim/engine.cpp). There is one portable implementation of
+// each: docs/architecture.md ("The message plane") records the measurement
+// that showed vector variants did not pay for themselves.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace lft::simd {
 
-/// Dispatch tiers, ordered by capability. kAuto is a request value only
-/// (EngineConfig/RunOptions default): resolve_tier maps it to default_tier().
-enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAuto = 255 };
+/// The message plane's single code path. Kept as a name so tools that stamp
+/// their output with the executing path (perfbench's env line) keep printing
+/// "scalar".
+enum class Tier : std::uint8_t { kScalar };
 
-/// "scalar" / "avx2" / "avx512" / "auto".
-[[nodiscard]] const char* tier_name(Tier tier) noexcept;
-/// Parses a tier name (the LFT_SIMD grammar); nullopt for anything else.
-[[nodiscard]] std::optional<Tier> parse_tier(std::string_view name) noexcept;
-
-/// True iff this binary carries an implementation of `tier` (kScalar always;
-/// the x86 tiers only when the compiler accepted their ISA flags).
-[[nodiscard]] bool tier_compiled(Tier tier) noexcept;
-
-/// Best tier that is both compiled in and supported by the executing CPU
-/// (CPUID probe, cached after the first call).
-[[nodiscard]] Tier detect_tier() noexcept;
-
-/// detect_tier() clamped by the LFT_SIMD environment override (cached).
-/// LFT_SIMD=scalar|avx2|avx512 lowers (never raises) the detected tier;
-/// unset, empty, or unparsable values leave detection untouched.
-[[nodiscard]] Tier default_tier() noexcept;
-
-/// Maps a request to the tier that will actually run: kAuto -> default_tier,
-/// anything else -> min(request, detect_tier()). Never returns kAuto.
-[[nodiscard]] Tier resolve_tier(Tier request) noexcept;
-
-/// Pure helper behind default_tier (exposed for tests): applies an LFT_SIMD
-/// value (may be nullptr/empty) to a detected tier.
-[[nodiscard]] Tier apply_env_override(const char* env_value, Tier detected) noexcept;
+[[nodiscard]] constexpr Tier default_tier() noexcept { return Tier::kScalar; }
+[[nodiscard]] constexpr const char* tier_name(Tier) noexcept { return "scalar"; }
 
 // ---- kernels ---------------------------------------------------------------
 //
@@ -70,70 +27,26 @@ enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAuto = 25
 // so the kernels stay free of a sim dependency.
 
 /// counts[keys[i]] += 1 for i in [0, n). Caller guarantees keys < the counts
-/// extent. Exact (integer increments), so tiers agree bit for bit.
-void histogram_u32(Tier tier, const std::uint32_t* keys, std::size_t n,
-                   std::uint32_t* counts);
+/// extent.
+void histogram_u32(const std::uint32_t* keys, std::size_t n, std::uint32_t* counts);
 
 /// In-place exclusive prefix sum over a[0, n); returns the total (wrapping
-/// u32 arithmetic, same as the scalar loop).
-std::uint32_t exclusive_scan_u32(Tier tier, std::uint32_t* a, std::size_t n);
+/// u32 arithmetic).
+std::uint32_t exclusive_scan_u32(std::uint32_t* a, std::size_t n);
 
 /// Stable counting-sort scatter of 40-byte records: record i moves to slot
 /// next_slot[keys[i]]++ of dst (slots are record indices, dst byte offset =
 /// 40 * slot). `next_slot` must hold the exclusive prefix sums of the key
 /// histogram; on return it holds the end offset of each key's run. src and
 /// dst must not overlap.
-void scatter_records40(Tier tier, const std::byte* src, std::size_t n,
-                       const std::uint32_t* keys, std::uint32_t* next_slot,
-                       std::byte* dst);
+void scatter_records40(const std::byte* src, std::size_t n, const std::uint32_t* keys,
+                       std::uint32_t* next_slot, std::byte* dst);
 
 /// Builds the delivery-sweep sort key (to << tag_bits) | tag for each 40-byte
 /// record and returns the maximum tag seen (0 for n == 0). Keys are valid
 /// iff the returned max tag fits tag_bits; the engine retries with wider
 /// tag_bits (or falls back to a comparison sort) when it does not.
-std::uint32_t build_keys40(Tier tier, const std::byte* records, std::size_t n,
-                           unsigned tag_bits, std::uint32_t* keys);
-
-/// XOR-of-salted-products fold over 8-byte little-endian words:
-///   acc = seed; acc ^= word_j * (salt0 + 2j)  for each word, with a
-/// zero-padded tail word when len is not a multiple of 8. This is the body
-/// digest kernel behind sim::digest_body (wrapping multiplies + XOR, so
-/// lane order never shows in the result).
-std::uint64_t xor_mul_words(Tier tier, std::uint64_t seed, const std::byte* bytes,
-                            std::size_t len, std::uint64_t salt0);
-
-/// Wrapping sum of per-record header digests (sim::digest_header) over n
-/// 40-byte records — the batch form of the TraceSink header-sum accumulator.
-std::uint64_t sum_headers40(Tier tier, const std::byte* records, std::size_t n);
-
-namespace detail {
-
-// Odd multipliers for the digest kernels (golden ratio + the SplitMix64 /
-// Murmur finalizer constants — any set of distinct odd 64-bit constants with
-// good bit dispersion works). Canonical home: sim/trace.hpp aliases these so
-// the scalar digest formulas and the SIMD kernels share one definition.
-inline constexpr std::uint64_t kMulChain = 0x9e3779b97f4a7c15ULL;
-inline constexpr std::uint64_t kMulAddr = 0xbf58476d1ce4e5b9ULL;
-inline constexpr std::uint64_t kMulValue = 0x94d049bb133111ebULL;
-inline constexpr std::uint64_t kMulTag = 0x2545f4914f6cdd1dULL;
-inline constexpr std::uint64_t kMulBits = 0xff51afd7ed558ccdULL;
-inline constexpr std::uint64_t kMulBody = 0xc4ceb9fe1a85ec53ULL;
-
-/// Per-tier kernel table. The x86 TUs export theirs through avx2_kernels() /
-/// avx512_kernels() (nullptr when not compiled in); dispatch selects by tier.
-struct KernelTable {
-  void (*histogram_u32)(const std::uint32_t*, std::size_t, std::uint32_t*);
-  std::uint32_t (*exclusive_scan_u32)(std::uint32_t*, std::size_t);
-  void (*scatter_records40)(const std::byte*, std::size_t, const std::uint32_t*,
-                            std::uint32_t*, std::byte*);
-  std::uint32_t (*build_keys40)(const std::byte*, std::size_t, unsigned,
-                                std::uint32_t*);
-  std::uint64_t (*xor_mul_words)(std::uint64_t, const std::byte*, std::size_t,
-                                 std::uint64_t);
-  std::uint64_t (*sum_headers40)(const std::byte*, std::size_t);
-};
-[[nodiscard]] const KernelTable* avx2_kernels() noexcept;    // simd_avx2.cpp
-[[nodiscard]] const KernelTable* avx512_kernels() noexcept;  // simd_avx512.cpp
-}  // namespace detail
+std::uint32_t build_keys40(const std::byte* records, std::size_t n, unsigned tag_bits,
+                           std::uint32_t* keys);
 
 }  // namespace lft::simd

@@ -57,7 +57,6 @@ CheckpointOutcome run_checkpointing(const CheckpointParams& params,
   engine_config.threads = options.threads;
   engine_config.scratch = options.scratch;
   engine_config.trace = options.trace;
-  engine_config.simd = options.simd;
   engine_config.telemetry = options.telemetry;
   sim::Engine engine(params.consensus.n, engine_config);
   for (NodeId v = 0; v < params.consensus.n; ++v) {

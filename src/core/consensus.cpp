@@ -160,7 +160,6 @@ sim::Report run_system(NodeId n, std::int64_t crash_budget, const ProcessFactory
   config.threads = options.threads;
   config.scratch = options.scratch;
   config.trace = options.trace;
-  config.simd = options.simd;
   config.telemetry = options.telemetry;
   sim::Engine engine(n, config);
   for (NodeId v = 0; v < n; ++v) engine.set_process(v, factory(v));

@@ -45,8 +45,7 @@ void LoopbackTransport::step_round(Round round, std::span<const NodeId> active,
 }
 
 RoundDriver::RoundDriver(NodeId n, Transport& transport, const RunOptions& options)
-    : n_(n), transport_(&transport), options_(options),
-      tier_(simd::resolve_tier(options.simd)) {
+    : n_(n), transport_(&transport), options_(options) {
   LFT_ASSERT(n > 0);
   status_.resize(static_cast<std::size_t>(n));
   active_.resize(static_cast<std::size_t>(n));
@@ -67,20 +66,17 @@ void RoundDriver::deliver_batch() {
   // or fault filters here), drop the ones whose receiver already halted,
   // wake every recipient. Header/body digests are commutative sums/XORs, so
   // computing them over the collected batch here equals the engine's
-  // accumulation message for message: the header sum is one vectorized pass
-  // over the packed 40-byte records (same kernel the engine dispatches),
-  // and only messages that actually carry a body pay a body digest.
+  // accumulation message for message, and only messages that actually
+  // carry a body pay a body digest.
   const bool traced = options_.trace != nullptr;
   std::uint64_t dropped_sum = 0;
   std::uint64_t header_sum = 0;
   if (traced) {
     digest_.sent = outbox_.size();
-    header_sum = simd::sum_headers40(
-        tier_, reinterpret_cast<const std::byte*>(outbox_.data()), outbox_.size());
     for (const sim::Message& m : outbox_) {
-      if (m.has_body()) {
-        digest_.body_hash ^= sim::digest_body(tier_, sim::digest_header(m), m.body());
-      }
+      const std::uint64_t w = sim::digest_header(m);
+      header_sum += w;
+      if (m.has_body()) digest_.body_hash ^= sim::digest_body(w, m.body());
     }
   }
   std::size_t kept = 0;

@@ -148,7 +148,6 @@ class RoundDriver {
   NodeId n_;
   Transport* transport_;
   RunOptions options_;
-  simd::Tier tier_ = simd::Tier::kScalar;  // resolved from options_.simd
   Round round_ = 0;
   bool finished_ = false;
   bool completed_ = false;

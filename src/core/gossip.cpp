@@ -354,7 +354,6 @@ GossipOutcome run_gossip(const GossipParams& params, std::span<const std::uint64
   engine_config.threads = options.threads;
   engine_config.scratch = options.scratch;
   engine_config.trace = options.trace;
-  engine_config.simd = options.simd;
   engine_config.telemetry = options.telemetry;
   sim::Engine engine(params.n, engine_config);
   for (NodeId v = 0; v < params.n; ++v) {

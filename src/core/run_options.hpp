@@ -9,7 +9,6 @@
 // recording), never what it computes.
 #pragma once
 
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace lft::obs {
@@ -36,11 +35,6 @@ struct RunOptions {
   /// Optional per-round digest hook (forensics plane); non-owning. nullptr
   /// records nothing and keeps the delivery hot path untouched.
   sim::TraceSink* trace = nullptr;
-  /// SIMD dispatch tier for the engine's delivery sweep and digest kernels
-  /// (forwarded to EngineConfig::simd). kAuto = best supported tier, after
-  /// the LFT_SIMD environment override; explicit tiers are clamped to what
-  /// the CPU can execute. Bit-identical Reports on every tier — speed only.
-  simd::Tier simd = simd::Tier::kAuto;
   /// Optional telemetry registry (forwarded to EngineConfig::telemetry):
   /// when set, the engine records per-round `lft_engine_*` metrics into it,
   /// strictly out-of-band. Like every other option, it never changes a

@@ -210,6 +210,21 @@ std::optional<std::string> get_name(ByteReader& reader) {
   return std::string(reinterpret_cast<const char*>(bytes->data()), bytes->size());
 }
 
+// Smallest encodings of one row per section: a one-byte name length (empty
+// name) plus the value as a one-byte varint, a fixed u64, or the four
+// header varints and one varint per bucket.
+constexpr std::size_t kMinCounterBytes = 2;
+constexpr std::size_t kMinGaugeBytes = 9;
+constexpr std::size_t kMinHistogramBytes = 1 + 4 + Histogram::kBuckets;
+
+// Reads a section's row count, rejecting counts the remaining bytes could
+// not encode: a forged count must fail before it sizes a reserve().
+std::optional<std::size_t> get_row_count(ByteReader& reader, std::size_t min_row_bytes) {
+  const auto n = reader.get_varint();
+  if (!n || *n > 65536 || *n > reader.remaining() / min_row_bytes) return std::nullopt;
+  return static_cast<std::size_t>(*n);
+}
+
 }  // namespace
 
 void Snapshot::encode(ByteWriter& writer) const {
@@ -240,28 +255,28 @@ std::optional<Snapshot> Snapshot::decode(ByteReader& reader) {
   const auto version = reader.get_u8();
   if (!version || *version != kSnapshotVersion) return std::nullopt;
   Snapshot snap;
-  const auto n_counters = reader.get_varint();
-  if (!n_counters || *n_counters > 65536) return std::nullopt;
-  snap.counters.reserve(static_cast<std::size_t>(*n_counters));
-  for (std::uint64_t i = 0; i < *n_counters; ++i) {
+  const auto n_counters = get_row_count(reader, kMinCounterBytes);
+  if (!n_counters) return std::nullopt;
+  snap.counters.reserve(*n_counters);
+  for (std::size_t i = 0; i < *n_counters; ++i) {
     auto name = get_name(reader);
     const auto value = reader.get_varint();
     if (!name || !value) return std::nullopt;
     snap.counters.push_back({std::move(*name), *value});
   }
-  const auto n_gauges = reader.get_varint();
-  if (!n_gauges || *n_gauges > 65536) return std::nullopt;
-  snap.gauges.reserve(static_cast<std::size_t>(*n_gauges));
-  for (std::uint64_t i = 0; i < *n_gauges; ++i) {
+  const auto n_gauges = get_row_count(reader, kMinGaugeBytes);
+  if (!n_gauges) return std::nullopt;
+  snap.gauges.reserve(*n_gauges);
+  for (std::size_t i = 0; i < *n_gauges; ++i) {
     auto name = get_name(reader);
     const auto value = reader.get_u64();
     if (!name || !value) return std::nullopt;
     snap.gauges.push_back({std::move(*name), static_cast<std::int64_t>(*value)});
   }
-  const auto n_hists = reader.get_varint();
-  if (!n_hists || *n_hists > 65536) return std::nullopt;
-  snap.histograms.reserve(static_cast<std::size_t>(*n_hists));
-  for (std::uint64_t i = 0; i < *n_hists; ++i) {
+  const auto n_hists = get_row_count(reader, kMinHistogramBytes);
+  if (!n_hists) return std::nullopt;
+  snap.histograms.reserve(*n_hists);
+  for (std::size_t i = 0; i < *n_hists; ++i) {
     auto name = get_name(reader);
     if (!name) return std::nullopt;
     HistogramRow row;
@@ -272,15 +287,21 @@ std::optional<Snapshot> Snapshot::decode(ByteReader& reader) {
     const auto min = reader.get_varint();
     const auto max = reader.get_varint();
     if (!count || !sum || !min || !max) return std::nullopt;
+    // percentile() clamps into [min, max], which must be a valid range.
+    if (*count > 0 && *min > *max) return std::nullopt;
     h.count_ = *count;
     h.sum_ = *sum;
     h.min_ = *count == 0 ? std::numeric_limits<std::uint64_t>::max() : *min;
     h.max_ = *max;
+    std::uint64_t bucketed = 0;
     for (auto& bucket : h.buckets_) {
       const auto b = reader.get_varint();
-      if (!b) return std::nullopt;
+      // The buckets must add up to count, without wrapping.
+      if (!b || *b > *count - bucketed) return std::nullopt;
       bucket = *b;
+      bucketed += *b;
     }
+    if (bucketed != *count) return std::nullopt;
     snap.histograms.push_back(std::move(row));
   }
   return snap;

@@ -201,7 +201,6 @@ ScenarioResult run_min_flood(std::uint64_t seed, NodeId n, std::int64_t t,
   config.threads = options.threads;
   config.scratch = options.scratch;
   config.trace = options.trace;
-  config.simd = options.simd;
   config.telemetry = options.telemetry;
   sim::Engine engine(n, config);
   for (NodeId v = 0; v < n; ++v) {

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "common/hugepage.hpp"
+#include "common/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace lft::sim {
@@ -24,15 +24,12 @@ constexpr std::uint32_t kMaxCountingTag = 1u << 16;
 // results are bit-identical either way.
 constexpr std::size_t kParallelMinActive = 256;
 // Cap on the fused delivery sweep's key domain (n << tag_bits): bounds the
-// dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits. The
-// gate is a function of (n, tag_bits, m) only — never of the SIMD tier — so
-// sort algorithm selection, and with it every Report bit, is tier-independent.
+// dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
 constexpr std::uint64_t kMaxFusedDomain = 1u << 22;
 
 // Batch size past which the fused sweep's scatter goes two-level (cache-
-// blocked): 40-byte records times this is ~10 MB, past any L2. Depends only
-// on m, never on the SIMD tier — both strategies produce the identical
-// stable permutation.
+// blocked): 40-byte records times this is ~10 MB, past any L2. Both
+// strategies produce the identical stable permutation.
 constexpr std::size_t kTwoLevelMinM = std::size_t{1} << 18;
 }  // namespace
 
@@ -271,7 +268,6 @@ Engine::Engine(NodeId n, EngineConfig config)
       round_sends_(static_cast<std::size_t>(n), 0),
       crash_filter_(static_cast<std::size_t>(n), kNotCrashedThisRound) {
   LFT_ASSERT(n > 0);
-  tier_ = simd::resolve_tier(config_.simd);
   if (config_.telemetry != nullptr) {
     tele_ = std::make_unique<Telemetry>(*config_.telemetry);
   }
@@ -371,7 +367,7 @@ void Engine::do_send(StepSink& sink, NodeId from, NodeId to, std::uint32_t tag,
   if (config_.trace != nullptr) {
     const std::uint64_t w = digest_header(m);
     sink.header_sum += w;
-    sink.body_hash ^= digest_body(tier_, w, body);
+    sink.body_hash ^= digest_body(w, body);
   }
   sink.msgs.push_back(m);
 }
@@ -728,19 +724,12 @@ void Engine::step_active() {
     // byte-identical to what the serial path appends.
     std::size_t total = 0;
     for (const auto& sink : sinks_) total += sink.msgs.size();
-    if (outbox_.capacity() < total) {
-      outbox_.reserve(total);
-      advise_hugepages(outbox_.data(), outbox_.capacity() * sizeof(Message));
-    }
+    outbox_.reserve(total);
     for (auto& sink : sinks_) {
       outbox_.insert(outbox_.end(), sink.msgs.begin(), sink.msgs.end());
     }
-    if (keys_.capacity() < total) {
-      keys_.clear();
-      keys_.reserve(total);
-      advise_hugepages(keys_.data(), keys_.capacity() * sizeof(std::uint32_t));
-    }
     keys_.clear();
+    keys_.reserve(total);
     for (auto& sink : sinks_) {
       keys_.insert(keys_.end(), sink.keys.begin(), sink.keys.end());
     }
@@ -777,52 +766,40 @@ void Engine::sort_batch_normal_form() {
   // absolutely and relative to m, so the per-round memset stays amortized);
   // the result is bit-identical to the two-pass sort — both are stable
   // sorts by (to, tag) — and every gate below depends only on
-  // (n, tag_bits, m, max_tag), never on the SIMD tier.
+  // (n, tag_bits, m, max_tag).
   const auto n64 = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_));
   std::uint32_t max_tag = sent_keys ? sent_max_tag_ : 0;
   bool have_max_tag = sent_keys;
   if (m < static_cast<std::size_t>(UINT32_MAX) && (n64 << tag_bits_) <= kMaxFusedDomain) {
     const auto* bytes = reinterpret_cast<const std::byte*>(outbox_.data());
     if (!sent_keys) {
-      // Million-message rounds scatter across tens of MB; 2 MiB pages keep
-      // the random 40-byte stores from thrashing the DTLB. The advice must
-      // land between allocation and first touch to take effect at fault time
-      // (khugepaged collapses already-faulted 4 KiB pages far too slowly), so
-      // each buffer is reserved, advised, then sized. Advice only, size-gated
-      // inside — see common/hugepage.hpp.
+      // Stale contents are cleared before growing so the reallocation
+      // copies nothing; every key is rewritten below.
       if (keys_.capacity() < m) {
-        keys_.clear();  // stale contents; don't let reserve's copy fault pages
+        keys_.clear();
         keys_.reserve(m);
-        advise_hugepages(keys_.data(), keys_.capacity() * sizeof(std::uint32_t));
       }
       keys_.resize(m);
-      max_tag = simd::build_keys40(tier_, bytes, m, tag_bits_, keys_.data());
+      max_tag = simd::build_keys40(bytes, m, tag_bits_, keys_.data());
       have_max_tag = true;
     }
     if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
       // Tag outgrew the high-water key width: widen and rebuild once.
       tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
       if ((n64 << tag_bits_) <= kMaxFusedDomain) {
-        (void)simd::build_keys40(tier_, bytes, m, tag_bits_, keys_.data());
+        (void)simd::build_keys40(bytes, m, tag_bits_, keys_.data());
       }
     }
     const std::uint64_t domain = n64 << tag_bits_;
     if (max_tag < (1u << tag_bits_) && domain <= kMaxFusedDomain &&
         domain <= 4 * static_cast<std::uint64_t>(m) + 1024) {
-      if (counts_.capacity() < static_cast<std::size_t>(domain)) {
-        counts_.clear();
-        counts_.reserve(static_cast<std::size_t>(domain));
-        advise_hugepages(counts_.data(), counts_.capacity() * sizeof(std::uint32_t));
-      }
       counts_.assign(static_cast<std::size_t>(domain), 0);
-      simd::histogram_u32(tier_, keys_.data(), m, counts_.data());
-      const std::uint32_t total =
-          simd::exclusive_scan_u32(tier_, counts_.data(), counts_.size());
+      simd::histogram_u32(keys_.data(), m, counts_.data());
+      const std::uint32_t total = simd::exclusive_scan_u32(counts_.data(), counts_.size());
       LFT_ASSERT(total == m);
       if (inbox_.capacity() < m) {
         inbox_.clear();  // last round's batch, already consumed by the step
         inbox_.reserve(m);
-        advise_hugepages(inbox_.data(), inbox_.capacity() * sizeof(Message));
       }
       inbox_.resize(m);
       auto* inbox_bytes = reinterpret_cast<std::byte*>(inbox_.data());
@@ -837,11 +814,10 @@ void Engine::sort_batch_normal_form() {
       // direct scatter is already cache-resident and strictly cheaper. Same
       // stable permutation either way — MSD partition + stable in-bucket
       // sort by the full key — so the result is bit-identical; the cutover
-      // depends only on (m, domain), never on the tier.
+      // depends only on (m, domain).
       const bool two_level = m >= kTwoLevelMinM && domain >= 32768;
       if (!two_level) {
-        simd::scatter_records40(tier_, bytes, m, keys_.data(), counts_.data(),
-                                inbox_bytes);
+        simd::scatter_records40(bytes, m, keys_.data(), counts_.data(), inbox_bytes);
       } else {
         // Bucket count scales so each output window is ~1-2 MiB, capped so
         // the partition cursors stay within one page of L1 lines.
@@ -856,7 +832,6 @@ void Engine::sort_batch_normal_form() {
         if (keys_hi_.capacity() < m) {
           keys_hi_.clear();
           keys_hi_.reserve(m);
-          advise_hugepages(keys_hi_.data(), keys_hi_.capacity() * sizeof(std::uint32_t));
         }
         keys_hi_.resize(m);
         for (std::size_t i = 0; i < m; ++i) keys_hi_[i] = keys_[i] >> shift;
@@ -869,8 +844,7 @@ void Engine::sort_batch_normal_form() {
           bsum += c;
         }
         // Level 1: stable partition outbox -> inbox by bucket id.
-        simd::scatter_records40(tier_, bytes, m, keys_hi_.data(), bcur.data(),
-                                inbox_bytes);
+        simd::scatter_records40(bytes, m, keys_hi_.data(), bcur.data(), inbox_bytes);
         // Level 2: per bucket, rebuild the full keys from the (L2-hot)
         // partitioned slice and scatter into the final positions — the
         // global cursors in counts_ already point at each key's run. The
@@ -883,10 +857,9 @@ void Engine::sort_batch_normal_form() {
           const std::uint32_t end = bcur[k];  // post-scatter: end of bucket k
           const std::uint32_t cnt = end - start;
           if (cnt != 0) {
-            (void)simd::build_keys40(tier_, inbox_bytes + std::size_t{start} * sizeof(Message),
-                                     cnt, tag_bits_, keys_hi_.data() + start);
-            simd::scatter_records40(tier_, inbox_bytes + std::size_t{start} * sizeof(Message),
-                                    cnt, keys_hi_.data() + start, counts_.data(),
+            const std::byte* slice = inbox_bytes + std::size_t{start} * sizeof(Message);
+            (void)simd::build_keys40(slice, cnt, tag_bits_, keys_hi_.data() + start);
+            simd::scatter_records40(slice, cnt, keys_hi_.data() + start, counts_.data(),
                                     outbox_bytes);
           }
           start = end;

@@ -36,7 +36,6 @@
 
 #include "common/assert.hpp"
 #include "common/flat_set64.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "sim/faults.hpp"
 #include "sim/message.hpp"
@@ -307,12 +306,6 @@ struct EngineConfig {
   /// emits one RoundDigest per executed round. Non-owning; nullptr (the
   /// default) records nothing and keeps the delivery hot path untouched.
   TraceSink* trace = nullptr;
-  /// SIMD dispatch tier for the delivery sweep and digest kernels. kAuto
-  /// (the default) uses the best tier the CPU supports, clamped by the
-  /// LFT_SIMD environment override; an explicit tier is clamped to what the
-  /// machine can execute. Every tier produces bit-identical Reports and
-  /// RoundDigests (see common/simd.hpp) — this knob trades speed only.
-  simd::Tier simd = simd::Tier::kAuto;
   /// Optional telemetry registry (obs/obs.hpp): when set, the engine records
   /// per-round delivered/delayed/lost message counts, active-set size, step
   /// wall time, and arena bytes as `lft_engine_*` metrics. Strictly
@@ -497,7 +490,7 @@ class Engine {
   std::vector<std::uint32_t> recv_count_;  // n entries, all zero between rounds
   std::vector<NodeId> touched_receivers_;
 
-  // Fused single-pass sweep scratch (the SIMD fast path of
+  // Fused single-pass sweep scratch (the fast path of
   // sort_batch_normal_form): per-message sort keys (to << tag_bits_) | tag,
   // the dense key histogram, and per-receiver inbox bounds derived from the
   // scattered histogram. recv_bounds_ is valid only for rounds the fused
@@ -525,9 +518,6 @@ class Engine {
   // and ignore them. Entries of nodes not stepped this round are stale by
   // design — consumers only read the stepped set.
   std::vector<std::uint32_t> round_sends_;
-
-  // Resolved SIMD dispatch tier for this engine (never kAuto).
-  simd::Tier tier_ = simd::Tier::kScalar;
 
   // Nodes currently crashed or halted. When zero (and no crash / fault
   // filter / sleep activity this round), no delivered message can drop and
@@ -570,11 +560,11 @@ inline Round Context::round() const noexcept { return engine_->round_; }
 // The bodyless send — the overwhelmingly common case across the shipped
 // protocols and the engine's single hottest operation — inlines into the
 // caller's round loop: two asserts, the per-sink accounting adds, and one
-// 40-byte vector append. No trace work lives here: traced runs digest the
-// round's headers with one batch SIMD pass at delivery time, which is how
-// the traced and untraced send paths stay within the <= 5% recorder-overhead
-// gate of each other. Sends with bodies take the out-of-line Engine::do_send
-// (arena store + store-time body digest).
+// 40-byte vector append. Traced runs add one header word to the sink's
+// commutative sum while the fields are in registers, which is how the
+// traced and untraced send paths stay within the recorder-overhead gate of
+// each other. Sends with bodies take the out-of-line Engine::do_send (arena
+// store + store-time body digest).
 inline void Context::send(NodeId to, std::uint32_t tag, std::uint64_t value,
                           std::uint64_t bits, PayloadView body) {
   if (!body.empty()) [[unlikely]] {

@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/assert.hpp"
-#include "common/numa.hpp"
 
 namespace lft::sim {
 
@@ -58,44 +52,13 @@ struct FleetRunner::Worker {
   std::deque<Task> queue;
   EngineScratch scratch;
   obs::Registry registry;
-  int node = 0;  // NUMA node this slot is pinned to (0 in flat mode)
 };
-
-namespace {
-
-// Pins the calling thread to every cpu of `node`. Node-level, not per-cpu:
-// the OS scheduler still balances within the node, we only fence off remote
-// memory controllers. Best effort — failure (cgroup cpuset restrictions,
-// exotic kernels) just leaves the thread unpinned.
-void pin_to_node(int node) {
-#if defined(__linux__)
-  const auto cpus = numa_topology().cpus_of_node(node);
-  if (cpus.empty()) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)node;
-#endif
-}
-
-}  // namespace
 
 FleetRunner::FleetRunner(FleetConfig config) : config_(config) {
   config_.threads = std::clamp(config_.threads, 1, 64);
   const auto workers = static_cast<std::size_t>(config_.threads);
-  numa_nodes_ = numa_topology().nodes;
   workers_.reserve(workers);
-  for (std::size_t k = 0; k < workers; ++k) {
-    workers_.push_back(std::make_unique<Worker>());
-    // Deal slots across the populated nodes round-robin: with W >= nodes
-    // every node hosts ~W/nodes slots; with W < nodes the first W nodes get
-    // one each. Flat mode (1 node) leaves every slot on node 0, unpinned.
-    workers_.back()->node = static_cast<int>(k) % numa_nodes_;
-  }
+  for (std::size_t k = 0; k < workers; ++k) workers_.push_back(std::make_unique<Worker>());
   threads_.reserve(workers);
   for (std::size_t k = 0; k < workers; ++k) {
     threads_.emplace_back([this, k] { worker_loop(k); });
@@ -157,13 +120,6 @@ std::int64_t FleetRunner::stolen() const {
   return stolen_;
 }
 
-std::int64_t FleetRunner::stolen_remote() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stolen_remote_;
-}
-
-int FleetRunner::numa_nodes() const noexcept { return numa_nodes_; }
-
 std::int64_t FleetRunner::scratch_adoptions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scratch_adoptions_;
@@ -192,25 +148,16 @@ bool FleetRunner::pop_task(std::size_t slot, Task& out) {
   }
   // Steal from the back of the longest peer queue: the busiest slot sheds
   // its most-recently-dealt work, so FIFO start order is preserved where it
-  // matters least and the tail drains in parallel. Same-node victims are
-  // preferred — a stolen instance then adopts scratch whose pages live
-  // behind the thief's own memory controller; only when the whole node is
-  // drained does the thief cross nodes (better a remote steal than an idle
-  // slot). On single-node hosts every peer ties for "same node" and this is
-  // the old flat scan.
-  const int my_node = workers_[slot]->node;
+  // matters least and the tail drains in parallel. Ties go to the lowest
+  // slot index.
   std::size_t victim = slot;
   std::size_t longest = 0;
-  bool victim_local = false;
   for (std::size_t k = 0; k < workers_.size(); ++k) {
     if (k == slot) continue;
     const std::size_t len = workers_[k]->queue.size();
-    if (len == 0) continue;
-    const bool local = workers_[k]->node == my_node;
-    if ((local && !victim_local) || (local == victim_local && len > longest)) {
+    if (len > longest) {
       longest = len;
       victim = k;
-      victim_local = local;
     }
   }
   if (longest == 0) return false;
@@ -218,12 +165,10 @@ bool FleetRunner::pop_task(std::size_t slot, Task& out) {
   out = std::move(theirs.back());
   theirs.pop_back();
   ++stolen_;
-  if (!victim_local) ++stolen_remote_;
   return true;
 }
 
 void FleetRunner::worker_loop(std::size_t slot) {
-  if (numa_nodes_ > 1) pin_to_node(workers_[slot]->node);
   EngineScratch* scratch = config_.reuse_scratch ? &workers_[slot]->scratch : nullptr;
   obs::Registry* registry = config_.telemetry ? &workers_[slot]->registry : nullptr;
   std::unique_lock<std::mutex> lock(mu_);

@@ -15,14 +15,6 @@
 //     round-robin, a worker that drains its own queue steals from the
 //     busiest peer, so short executions retire early and free their slot
 //     for queued ones instead of idling behind a long tail;
-//   * NUMA-aware placement on multi-socket hosts: workers are spread across
-//     the populated nodes, each pinned to its node's cpu set so recycled
-//     scratch pages stay behind the local memory controller, and stealing
-//     prefers same-node victims (remote steals remain the fallback, and are
-//     counted). Single-node hosts — most CI, this dev container — discover
-//     one node and run exactly the old flat behavior; LFT_NUMA=0 forces
-//     that. Placement is a throughput hint only and never changes a Report
-//     bit (an instance runs serially wherever it lands);
 //   * per-instance message namespaces for free — every instance owns a
 //     private Engine (nodes, arenas, fault plane, metrics), so nothing an
 //     instance does can alias another instance's messages or state.
@@ -134,11 +126,6 @@ class FleetRunner {
   [[nodiscard]] std::int64_t completed() const;
   /// Instances a worker stole from another worker's queue.
   [[nodiscard]] std::int64_t stolen() const;
-  /// Subset of stolen() taken from a worker pinned to a different NUMA node
-  /// (0 on single-node hosts, where every steal is local by definition).
-  [[nodiscard]] std::int64_t stolen_remote() const;
-  /// NUMA nodes the pool spread its workers across (1 = flat mode).
-  [[nodiscard]] int numa_nodes() const noexcept;
   /// EngineScratch observability across completed instances: engines that
   /// adopted a slot's scratch, and adoptions that found warm buffers from a
   /// previous instance in that slot (see EngineScratch counters). Both are 0
@@ -167,11 +154,9 @@ class FleetRunner {
   std::condition_variable cv_work_;  // workers park here when idle
   std::condition_variable cv_idle_;  // wait_all / the destructor park here
   std::size_t next_queue_ = 0;       // round-robin dealing cursor
-  int numa_nodes_ = 1;               // nodes the workers were spread across
   std::int64_t submitted_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t stolen_ = 0;
-  std::int64_t stolen_remote_ = 0;
   std::int64_t scratch_adoptions_ = 0;  // folded from per-slot counters
   std::int64_t scratch_recycles_ = 0;   // after each completed instance
   bool stop_ = false;

@@ -14,8 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "common/hugepage.hpp"
-
 namespace lft::sim {
 
 /// Non-owning read-only view of a message payload. Producers hand one to
@@ -30,7 +28,7 @@ using PayloadView = std::span<const std::byte>;
 class PayloadArena {
  public:
   /// First-chunk size; subsequent chunks double (stable addresses make
-  /// growth-by-new-chunk free) so a body-heavy round reaches huge-page-sized
+  /// growth-by-new-chunk free) so a body-heavy round reaches multi-MiB
   /// chunks in a few allocations instead of thousands of 64 KiB ones.
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
   /// Chunk-size growth cap: big enough that the chunk count stays O(log) in
@@ -49,9 +47,6 @@ class PayloadArena {
       if (next_chunk_bytes_ < kMaxChunkBytes) next_chunk_bytes_ *= 2;
       if (len > capacity) capacity = len;
       chunks_.push_back(Chunk{std::make_unique<std::byte[]>(capacity), capacity});
-      // Large chunks carry the delivery working set; ask for 2 MiB backing
-      // (advice only — see common/hugepage.hpp; small chunks are skipped).
-      advise_hugepages(chunks_.back().data.get(), capacity);
       used_ = 0;
     }
     std::byte* p = chunks_[current_].data.get() + used_;

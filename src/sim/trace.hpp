@@ -26,7 +26,6 @@
 #include <span>
 
 #include "common/hash.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "sim/message.hpp"
 
@@ -56,7 +55,7 @@ struct RoundDigest {
   /// Digest of the delivered batch's headers: a commutative (order-free)
   /// sum over per-message header words plus the delivered count — it
   /// distinguishes batches by content multiset, not by order (which the
-  /// engine determines from content anyway). See digest_messages.
+  /// engine determines from content anyway). See digest_messages_final.
   std::uint64_t payload_hash = 0;
   /// XOR of header-salted body digests over the bodies *stored this round*
   /// (i.e. sent — including sends later lost to crashes or fault filters).
@@ -80,16 +79,15 @@ class TraceSink {
 };
 
 namespace detail {
-// Odd multipliers for the per-field mixes below. Canonical home is
-// common/simd.hpp: the SIMD batch kernels (sum_headers40, xor_mul_words)
-// restate the digest formulas below on wider lanes and must share one
-// definition. Aliased here so the scalar formulas keep reading naturally.
-using simd::detail::kMulChain;
-using simd::detail::kMulAddr;
-using simd::detail::kMulValue;
-using simd::detail::kMulTag;
-using simd::detail::kMulBits;
-using simd::detail::kMulBody;
+// Odd multipliers for the per-field mixes below (golden ratio + the
+// SplitMix64 / Murmur finalizer constants — any set of distinct odd 64-bit
+// constants with good bit dispersion works).
+inline constexpr std::uint64_t kMulChain = 0x9e3779b97f4a7c15ULL;
+inline constexpr std::uint64_t kMulAddr = 0xbf58476d1ce4e5b9ULL;
+inline constexpr std::uint64_t kMulValue = 0x94d049bb133111ebULL;
+inline constexpr std::uint64_t kMulTag = 0x2545f4914f6cdd1dULL;
+inline constexpr std::uint64_t kMulBits = 0xff51afd7ed558ccdULL;
+inline constexpr std::uint64_t kMulBody = 0xc4ceb9fe1a85ec53ULL;
 }  // namespace detail
 
 /// Mixes one message's header fields into a single word through independent
@@ -120,25 +118,12 @@ using simd::detail::kMulBody;
 /// during compaction) instead of re-streaming the reordered delivered batch
 /// from DRAM — a full extra memory pass that blew the recorder-overhead
 /// gate (bench/bench_trace.cpp) on million-message rounds; it is also what
-/// lets batch consumers (core::RoundDriver, digest_messages below) use the
-/// vectorized sum_headers40 kernel over flat record arrays; (3) unlike XOR,
-/// a sum does not cancel identical duplicate messages (legal in the model)
-/// pairwise.
+/// lets core::RoundDriver sum its collected batch in any order; (3) unlike
+/// XOR, a sum does not cancel identical duplicate messages (legal in the
+/// model) pairwise.
 [[nodiscard]] inline std::uint64_t digest_messages_final(std::uint64_t header_sum,
                                                          std::uint64_t count) noexcept {
   return mix64(header_sum + count * detail::kMulChain);
-}
-
-[[nodiscard]] inline std::uint64_t digest_messages(
-    std::span<const Message> batch,
-    simd::Tier tier = simd::Tier::kAuto) noexcept {
-  // Message is a 40-byte POD, so a batch is exactly the flat record array
-  // the SIMD header-sum kernel wants; every tier returns the same sum bit
-  // for bit (see common/simd.hpp), so the digest stays tier-independent.
-  static_assert(sizeof(Message) == 40);
-  const std::uint64_t sum = simd::sum_headers40(
-      tier, reinterpret_cast<const std::byte*>(batch.data()), batch.size());
-  return digest_messages_final(sum, batch.size());
 }
 
 /// Header-salted digest of one message's body bytes, for the commutative
@@ -190,19 +175,6 @@ using simd::detail::kMulBody;
   // odd constants; per-message avalanche buys nothing the accumulator's
   // final mix64 (in the Report/trace consumer) wouldn't.
   return bw;
-}
-
-/// Dispatched form of digest_body: identical result on every tier (the
-/// kernel is the same exact integer fold), vectorized for bodies long
-/// enough to fill vector lanes. Short bodies keep the inline scalar loop —
-/// the cutover is by length only, never by tier, so digests stay
-/// tier-independent.
-[[nodiscard]] inline std::uint64_t digest_body(simd::Tier tier,
-                                               std::uint64_t header_word,
-                                               PayloadView bytes) noexcept {
-  if (bytes.size() < 64) return digest_body(header_word, bytes);
-  return simd::xor_mul_words(tier, header_word, bytes.data(), bytes.size(),
-                             detail::kMulBody);
 }
 
 /// Order-sensitive digest of a node-id set (the engine hashes the stepped

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,13 @@ struct BaselineCase {
   std::int64_t t;
   std::string adversary;
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const BaselineCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.adversary;
+}
 
 class FloodSetSweep : public ::testing::TestWithParam<BaselineCase> {};
 

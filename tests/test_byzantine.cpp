@@ -3,6 +3,7 @@
 // equivocating, and flooding Byzantine behaviors.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -203,6 +204,14 @@ struct AbCase {
   int byz_little;        // how many Byzantine among little nodes
   int byz_big;           // how many Byzantine among the rest
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const AbCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.behavior << " l=" << c.byz_little
+      << " b=" << c.byz_big;
+}
 
 class AbSweep : public ::testing::TestWithParam<AbCase> {};
 

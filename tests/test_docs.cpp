@@ -133,9 +133,9 @@ TEST(Docs, ArchitectureDocCoversTheTimingFaultPlane) {
 TEST(Docs, ArchitectureDocCoversTheSimdMessagePlane) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :
-       {"SIMD message plane", "LFT_SIMD", "EngineConfig::simd", "RunOptions::simd",
-        "detect_tier", "scalar tier is the reference", "huge page", "LFT_HUGEPAGES",
-        "NUMA", "LFT_NUMA", "stolen_remote", "hotpath_baseline.json",
+       {"## The message plane", "one scalar implementation", "There is one code path",
+        "scatter_records40", "MADV_HUGEPAGE", "NUMA", "kill switches",
+        "0005-scalar-message-plane.json", "threads {1, 4} x scratch", "hotpath_baseline.json",
         "check_hotpath_regression", "bench_report", "bench/history"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";
@@ -167,8 +167,8 @@ TEST(Docs, ReadmeLinksTheDocsPlane) {
       << "README must document the forensics quickstart";
   EXPECT_NE(readme.find("lft_serve"), std::string::npos)
       << "README must document the service quickstart";
-  EXPECT_NE(readme.find("LFT_SIMD"), std::string::npos)
-      << "README must document the SIMD dispatch override";
+  EXPECT_NE(readme.find("one scalar message plane"), std::string::npos)
+      << "README must say the message plane has one code path";
   EXPECT_NE(readme.find("bench_report.py"), std::string::npos)
       << "README must document the perf-history dashboard";
 }

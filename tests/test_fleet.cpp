@@ -103,28 +103,6 @@ TEST(FleetRunner, ThreadCountClamped) {
   EXPECT_EQ(wide.threads(), 64);
 }
 
-TEST(FleetRunner, NumaTopologyIsObservableAndRemoteStealsBounded) {
-  // Placement is a performance hint only: whatever the host's topology,
-  // the counters must be coherent — at least one node, and remote steals
-  // are a subset of all steals (identically zero on single-node hosts,
-  // where slot placement degrades to the flat scan).
-  FleetRunner fleet(FleetConfig{4});
-  EXPECT_GE(fleet.numa_nodes(), 1);
-  std::atomic<int> ran{0};
-  for (int k = 0; k < 32; ++k) {
-    (void)fleet.submit([&ran](EngineScratch*) {
-      ran.fetch_add(1);
-      return sim::Report{};
-    });
-  }
-  fleet.wait_all();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_LE(fleet.stolen_remote(), fleet.stolen());
-  if (fleet.numa_nodes() == 1) {
-    EXPECT_EQ(fleet.stolen_remote(), 0);
-  }
-}
-
 // ---- EngineScratch recycling ----------------------------------------------
 
 TEST(EngineScratch, AdoptionIsBitIdenticalToColdBuffers) {

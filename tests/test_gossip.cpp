@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,13 @@ struct GossipCase {
   std::int64_t t;
   std::string adversary;
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const GossipCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.adversary;
+}
 
 std::unique_ptr<sim::FaultInjector> gossip_adversary(const std::string& kind, NodeId n,
                                                       std::int64_t t, std::uint64_t seed) {

@@ -1,22 +1,30 @@
 // Tests for the zero-copy message plane: POD Message invariants, payload
 // arena integrity across rounds and chunk boundaries, Inbox::with_tag
 // boundary cases, the radix delivery sweep's normal form under duplicate
-// (receiver, tag, sender) triples, pooled single-port payloads, and the
+// (receiver, tag, sender) triples, pooled single-port payloads, the
 // bit-identity of serial vs parallel stepping on the crash-consensus and
-// gossip workloads.
+// gossip workloads, and the stepper x scratch identity matrix (Report
+// fingerprint plus every RoundDigest) over fanout, crash consensus, gossip,
+// Byzantine, delay/GST and the two-level scatter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "byzantine/ab_consensus.hpp"
 #include "core/consensus.hpp"
 #include "core/gossip.hpp"
+#include "scenarios/scenarios.hpp"
 #include "sim/adversary.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/single_port.hpp"
+#include "sim/trace.hpp"
 #include "test_util.hpp"
 
 namespace lft::sim {
@@ -383,6 +391,261 @@ TEST(MessagePlane, ParallelSteppingBitIdenticalGossip) {
   const auto parallel = run_with_threads(4);
   EXPECT_TRUE(serial.termination);
   expect_reports_identical(serial.report, parallel.report);
+}
+
+// ---- stepper x scratch identity --------------------------------------------
+//
+// The parallel stepper and scratch adoption are speed knobs, never semantics
+// knobs: every combination must reproduce the serial cold run's Report
+// fingerprint AND every per-round digest. Each workload below enters through
+// a different path (EngineConfig directly, core::RunOptions through the
+// protocol runners, the scenario registry) so the plumbing is covered end to
+// end.
+
+/// Everything an execution exposes that could possibly differ: the Report
+/// fingerprint plus the full RoundDigest stream.
+struct Capture {
+  std::uint64_t fingerprint = 0;
+  std::vector<RoundDigest> rounds;
+};
+
+class DigestLog final : public TraceSink {
+ public:
+  void on_round(const RoundDigest& digest) override { rounds.push_back(digest); }
+  std::vector<RoundDigest> rounds;
+};
+
+void expect_capture_eq(const Capture& ref, const Capture& got, const std::string& label) {
+  EXPECT_EQ(ref.fingerprint, got.fingerprint) << label;
+  ASSERT_EQ(ref.rounds.size(), got.rounds.size()) << label;
+  for (std::size_t r = 0; r < ref.rounds.size(); ++r) {
+    EXPECT_TRUE(ref.rounds[r] == got.rounds[r]) << label << " diverges at round " << r;
+  }
+}
+
+/// One engine/runner configuration under test. The serial cold run is the
+/// reference every other combination must match bit for bit.
+struct Combo {
+  int threads = 1;
+  bool scratch = false;
+};
+
+std::string combo_label(const char* workload, const Combo& c) {
+  return test::case_name(workload, "_t", c.threads, c.scratch ? "_scratch" : "_cold");
+}
+
+/// Runs `workload` for every stepper x scratch combination and holds each
+/// capture to the serial cold reference.
+template <typename Workload>
+void check_identity(const char* name, Workload&& workload) {
+  const Capture ref = workload(Combo{});
+  for (const int threads : {1, 4}) {
+    for (const bool scratch : {false, true}) {
+      const Combo c{threads, scratch};
+      if (threads == 1 && !scratch) continue;
+      expect_capture_eq(ref, workload(c), combo_label(name, c));
+    }
+  }
+}
+
+/// RunOptions for a combo, recording digests into `log`.
+core::RunOptions combo_options(const Combo& c, EngineScratch& scratch, DigestLog& log) {
+  core::RunOptions options;
+  options.threads = c.threads;
+  options.scratch = c.scratch ? &scratch : nullptr;
+  options.trace = &log;
+  return options;
+}
+
+TEST(MessagePlaneIdentity, FanoutSteppersScratch) {
+  // n >= 256 engages the parallel stepper; mixed bodied/bodyless sends cover
+  // both the inline bodyless fast path and the arena body path.
+  check_identity("fanout", [](const Combo& c) {
+    static constexpr NodeId kN = 300;
+    static constexpr Round kRounds = 4;
+    DigestLog log;
+    EngineScratch scratch;
+    EngineConfig config;
+    config.threads = c.threads;
+    config.scratch = c.scratch ? &scratch : nullptr;
+    config.trace = &log;
+    Engine engine(kN, config);
+    const std::vector<std::byte> body(24, std::byte{0x5A});
+    for (NodeId v = 0; v < kN; ++v) {
+      engine.set_process(v, lambda_process([&body](Context& ctx, const Inbox&) {
+                           if (ctx.round() >= kRounds) {
+                             ctx.halt();
+                             return;
+                           }
+                           for (NodeId to = 0; to < kN; to += 3) {
+                             const auto tag = static_cast<std::uint32_t>(to % 7);
+                             if (to % 5 == 0) {
+                               ctx.send(to, tag, static_cast<std::uint64_t>(to),
+                                        1 + body.size() * 8, body);
+                             } else {
+                               ctx.send(to, tag, static_cast<std::uint64_t>(to));
+                             }
+                           }
+                         }));
+    }
+    const Report report = engine.run();
+    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
+  });
+}
+
+TEST(MessagePlaneIdentity, ConsensusWithCrashesSteppersScratch) {
+  // Planned crashes exercise the delivery slow path (compaction invalidates
+  // the send-time sort keys; the traced header sum subtracts dropped
+  // messages).
+  check_identity("consensus", [](const Combo& c) {
+    constexpr NodeId kN = 48;
+    constexpr std::int64_t kT = 6;
+    const auto params = core::ConsensusParams::practical(kN, kT);
+    std::vector<int> inputs(static_cast<std::size_t>(kN));
+    for (std::size_t v = 0; v < inputs.size(); ++v) inputs[v] = static_cast<int>(v % 2);
+    FaultPlan plan;
+    plan.crash_at(3, 1).crash_at(17, 2, /*keep_fraction=*/0.5).omission(9, 1, 3, true, true);
+    DigestLog log;
+    EngineScratch scratch;
+    const Report report = core::run_system(
+        kN, kT,
+        [&](NodeId v) {
+          return core::make_few_crashes_process(params, v, inputs[static_cast<std::size_t>(v)]);
+        },
+        make_plan_injector(plan), combo_options(c, scratch, log));
+    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
+  });
+}
+
+TEST(MessagePlaneIdentity, GossipSteppersScratch) {
+  check_identity("gossip", [](const Combo& c) {
+    constexpr NodeId kN = 64;
+    const auto params = core::GossipParams::practical(kN, 5);
+    std::vector<std::uint64_t> rumors(static_cast<std::size_t>(kN));
+    for (std::size_t v = 0; v < rumors.size(); ++v) rumors[v] = 0xC0FFEE00u + v;
+    DigestLog log;
+    EngineScratch scratch;
+    const auto outcome =
+        core::run_gossip(params, rumors, nullptr, combo_options(c, scratch, log));
+    EXPECT_TRUE(outcome.all_good());
+    return Capture{scenarios::fingerprint(outcome.report), std::move(log.rounds)};
+  });
+}
+
+TEST(MessagePlaneIdentity, ByzantineSteppersScratch) {
+  // Takeovers make traffic adversarial (equivocation + flooding): message
+  // multisets per round are large and irregular, and the honest/total metric
+  // split must not move with the stepper.
+  check_identity("byzantine", [](const Combo& c) {
+    const auto params = byzantine::AbParams::practical(40, 3);
+    std::vector<std::uint64_t> inputs(40, 0);
+    inputs[11] = 1;
+    FaultPlan plan;
+    plan.takeover(1, 0, "equivocate").takeover(25, 0, "flood");
+    DigestLog log;
+    EngineScratch scratch;
+    const auto outcome = byzantine::run_ab_consensus_plan(params, inputs, plan,
+                                                          combo_options(c, scratch, log));
+    EXPECT_TRUE(outcome.termination);
+    EXPECT_TRUE(outcome.agreement);
+    return Capture{scenarios::fingerprint(outcome.report), std::move(log.rounds)};
+  });
+}
+
+TEST(MessagePlaneIdentity, DelayedDeliverySteppersScratch) {
+  // Timing faults route messages through the due-round delay queue (park in
+  // the bucket arena, inject rounds later into the delivery sort) — a code
+  // path the other identity workloads never touch. Both a fixed-jitter plan
+  // and a GST plan must give the same fingerprint and digest stream on every
+  // stepper and scratch mode; the digests include the v2 `delayed` counter,
+  // so a thread-dependent parking decision cannot hide.
+  for (const char* name : {"delay_uniform_jitter", "gst_early_stabilize"}) {
+    const auto* scenario = scenarios::find_scenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    check_identity(name, [scenario](const Combo& c) {
+      DigestLog log;
+      EngineScratch scratch;
+      const auto result = scenario->run_at(/*seed=*/9, scenario->n, scenario->t,
+                                           combo_options(c, scratch, log));
+      EXPECT_TRUE(result.ok) << scenario->name << ": " << result.detail;
+      std::uint64_t parked = 0;
+      for (const auto& d : log.rounds) parked += d.delayed;
+      EXPECT_GT(parked, 0u) << scenario->name << " parked nothing — dead workload";
+      return Capture{scenarios::fingerprint(result.report), std::move(log.rounds)};
+    });
+  }
+}
+
+TEST(MessagePlaneIdentity, TwoLevelScatterDeliversNormalForm) {
+  // Large-domain large-batch delivery: n = 4096 and m = n * 64 = 262144 per
+  // round clears both two-level gates (m >= 1<<18, domain = n << tag_bits =
+  // 65536 >= 32768), so the cache-blocked MSD scatter runs instead of the
+  // flat one. Every delivered inbox must equal the oracle built here from
+  // the send schedule: the receiver's messages in send order (sender
+  // ascending, then send index), stably sorted by tag. The parallel stepper
+  // with scratch must then reproduce the serial run bit for bit.
+  static constexpr NodeId kN = 4096;
+  static constexpr int kFan = 64;
+  static constexpr Round kRounds = 2;
+  auto dest = [](NodeId from, int i, Round round) {
+    return static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 17 + round) % kN);
+  };
+  using Seen = std::tuple<std::uint32_t, NodeId, std::uint64_t>;  // (tag, from, value)
+  // inboxes[r][v]: what node v received in round r + 1.
+  std::vector<std::vector<std::vector<Seen>>> inboxes(
+      kRounds, std::vector<std::vector<Seen>>(static_cast<std::size_t>(kN)));
+  auto workload = [&](const Combo& c) {
+    DigestLog log;
+    EngineScratch scratch;
+    EngineConfig config;
+    config.threads = c.threads;
+    config.scratch = c.scratch ? &scratch : nullptr;
+    config.trace = &log;
+    Engine engine(kN, config);
+    for (NodeId v = 0; v < kN; ++v) {
+      engine.set_process(v, lambda_process([&, v](Context& ctx, const Inbox& inbox) {
+                           if (ctx.round() >= 1) {
+                             auto& seen = inboxes[static_cast<std::size_t>(ctx.round() - 1)]
+                                                 [static_cast<std::size_t>(v)];
+                             seen.clear();
+                             for (const auto& m : inbox) {
+                               EXPECT_EQ(m.to, v);
+                               seen.emplace_back(m.tag, m.from, m.value);
+                             }
+                           }
+                           if (ctx.round() >= kRounds) {
+                             ctx.halt();
+                             return;
+                           }
+                           for (int i = 0; i < kFan; ++i) {
+                             ctx.send(dest(v, i, ctx.round()), static_cast<std::uint32_t>(i % 7),
+                                      static_cast<std::uint64_t>(i));
+                           }
+                         }));
+    }
+    const Report report = engine.run();
+    EXPECT_EQ(report.metrics.peak_round_messages, static_cast<std::int64_t>(kN) * kFan);
+    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
+  };
+  const Capture ref = workload(Combo{});
+  for (Round r = 0; r < kRounds; ++r) {
+    std::vector<std::vector<Seen>> want(static_cast<std::size_t>(kN));
+    for (NodeId from = 0; from < kN; ++from) {
+      for (int i = 0; i < kFan; ++i) {
+        want[static_cast<std::size_t>(dest(from, i, r))].emplace_back(
+            static_cast<std::uint32_t>(i % 7), from, static_cast<std::uint64_t>(i));
+      }
+    }
+    for (NodeId v = 0; v < kN; ++v) {
+      auto& expected = want[static_cast<std::size_t>(v)];
+      std::stable_sort(expected.begin(), expected.end(), [](const Seen& a, const Seen& b) {
+        return std::get<0>(a) < std::get<0>(b);
+      });
+      ASSERT_EQ(inboxes[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)], expected)
+          << "round " << r + 1 << " receiver " << v;
+    }
+  }
+  expect_capture_eq(ref, workload(Combo{4, true}), combo_label("twolevel", {4, true}));
 }
 
 }  // namespace

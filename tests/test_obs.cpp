@@ -202,6 +202,67 @@ TEST(ObsSnapshot, BinaryCodecRoundTripsExactly) {
   }
 }
 
+/// Encodes a one-histogram snapshot from raw fields, bypassing Histogram's
+/// invariants the way a hostile or buggy peer could.
+std::vector<std::byte> encode_raw_histogram(std::uint64_t count, std::uint64_t min,
+                                            std::uint64_t max,
+                                            const std::vector<std::uint64_t>& buckets) {
+  ByteWriter writer;
+  writer.put_u8(1);      // snapshot version
+  writer.put_varint(0);  // counters
+  writer.put_varint(0);  // gauges
+  writer.put_varint(1);  // histograms
+  writer.put_varint(1);
+  writer.put_u8(static_cast<std::uint8_t>('h'));
+  writer.put_varint(count);
+  writer.put_varint(count * 10);  // sum
+  writer.put_varint(min);
+  writer.put_varint(max);
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    writer.put_varint(static_cast<std::size_t>(b) < buckets.size() ? buckets[b] : 0);
+  }
+  return writer.bytes();
+}
+
+TEST(ObsSnapshot, DecodeRejectsHistogramsThatBreakTheInvariants) {
+  // Control: a consistent raw encoding decodes (value 10 lives in bucket 6).
+  std::vector<std::uint64_t> buckets(7, 0);
+  buckets[6] = 3;
+  const auto good = encode_raw_histogram(3, 10, 10, buckets);
+  ByteReader good_reader(good);
+  const auto decoded = Snapshot::decode(good_reader);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->histograms[0].data.percentile(50.0), 10u);
+
+  // min > max would hand std::clamp an inverted range in percentile().
+  const auto inverted = encode_raw_histogram(3, 11, 10, buckets);
+  ByteReader inverted_reader(inverted);
+  EXPECT_FALSE(Snapshot::decode(inverted_reader).has_value());
+
+  // Buckets that do not add up to count, including a sum that only matches
+  // after wrapping around 2^64.
+  for (const auto& bad : {std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 2},
+                          std::vector<std::uint64_t>{0, 0, 0, 0, 0, 0, 4},
+                          std::vector<std::uint64_t>{4, 0, 0, 0, 0, 0, ~std::uint64_t{0}}}) {
+    const auto bytes = encode_raw_histogram(3, 10, 10, bad);
+    ByteReader reader(bytes);
+    EXPECT_FALSE(Snapshot::decode(reader).has_value());
+  }
+}
+
+TEST(ObsSnapshot, DecodeRejectsRowCountsTheInputCannotHold) {
+  // Six bytes claiming 65536 histogram rows (~38 MB of rows if reserved):
+  // rejected by the size check, before any row is read.
+  ByteWriter writer;
+  writer.put_u8(1);
+  writer.put_varint(0);
+  writer.put_varint(0);
+  writer.put_varint(65536);
+  ASSERT_EQ(writer.bytes().size(), 6u);
+  ByteReader reader(writer.view());
+  EXPECT_FALSE(Snapshot::decode(reader).has_value());
+}
+
 TEST(ObsSnapshot, MergeFoldsByNameWithCounterAddGaugeMaxHistogramMerge) {
   Registry a, b;
   a.counter("lft_n_total").add(10);

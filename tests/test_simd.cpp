@@ -1,49 +1,22 @@
-// Tests for the runtime-dispatched SIMD layer (common/simd.hpp).
-//
-// Two layers of coverage:
-//  1. Primitive kernels: every tier the host can execute is held bit-identical
-//     to the scalar reference at lane-boundary sizes (0, 1, lane-1, lane,
-//     lane+1, multi-block, unaligned record bases, ragged byte tails).
-//  2. Whole-engine bit-identity: Report fingerprints and every RoundDigest
-//     must agree across forced tiers x serial/parallel stepping x scratch
-//     adoption on the fanout / consensus / gossip / byzantine workloads.
+// Tests for the delivery-sweep kernels (common/simd.hpp). Each kernel is
+// held to a scalar reference built here from the standard library (count,
+// exclusive_scan, stable_sort), at block-boundary sizes, with heavy key
+// duplication, and on record bases off 8-byte alignment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <numeric>
 #include <random>
-#include <string>
 #include <vector>
 
-#include "byzantine/ab_consensus.hpp"
 #include "common/simd.hpp"
-#include "core/consensus.hpp"
-#include "core/gossip.hpp"
-#include "scenarios/scenarios.hpp"
-#include "sim/adversary.hpp"
-#include "sim/engine.hpp"
-#include "sim/faults.hpp"
-#include "sim/trace.hpp"
-#include "test_util.hpp"
 
 namespace lft {
 namespace {
 
-using simd::Tier;
-
-// Tiers this binary compiled in AND this CPU can execute, scalar excluded.
-std::vector<Tier> fast_tiers() {
-  std::vector<Tier> tiers;
-  for (const Tier t : {Tier::kAvx2, Tier::kAvx512}) {
-    if (simd::tier_compiled(t) && t <= simd::detect_tier()) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-// Lane-boundary sizes for both 8-lane (AVX2 u32) and 16-lane (AVX-512 u32)
-// kernels, plus multi-block and ragged counts.
 const std::size_t kSizes[] = {0, 1, 3, 4, 5, 7,  8,  9,  15, 16, 17,
                               31, 32, 33, 63, 64, 65, 100, 129, 1000};
 
@@ -51,7 +24,7 @@ constexpr std::size_t kRecordBytes = 40;
 
 // Deterministic records with bounded (to, tag) at byte offsets 4 / 8 and
 // random junk elsewhere, laid out like sim::Message. `misalign` shifts the
-// base pointer off 8-byte alignment to exercise unaligned loads.
+// base pointer off 8-byte alignment.
 struct RecordBuf {
   std::vector<std::byte> storage;
   std::byte* records = nullptr;
@@ -73,448 +46,119 @@ struct RecordBuf {
       std::memcpy(r + 8, &tag, 4);
     }
   }
+
+  [[nodiscard]] std::uint32_t field(std::size_t i, std::size_t offset) const {
+    std::uint32_t v;
+    std::memcpy(&v, records + i * kRecordBytes + offset, 4);
+    return v;
+  }
 };
 
-TEST(SimdDispatch, TierNamesRoundTrip) {
-  for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512, Tier::kAuto}) {
-    const auto parsed = simd::parse_tier(simd::tier_name(t));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, t);
+std::vector<std::uint32_t> reference_histogram(const std::vector<std::uint32_t>& keys,
+                                               std::size_t domain) {
+  std::vector<std::uint32_t> counts(domain);
+  for (std::size_t k = 0; k < domain; ++k) {
+    counts[k] = static_cast<std::uint32_t>(
+        std::count(keys.begin(), keys.end(), static_cast<std::uint32_t>(k)));
   }
-  EXPECT_FALSE(simd::parse_tier("sse9").has_value());
-  EXPECT_FALSE(simd::parse_tier("").has_value());
-}
-
-TEST(SimdDispatch, ScalarAlwaysCompiled) {
-  EXPECT_TRUE(simd::tier_compiled(Tier::kScalar));
-  EXPECT_NE(simd::detect_tier(), Tier::kAuto);
-}
-
-TEST(SimdDispatch, EnvOverrideClampsDownOnly) {
-  EXPECT_EQ(simd::apply_env_override(nullptr, Tier::kAvx512), Tier::kAvx512);
-  EXPECT_EQ(simd::apply_env_override("", Tier::kAvx512), Tier::kAvx512);
-  EXPECT_EQ(simd::apply_env_override("scalar", Tier::kAvx512), Tier::kScalar);
-  EXPECT_EQ(simd::apply_env_override("avx2", Tier::kAvx512), Tier::kAvx2);
-  EXPECT_EQ(simd::apply_env_override("avx512", Tier::kAvx2), Tier::kAvx2);
-  EXPECT_EQ(simd::apply_env_override("avx512", Tier::kScalar), Tier::kScalar);
-  EXPECT_EQ(simd::apply_env_override("auto", Tier::kAvx2), Tier::kAvx2);
-  EXPECT_EQ(simd::apply_env_override("garbage", Tier::kAvx2), Tier::kAvx2);
-}
-
-TEST(SimdDispatch, ResolveTierNeverReturnsAuto) {
-  for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512, Tier::kAuto}) {
-    const Tier resolved = simd::resolve_tier(t);
-    EXPECT_NE(resolved, Tier::kAuto);
-    EXPECT_LE(resolved, simd::detect_tier());
-  }
-  EXPECT_EQ(simd::resolve_tier(Tier::kScalar), Tier::kScalar);
+  return counts;
 }
 
 TEST(SimdKernels, HistogramMatchesScalar) {
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : kSizes) {
-      std::mt19937_64 rng(n * 1009 + 1);
-      const std::uint32_t domain = 37;
-      std::vector<std::uint32_t> keys(n);
-      for (auto& k : keys) k = static_cast<std::uint32_t>(rng()) % domain;
-      std::vector<std::uint32_t> want(domain, 0);
-      std::vector<std::uint32_t> got(domain, 0);
-      simd::histogram_u32(Tier::kScalar, keys.data(), n, want.data());
-      simd::histogram_u32(tier, keys.data(), n, got.data());
-      EXPECT_EQ(want, got) << simd::tier_name(tier) << " n=" << n;
-    }
+  for (const std::size_t n : kSizes) {
+    std::mt19937_64 rng(n * 1009 + 1);
+    const std::uint32_t domain = 37;
+    std::vector<std::uint32_t> keys(n);
+    for (auto& k : keys) k = static_cast<std::uint32_t>(rng()) % domain;
+    std::vector<std::uint32_t> got(domain, 0);
+    simd::histogram_u32(keys.data(), n, got.data());
+    EXPECT_EQ(reference_histogram(keys, domain), got) << "n=" << n;
   }
 }
 
 TEST(SimdKernels, HistogramHeavyDuplicates) {
-  // All-equal and two-value keys stress the AVX-512 conflict path.
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : {16u, 17u, 48u, 1000u}) {
-      std::vector<std::uint32_t> keys(n, 5);
-      for (std::size_t i = 0; i < n; i += 3) keys[i] = 11;
-      std::vector<std::uint32_t> want(16, 0);
-      std::vector<std::uint32_t> got(16, 0);
-      simd::histogram_u32(Tier::kScalar, keys.data(), n, want.data());
-      simd::histogram_u32(tier, keys.data(), n, got.data());
-      EXPECT_EQ(want, got) << simd::tier_name(tier) << " n=" << n;
-    }
+  for (const std::size_t n : {16u, 17u, 48u, 1000u}) {
+    std::vector<std::uint32_t> keys(n, 5);
+    for (std::size_t i = 0; i < n; i += 3) keys[i] = 11;
+    // The kernel accumulates into counts it is handed; start from nonzero.
+    std::vector<std::uint32_t> got(16, 2);
+    simd::histogram_u32(keys.data(), n, got.data());
+    auto want = reference_histogram(keys, 16);
+    for (auto& c : want) c += 2;
+    EXPECT_EQ(want, got) << "n=" << n;
+    EXPECT_EQ(got[11], 2 + (n + 2) / 3) << "n=" << n;
   }
 }
 
 TEST(SimdKernels, ExclusiveScanMatchesScalar) {
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : kSizes) {
-      std::mt19937_64 rng(n * 31 + 7);
-      std::vector<std::uint32_t> want(n);
-      // Include large values so the u32 total wraps on bigger sizes.
-      for (auto& v : want) v = static_cast<std::uint32_t>(rng());
-      std::vector<std::uint32_t> got = want;
-      const std::uint32_t want_total =
-          simd::exclusive_scan_u32(Tier::kScalar, want.data(), n);
-      const std::uint32_t got_total =
-          simd::exclusive_scan_u32(tier, got.data(), n);
-      EXPECT_EQ(want, got) << simd::tier_name(tier) << " n=" << n;
-      EXPECT_EQ(want_total, got_total) << simd::tier_name(tier) << " n=" << n;
-    }
+  for (const std::size_t n : kSizes) {
+    std::mt19937_64 rng(n * 31 + 7);
+    std::vector<std::uint32_t> values(n);
+    // Include large values so the u32 total wraps on bigger sizes.
+    for (auto& v : values) v = static_cast<std::uint32_t>(rng());
+    std::vector<std::uint32_t> want(n);
+    std::exclusive_scan(values.begin(), values.end(), want.begin(), std::uint32_t{0});
+    const std::uint32_t want_total =
+        std::accumulate(values.begin(), values.end(), std::uint32_t{0});
+    std::vector<std::uint32_t> got = values;
+    const std::uint32_t got_total = simd::exclusive_scan_u32(got.data(), n);
+    EXPECT_EQ(want, got) << "n=" << n;
+    EXPECT_EQ(want_total, got_total) << "n=" << n;
   }
 }
 
 TEST(SimdKernels, BuildKeysMatchesScalarIncludingUnalignedBase) {
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : kSizes) {
-      for (const std::size_t misalign : {0u, 1u, 5u}) {
-        RecordBuf buf(n, /*to_limit=*/53, /*tag_limit=*/13, misalign,
-                      /*seed=*/n * 7919 + misalign);
-        const unsigned tag_bits = 4;
-        std::vector<std::uint32_t> want(n + 1, 0xDEADBEEF);
-        std::vector<std::uint32_t> got(n + 1, 0xDEADBEEF);
-        const std::uint32_t want_max = simd::build_keys40(
-            Tier::kScalar, buf.records, n, tag_bits, want.data());
-        const std::uint32_t got_max =
-            simd::build_keys40(tier, buf.records, n, tag_bits, got.data());
-        EXPECT_EQ(want, got)
-            << simd::tier_name(tier) << " n=" << n << " mis=" << misalign;
-        EXPECT_EQ(want_max, got_max) << simd::tier_name(tier) << " n=" << n;
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t misalign : {0u, 1u, 5u}) {
+      const RecordBuf buf(n, /*to_limit=*/53, /*tag_limit=*/13, misalign,
+                          /*seed=*/n * 7919 + misalign);
+      const unsigned tag_bits = 4;
+      std::vector<std::uint32_t> want(n + 1, 0xDEADBEEF);
+      std::uint32_t want_max = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t to = buf.field(i, 4);
+        const std::uint32_t tag = buf.field(i, 8);
+        want[i] = (to << tag_bits) | tag;
+        want_max = std::max(want_max, tag);
       }
+      std::vector<std::uint32_t> got(n + 1, 0xDEADBEEF);
+      const std::uint32_t got_max = simd::build_keys40(buf.records, n, tag_bits, got.data());
+      EXPECT_EQ(want, got) << "n=" << n << " mis=" << misalign;
+      EXPECT_EQ(want_max, got_max) << "n=" << n << " mis=" << misalign;
     }
   }
 }
 
 TEST(SimdKernels, ScatterMatchesScalarAndIsStable) {
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : kSizes) {
-      RecordBuf buf(n, /*to_limit=*/7, /*tag_limit=*/3, /*misalign=*/1,
-                    /*seed=*/n * 104729 + 3);
-      const unsigned tag_bits = 2;
-      const std::size_t domain = 7u << tag_bits;
-      std::vector<std::uint32_t> keys(n);
-      simd::build_keys40(Tier::kScalar, buf.records, n, tag_bits, keys.data());
+  for (const std::size_t n : kSizes) {
+    const RecordBuf buf(n, /*to_limit=*/7, /*tag_limit=*/3, /*misalign=*/1,
+                        /*seed=*/n * 104729 + 3);
+    const unsigned tag_bits = 2;
+    const std::size_t domain = 7u << tag_bits;
+    std::vector<std::uint32_t> keys(n);
+    simd::build_keys40(buf.records, n, tag_bits, keys.data());
 
-      std::vector<std::uint32_t> slots(domain, 0);
-      simd::histogram_u32(Tier::kScalar, keys.data(), n, slots.data());
-      const std::uint32_t total =
-          simd::exclusive_scan_u32(Tier::kScalar, slots.data(), domain);
-      ASSERT_EQ(total, n);
-
-      std::vector<std::uint32_t> want_slots = slots;
-      std::vector<std::uint32_t> got_slots = slots;
-      std::vector<std::byte> want(n * kRecordBytes, std::byte{0xAA});
-      std::vector<std::byte> got(n * kRecordBytes, std::byte{0xAA});
-      simd::scatter_records40(Tier::kScalar, buf.records, n, keys.data(),
-                              want_slots.data(), want.data());
-      simd::scatter_records40(tier, buf.records, n, keys.data(),
-                              got_slots.data(), got.data());
-      EXPECT_EQ(want, got) << simd::tier_name(tier) << " n=" << n;
-      EXPECT_EQ(want_slots, got_slots) << simd::tier_name(tier) << " n=" << n;
+    // Reference: record indices stably sorted by key.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+    std::vector<std::byte> want(n * kRecordBytes);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      std::memcpy(want.data() + slot * kRecordBytes, buf.records + order[slot] * kRecordBytes,
+                  kRecordBytes);
     }
+    const auto counts = reference_histogram(keys, domain);
+    std::vector<std::uint32_t> want_ends(domain);
+    std::inclusive_scan(counts.begin(), counts.end(), want_ends.begin());
+
+    std::vector<std::uint32_t> slots(domain);
+    std::exclusive_scan(counts.begin(), counts.end(), slots.begin(), std::uint32_t{0});
+    std::vector<std::byte> got(n * kRecordBytes, std::byte{0xAA});
+    simd::scatter_records40(buf.records, n, keys.data(), slots.data(), got.data());
+    EXPECT_EQ(want, got) << "n=" << n;
+    EXPECT_EQ(want_ends, slots) << "n=" << n;
   }
-}
-
-TEST(SimdKernels, XorMulWordsMatchesScalarOnRaggedTails) {
-  for (const Tier tier : fast_tiers()) {
-    for (std::size_t len = 0; len <= 140; ++len) {
-      std::mt19937_64 rng(len * 6271 + 11);
-      std::vector<std::byte> bytes(len + 3);
-      for (auto& b : bytes) b = static_cast<std::byte>(rng());
-      const std::uint64_t seed = rng();
-      const std::uint64_t salt = rng() | 1;
-      // Both aligned and deliberately misaligned base pointers.
-      for (const std::size_t off : {0u, 3u}) {
-        const std::uint64_t want = simd::xor_mul_words(
-            Tier::kScalar, seed, bytes.data() + off, len, salt);
-        const std::uint64_t got =
-            simd::xor_mul_words(tier, seed, bytes.data() + off, len, salt);
-        EXPECT_EQ(want, got)
-            << simd::tier_name(tier) << " len=" << len << " off=" << off;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, SumHeadersMatchesScalar) {
-  for (const Tier tier : fast_tiers()) {
-    for (const std::size_t n : kSizes) {
-      for (const std::size_t misalign : {0u, 4u}) {
-        RecordBuf buf(n, /*to_limit=*/1u << 30, /*tag_limit=*/1u << 20,
-                      misalign, /*seed=*/n * 52711 + misalign);
-        const std::uint64_t want =
-            simd::sum_headers40(Tier::kScalar, buf.records, n);
-        const std::uint64_t got = simd::sum_headers40(tier, buf.records, n);
-        EXPECT_EQ(want, got)
-            << simd::tier_name(tier) << " n=" << n << " mis=" << misalign;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, XorMulWordsMatchesDigestBody) {
-  // The kernel is the batch form of sim::digest_body: same result as the
-  // scalar digest formula for whole messages.
-  std::mt19937_64 rng(99);
-  std::vector<std::byte> body(77);
-  for (auto& b : body) b = static_cast<std::byte>(rng());
-  sim::Message m;
-  m.from = 3;
-  m.to = 9;
-  m.tag = 2;
-  m.value = 0x1234;
-  m.bits = 0x5678;
-  m.set_body({body.data(), body.size()});
-  const std::uint64_t header_word = sim::digest_header(m);
-  const std::uint64_t want = sim::digest_body(header_word, m.body());
-  const std::uint64_t got =
-      simd::xor_mul_words(simd::detect_tier(), header_word, body.data(),
-                          body.size(), simd::detail::kMulBody);
-  EXPECT_EQ(want, got);
-}
-
-// ---- Layer 2: whole-engine bit-identity ------------------------------------
-//
-// The dispatch tier is a speed knob, never a semantics knob: a forced tier
-// must reproduce the scalar reference's Report fingerprint AND every
-// per-round digest, under the serial and parallel steppers, with and
-// without scratch adoption. Each workload below routes the tier through a
-// different entry point (EngineConfig::simd directly, core::RunOptions::simd
-// through the protocol runners) so the plumbing is covered end to end.
-
-/// Everything an execution exposes that could possibly differ: the Report
-/// fingerprint plus the full RoundDigest stream.
-struct Capture {
-  std::uint64_t fingerprint = 0;
-  std::vector<sim::RoundDigest> rounds;
-};
-
-class DigestLog final : public sim::TraceSink {
- public:
-  void on_round(const sim::RoundDigest& digest) override { rounds.push_back(digest); }
-  std::vector<sim::RoundDigest> rounds;
-};
-
-void expect_capture_eq(const Capture& ref, const Capture& got, const std::string& label) {
-  EXPECT_EQ(ref.fingerprint, got.fingerprint) << label;
-  ASSERT_EQ(ref.rounds.size(), got.rounds.size()) << label;
-  for (std::size_t r = 0; r < ref.rounds.size(); ++r) {
-    EXPECT_TRUE(ref.rounds[r] == got.rounds[r]) << label << " diverges at round " << r;
-  }
-}
-
-/// One engine/runner configuration under test. The scalar serial cold run is
-/// the reference every other combination must match bit for bit.
-struct Combo {
-  simd::Tier tier = Tier::kScalar;
-  int threads = 1;
-  bool scratch = false;
-};
-
-std::vector<Combo> all_combos() {
-  std::vector<Tier> tiers{Tier::kScalar};
-  for (const Tier t : fast_tiers()) tiers.push_back(t);
-  std::vector<Combo> combos;
-  for (const Tier tier : tiers) {
-    for (const int threads : {1, 4}) {
-      for (const bool scratch : {false, true}) combos.push_back({tier, threads, scratch});
-    }
-  }
-  return combos;
-}
-
-std::string combo_label(const char* workload, const Combo& c) {
-  return test::case_name(workload, std::string(simd::tier_name(c.tier)), "_t", c.threads,
-                         c.scratch ? "_scratch" : "_cold");
-}
-
-/// Runs `workload` for every tier x stepper x scratch combination and holds
-/// each capture to the scalar/serial/cold reference.
-template <typename Workload>
-void check_identity(const char* name, Workload&& workload) {
-  const Capture ref = workload(Combo{});
-  for (const Combo& c : all_combos()) {
-    if (c.tier == Tier::kScalar && c.threads == 1 && !c.scratch) continue;
-    expect_capture_eq(ref, workload(c), combo_label(name, c));
-  }
-}
-
-TEST(SimdEngineIdentity, FanoutTiersSteppersScratch) {
-  // n >= 256 engages the parallel stepper; mixed bodied/bodyless sends cover
-  // both the inline bodyless fast path and the arena body path.
-  check_identity("fanout", [](const Combo& c) {
-    static constexpr NodeId kN = 300;
-    static constexpr Round kRounds = 4;
-    DigestLog log;
-    sim::EngineScratch scratch;
-    sim::EngineConfig config;
-    config.threads = c.threads;
-    config.scratch = c.scratch ? &scratch : nullptr;
-    config.trace = &log;
-    config.simd = c.tier;
-    sim::Engine engine(kN, config);
-    const std::vector<std::byte> body(24, std::byte{0x5A});
-    for (NodeId v = 0; v < kN; ++v) {
-      engine.set_process(v, test::lambda_process([&body](sim::Context& ctx,
-                                                         const sim::Inbox&) {
-        if (ctx.round() >= kRounds) {
-          ctx.halt();
-          return;
-        }
-        for (NodeId to = 0; to < kN; to += 3) {
-          const auto tag = static_cast<std::uint32_t>(to % 7);
-          if (to % 5 == 0) {
-            ctx.send(to, tag, static_cast<std::uint64_t>(to), 1 + body.size() * 8, body);
-          } else {
-            ctx.send(to, tag, static_cast<std::uint64_t>(to));
-          }
-        }
-      }));
-    }
-    const sim::Report report = engine.run();
-    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
-  });
-}
-
-TEST(SimdEngineIdentity, ConsensusWithCrashesTiersSteppersScratch) {
-  // Planned crashes exercise the delivery slow path (compaction invalidates
-  // the send-time sort keys; the traced header sum subtracts dropped
-  // messages) — exactly where a tier-dependent bug would surface.
-  check_identity("consensus", [](const Combo& c) {
-    constexpr NodeId kN = 48;
-    constexpr std::int64_t kT = 6;
-    const auto params = core::ConsensusParams::practical(kN, kT);
-    std::vector<int> inputs(static_cast<std::size_t>(kN));
-    for (std::size_t v = 0; v < inputs.size(); ++v) inputs[v] = static_cast<int>(v % 2);
-    sim::FaultPlan plan;
-    plan.crash_at(3, 1).crash_at(17, 2, /*keep_fraction=*/0.5).omission(9, 1, 3, true, true);
-    DigestLog log;
-    sim::EngineScratch scratch;
-    core::RunOptions options;
-    options.threads = c.threads;
-    options.scratch = c.scratch ? &scratch : nullptr;
-    options.trace = &log;
-    options.simd = c.tier;
-    const sim::Report report = core::run_system(
-        kN, kT,
-        [&](NodeId v) {
-          return core::make_few_crashes_process(params, v, inputs[static_cast<std::size_t>(v)]);
-        },
-        sim::make_plan_injector(plan), options);
-    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
-  });
-}
-
-TEST(SimdEngineIdentity, GossipTiersSteppersScratch) {
-  check_identity("gossip", [](const Combo& c) {
-    constexpr NodeId kN = 64;
-    const auto params = core::GossipParams::practical(kN, 5);
-    std::vector<std::uint64_t> rumors(static_cast<std::size_t>(kN));
-    for (std::size_t v = 0; v < rumors.size(); ++v) rumors[v] = 0xC0FFEE00u + v;
-    DigestLog log;
-    sim::EngineScratch scratch;
-    core::RunOptions options;
-    options.threads = c.threads;
-    options.scratch = c.scratch ? &scratch : nullptr;
-    options.trace = &log;
-    options.simd = c.tier;
-    const auto outcome = core::run_gossip(params, rumors, nullptr, options);
-    EXPECT_TRUE(outcome.all_good());
-    return Capture{scenarios::fingerprint(outcome.report), std::move(log.rounds)};
-  });
-}
-
-TEST(SimdEngineIdentity, ByzantineTiersSteppersScratch) {
-  // Takeovers make traffic adversarial (equivocation + flooding): message
-  // multisets per round are large and irregular, and the honest/total metric
-  // split must not move with the tier.
-  check_identity("byzantine", [](const Combo& c) {
-    const auto params = byzantine::AbParams::practical(40, 3);
-    std::vector<std::uint64_t> inputs(40, 0);
-    inputs[11] = 1;
-    sim::FaultPlan plan;
-    plan.takeover(1, 0, "equivocate").takeover(25, 0, "flood");
-    DigestLog log;
-    sim::EngineScratch scratch;
-    core::RunOptions options;
-    options.threads = c.threads;
-    options.scratch = c.scratch ? &scratch : nullptr;
-    options.trace = &log;
-    options.simd = c.tier;
-    const auto outcome = byzantine::run_ab_consensus_plan(params, inputs, plan, options);
-    EXPECT_TRUE(outcome.termination);
-    EXPECT_TRUE(outcome.agreement);
-    return Capture{scenarios::fingerprint(outcome.report), std::move(log.rounds)};
-  });
-}
-
-TEST(SimdEngineIdentity, DelayedDeliveryTiersSteppersScratch) {
-  // Timing faults route messages through the due-round delay queue (park in
-  // the bucket arena, inject rounds later into the delivery sort) — a code
-  // path the other identity workloads never touch. Both a fixed-jitter plan
-  // and a GST plan must give the same fingerprint and digest stream on every
-  // tier, stepper, and scratch mode; the digests include the v2 `delayed`
-  // counter, so a tier- or thread-dependent parking decision cannot hide.
-  for (const char* name : {"delay_uniform_jitter", "gst_early_stabilize"}) {
-    const auto* scenario = scenarios::find_scenario(name);
-    ASSERT_NE(scenario, nullptr) << name;
-    check_identity(name, [scenario](const Combo& c) {
-      DigestLog log;
-      sim::EngineScratch scratch;
-      core::RunOptions options;
-      options.threads = c.threads;
-      options.scratch = c.scratch ? &scratch : nullptr;
-      options.trace = &log;
-      options.simd = c.tier;
-      const auto result =
-          scenario->run_at(/*seed=*/9, scenario->n, scenario->t, options);
-      EXPECT_TRUE(result.ok) << scenario->name << ": " << result.detail;
-      std::uint64_t parked = 0;
-      for (const auto& d : log.rounds) parked += d.delayed;
-      EXPECT_GT(parked, 0u) << scenario->name << " parked nothing — dead workload";
-      return Capture{scenarios::fingerprint(result.report), std::move(log.rounds)};
-    });
-  }
-}
-
-TEST(SimdEngineIdentity, TwoLevelScatterPathMatchesAcrossTiers) {
-  // Large-domain large-batch delivery: n = 4096 and m = n * 64 = 262144 per
-  // round clears both two-level gates (m >= 1<<18, domain = n << tag_bits =
-  // 65536 >= 32768), so the cache-blocked MSD scatter runs instead of the
-  // flat one. The blocked permutation must be the identical stable normal
-  // form — same fingerprint, same digests — on every tier and stepper.
-  static constexpr NodeId kN = 4096;
-  static constexpr int kFan = 64;
-  static constexpr Round kRounds = 2;
-  auto workload = [&](const Combo& c) {
-    DigestLog log;
-    sim::EngineScratch scratch;
-    sim::EngineConfig config;
-    config.threads = c.threads;
-    config.scratch = c.scratch ? &scratch : nullptr;
-    config.trace = &log;
-    config.simd = c.tier;
-    sim::Engine engine(kN, config);
-    for (NodeId v = 0; v < kN; ++v) {
-      engine.set_process(v, test::lambda_process([v](sim::Context& ctx, const sim::Inbox&) {
-        if (ctx.round() >= kRounds) {
-          ctx.halt();
-          return;
-        }
-        for (int i = 0; i < kFan; ++i) {
-          const auto to = static_cast<NodeId>(
-              (static_cast<std::int64_t>(v) * 31 + i * 17 + ctx.round()) % kN);
-          ctx.send(to, static_cast<std::uint32_t>(i % 7), static_cast<std::uint64_t>(i));
-        }
-      }));
-    }
-    const sim::Report report = engine.run();
-    EXPECT_EQ(report.metrics.peak_round_messages, static_cast<std::int64_t>(kN) * kFan);
-    return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
-  };
-  const Capture ref = workload(Combo{});
-  // The two-level path is stepper-independent; cover each tier serial plus
-  // one parallel run at the best tier to bound runtime.
-  for (const Tier t : fast_tiers()) {
-    expect_capture_eq(ref, workload(Combo{t, 1, false}), combo_label("twolevel", {t, 1, false}));
-  }
-  const Tier best = simd::detect_tier();
-  expect_capture_eq(ref, workload(Combo{best, 4, true}), combo_label("twolevel", {best, 4, true}));
 }
 
 }  // namespace
