@@ -189,7 +189,7 @@ void delta_sensitivity_table() {
   const NodeId n = 2000;
   const std::int64_t t = little / 5;
   const int gamma = 2 + ceil_log2(static_cast<std::uint64_t>(little));
-  auto g = graph::shared_overlay(little, 16, 0xAB1A);
+  auto g = graph::shared_overlay({little, 16, 0xAB1A});
 
   Table table({"delta", "decided%", "agree", "messages"});
   table.print_header();
@@ -214,7 +214,7 @@ void gamma_sensitivity_table() {
   const NodeId little = 400;
   const NodeId n = 2000;
   const std::int64_t t = little / 5;
-  auto g = graph::shared_overlay(little, 16, 0xAB1C);
+  auto g = graph::shared_overlay({little, 16, 0xAB1C});
 
   Table table({"gamma", "decided%", "agree", "rounds"});
   table.print_header();
@@ -236,7 +236,7 @@ void gamma_sensitivity_table() {
 
 void BM_AblationAea(benchmark::State& state) {
   const NodeId little = 400;
-  auto g = graph::shared_overlay(little, 16, 0xAB1A);
+  auto g = graph::shared_overlay({little, 16, 0xAB1A});
   for (auto _ : state) {
     auto run = run_aea_with(g, 2000, little, little / 5,
                             2 + ceil_log2(static_cast<std::uint64_t>(little)), 4, 9);

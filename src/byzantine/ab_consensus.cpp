@@ -45,7 +45,7 @@ std::shared_ptr<const AbConfig> AbConfig::build(const AbParams& params) {
   cfg->registry = std::make_shared<crypto::KeyRegistry>(params.n, params.registry_seed);
   const int degree = std::max(1, std::min<int>(params.spread_degree, params.n - 1));
   cfg->spread_h =
-      graph::shared_overlay(params.n, degree, params.overlay_tag ^ core::kOverlaySpreadH);
+      graph::shared_overlay({params.n, degree, params.overlay_tag ^ core::kOverlaySpreadH});
   return cfg;
 }
 

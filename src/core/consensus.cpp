@@ -1,9 +1,9 @@
 #include "core/consensus.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/assert.hpp"
-#include "common/rng.hpp"
 #include "core/stages.hpp"
 #include "graph/overlay.hpp"
 
@@ -11,24 +11,25 @@ namespace lft::core {
 
 namespace {
 
-std::shared_ptr<const graph::Graph> little_overlay(const ConsensusParams& p) {
-  const int degree = std::min<int>(p.probe_degree_little, std::max<int>(1, p.little_count - 1));
-  return graph::shared_overlay(p.little_count, std::max(1, degree),
-                               p.overlay_tag ^ kOverlayLittleG);
+// Materialized (spectrally certified) inquiry overlays are capped at this
+// many CSR entries; beyond it a phase switches to an implicit representation
+// whose construction and storage are O(degree) instead of O(n * degree).
+// Degrees never fall from phase to phase, so the materialized phases are a
+// prefix of the family.
+constexpr std::int64_t kMaterializedEntryBudget = std::int64_t{1} << 22;
+
+int inquiry_degree(const ConsensusParams& p, int phase) {
+  const std::int64_t wanted = static_cast<std::int64_t>(p.inquiry_base) << (phase + 1);
+  return static_cast<int>(
+      std::clamp<std::int64_t>(wanted, 1, std::min<std::int64_t>(p.inquiry_cap, p.n - 1)));
 }
 
-std::shared_ptr<const graph::Graph> all_overlay(const ConsensusParams& p) {
-  const int degree = std::min<int>(p.probe_degree_all, std::max<int>(1, p.n - 1));
-  return graph::shared_overlay(p.n, std::max(1, degree), p.overlay_tag ^ kOverlayAllG);
+bool materialized(const ConsensusParams& p, int degree) {
+  return static_cast<std::int64_t>(p.n) * degree <= kMaterializedEntryBudget;
 }
 
-std::shared_ptr<const graph::Graph> spread_overlay(const ConsensusParams& p) {
-  const int degree = std::min<int>(p.spread_degree, std::max<int>(1, p.n - 1));
-  return graph::shared_overlay(p.n, std::max(1, degree), p.overlay_tag ^ kOverlaySpreadH);
-}
-
-void add_aea_stages(StageProcess& proc, const ConsensusParams& p, NodeId self) {
-  auto g = little_overlay(p);
+void add_aea_stages(StageProcess& proc, const ConsensusParams& p, NodeId self,
+                    const std::shared_ptr<const graph::Graph>& g) {
   proc.add_stage(std::make_unique<FloodRumorStage>(self, p.little_count, g,
                                                    p.flood_rounds_little, proc.state()));
   proc.add_stage(std::make_unique<ProbeStage>(self, p.little_count, g, p.probe_gamma_little,
@@ -37,16 +38,23 @@ void add_aea_stages(StageProcess& proc, const ConsensusParams& p, NodeId self) {
   proc.add_stage(std::make_unique<NotifyRelatedStage>(self, p.n, p.little_count, proc.state()));
 }
 
-void add_scv_stages(StageProcess& proc, const ConsensusParams& p, NodeId self) {
-  proc.add_stage(std::make_unique<SpreadFloodStage>(self, spread_overlay(p), p.spread_rounds,
-                                                    proc.state()));
+/// SCV's overlays: H, plus the inquiry family unless little-pull replaces it.
+OverlayRequest scv_request(const ConsensusParams& p) {
+  return {.spread_h = true,
+          .inquiry_phases = p.use_little_pull ? 0 : p.scv_phases,
+          .inquiry_tag = p.overlay_tag ^ kOverlayInquiryBase};
+}
+
+void add_scv_stages(StageProcess& proc, const ConsensusParams& p, NodeId self,
+                    ConsensusOverlays& overlays) {
+  proc.add_stage(std::make_unique<SpreadFloodStage>(self, std::move(overlays.spread_h),
+                                                    p.spread_rounds, proc.state()));
   if (p.use_little_pull) {
     proc.add_stage(std::make_unique<PullStage>(self, p.little_count, proc.state(),
                                                /*fallback_metric=*/false));
   } else {
-    proc.add_stage(std::make_unique<InquiryPhasesStage>(
-        self, inquiry_graphs(p, p.scv_phases, p.overlay_tag ^ kOverlayInquiryBase),
-        proc.state()));
+    proc.add_stage(
+        std::make_unique<InquiryPhasesStage>(self, std::move(overlays.inquiry), proc.state()));
     if (p.guarantee_termination) {
       proc.add_stage(std::make_unique<PullStage>(self, p.little_count, proc.state(),
                                                  /*fallback_metric=*/true));
@@ -56,32 +64,48 @@ void add_scv_stages(StageProcess& proc, const ConsensusParams& p, NodeId self) {
 
 }  // namespace
 
-std::vector<graph::PhaseGraph> inquiry_graphs(const ConsensusParams& p, int phases,
-                                              std::uint64_t tag_base) {
-  LFT_ASSERT(phases >= 1);
-  // Materialized (spectrally certified) overlays are capped at this many CSR
-  // entries; beyond it a phase switches to an implicit representation whose
-  // construction and storage are O(degree) instead of O(n * degree).
-  constexpr std::int64_t kMaterializedEntryBudget = std::int64_t{1} << 22;
-  std::vector<graph::PhaseGraph> graphs;
-  graphs.reserve(static_cast<std::size_t>(phases));
-  for (int i = 0; i < phases; ++i) {
-    const std::int64_t wanted = static_cast<std::int64_t>(p.inquiry_base) << (i + 1);
-    const int degree = static_cast<int>(std::clamp<std::int64_t>(
-        wanted, 1, std::min<std::int64_t>(p.inquiry_cap, p.n - 1)));
-    const std::uint64_t tag = tag_base + static_cast<std::uint64_t>(i);
-    if (static_cast<std::int64_t>(p.n) * degree <= kMaterializedEntryBudget) {
-      graphs.push_back(graph::shared_overlay(p.n, std::max(1, degree), tag));
-    } else if (degree >= p.n - 1) {
-      graphs.push_back(graph::PhaseGraph::complete(p.n));
-    } else {
-      graphs.push_back(graph::PhaseGraph::circulant(
-          p.n, degree, make_seed(0x4c4654494e515547ULL /* "LFTINQUG" */,
-                                 static_cast<std::uint64_t>(p.n),
-                                 static_cast<std::uint64_t>(degree), tag)));
-    }
+graph::OverlaySpec little_overlay_spec(const ConsensusParams& p) {
+  return {p.little_count, std::max(1, std::min<int>(p.probe_degree_little, p.little_count - 1)),
+          p.overlay_tag ^ kOverlayLittleG};
+}
+
+ConsensusOverlays consensus_overlays(const ConsensusParams& p, const OverlayRequest& request) {
+  std::vector<graph::OverlaySpec> specs;
+  specs.reserve(3 + static_cast<std::size_t>(std::max(0, request.inquiry_phases)));
+  if (request.little_g) specs.push_back(little_overlay_spec(p));
+  if (request.spread_h) {
+    specs.push_back({p.n, std::max(1, std::min<int>(p.spread_degree, p.n - 1)),
+                     p.overlay_tag ^ kOverlaySpreadH});
   }
-  return graphs;
+  if (request.all_g) {
+    specs.push_back({p.n, std::max(1, std::min<int>(p.probe_degree_all, p.n - 1)),
+                     p.overlay_tag ^ kOverlayAllG});
+  }
+  const std::size_t first_inquiry = specs.size();
+  std::size_t first_implicit = specs.size();
+  for (int i = 0; i < request.inquiry_phases; ++i) {
+    const int degree = inquiry_degree(p, i);
+    specs.push_back({p.n, degree, request.inquiry_tag + static_cast<std::uint64_t>(i)});
+    if (materialized(p, degree)) first_implicit = specs.size();
+  }
+  const std::span<const graph::OverlaySpec> all(specs);
+  auto graphs = graph::shared_overlays(all.first(first_implicit));
+
+  ConsensusOverlays out;
+  std::size_t next = 0;
+  if (request.little_g) out.little_g = std::move(graphs[next++]);
+  if (request.spread_h) out.spread_h = std::move(graphs[next++]);
+  if (request.all_g) out.all_g = std::move(graphs[next++]);
+  if (request.inquiry_phases == 0) return out;
+  out.inquiry.reserve(static_cast<std::size_t>(request.inquiry_phases));
+  for (auto g = graphs.begin() + static_cast<std::ptrdiff_t>(first_inquiry); g != graphs.end();
+       ++g) {
+    out.inquiry.emplace_back(std::move(*g));
+  }
+  if (first_implicit < specs.size()) {
+    graph::append_implicit_overlays(all.subspan(first_implicit), out.inquiry);
+  }
+  return out;
 }
 
 std::unique_ptr<StageProcess> make_aea_process(const ConsensusParams& p, NodeId self,
@@ -90,7 +114,7 @@ std::unique_ptr<StageProcess> make_aea_process(const ConsensusParams& p, NodeId 
   auto proc = std::make_unique<StageProcess>(self);
   proc->state().candidate = input;
   proc->state().is_little = self < p.little_count;
-  add_aea_stages(*proc, p, self);
+  add_aea_stages(*proc, p, self, consensus_overlays(p, {.little_g = true}).little_g);
   return proc;
 }
 
@@ -103,7 +127,8 @@ std::unique_ptr<StageProcess> make_scv_process(const ConsensusParams& p, NodeId 
     proc->state().candidate = static_cast<int>(*initial & 1);
   }
   proc->state().is_little = self < p.little_count;
-  add_scv_stages(*proc, p, self);
+  auto overlays = consensus_overlays(p, scv_request(p));
+  add_scv_stages(*proc, p, self, overlays);
   return proc;
 }
 
@@ -114,8 +139,11 @@ std::unique_ptr<StageProcess> make_few_crashes_process(const ConsensusParams& p,
   auto proc = std::make_unique<StageProcess>(self);
   proc->state().candidate = input;
   proc->state().is_little = self < p.little_count;
-  add_aea_stages(*proc, p, self);
-  add_scv_stages(*proc, p, self);
+  OverlayRequest request = scv_request(p);
+  request.little_g = true;
+  auto overlays = consensus_overlays(p, request);
+  add_aea_stages(*proc, p, self, overlays.little_g);
+  add_scv_stages(*proc, p, self, overlays);
   return proc;
 }
 
@@ -132,15 +160,18 @@ std::unique_ptr<StageProcess> make_many_crashes_process(const ConsensusParams& p
   LFT_ASSERT(input == 0 || input == 1);
   auto proc = std::make_unique<StageProcess>(self);
   proc->state().candidate = input;
-  auto g = all_overlay(p);
+  auto overlays =
+      consensus_overlays(p, {.all_g = true,
+                             .inquiry_phases = p.many_phases,
+                             .inquiry_tag = p.overlay_tag ^ (kOverlayInquiryBase + 500)});
+  const auto& g = overlays.all_g;
   proc->add_stage(std::make_unique<FloodRumorStage>(self, p.n, g, p.flood_rounds_all,
                                                     proc->state()));
   proc->add_stage(std::make_unique<ProbeStage>(self, p.n, g, p.probe_gamma_all,
                                                p.probe_delta_all, proc->state(),
                                                /*decide_on_survive=*/true));
-  proc->add_stage(std::make_unique<InquiryPhasesStage>(
-      self, inquiry_graphs(p, p.many_phases, p.overlay_tag ^ (kOverlayInquiryBase + 500)),
-      proc->state()));
+  proc->add_stage(
+      std::make_unique<InquiryPhasesStage>(self, std::move(overlays.inquiry), proc->state()));
   if (p.guarantee_termination) {
     proc->add_stage(std::make_unique<PullStage>(self, p.n, proc->state(),
                                                 /*fallback_metric=*/true));

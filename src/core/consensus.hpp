@@ -16,16 +16,41 @@
 #include "core/params.hpp"
 #include "core/run_options.hpp"
 #include "graph/graph.hpp"
+#include "graph/overlay.hpp"
 #include "graph/phase_graph.hpp"
 #include "sim/adversary.hpp"
 #include "sim/engine.hpp"
 
 namespace lft::core {
 
-/// The inquiry graph family G_i (Lemma 5): degree inquiry_base * 2^(i+1)
-/// capped at inquiry_cap, each phase on its own certified overlay.
-[[nodiscard]] std::vector<graph::PhaseGraph> inquiry_graphs(
-    const ConsensusParams& params, int phases, std::uint64_t tag_base);
+/// The little-node overlay G of AEA (Figure 1), on the little_count little
+/// nodes; its degree is at least 1 even when t = 0.
+[[nodiscard]] graph::OverlaySpec little_overlay_spec(const ConsensusParams& params);
+
+/// Which overlays one process or configuration uses. `inquiry_phases` > 0
+/// asks for the inquiry graph family G_i (Lemma 5): degree
+/// inquiry_base * 2^(i+1) capped at inquiry_cap, each phase on its own
+/// overlay, tagged from `inquiry_tag`.
+struct OverlayRequest {
+  bool little_g = false;
+  bool spread_h = false;  ///< H of SCV (Figure 2)
+  bool all_g = false;     ///< G on all n nodes (Figure 4)
+  int inquiry_phases = 0;
+  std::uint64_t inquiry_tag = 0;
+};
+
+/// The requested overlays; the ones not requested stay null / empty.
+struct ConsensusOverlays {
+  std::shared_ptr<const graph::Graph> little_g;
+  std::shared_ptr<const graph::Graph> spread_h;
+  std::shared_ptr<const graph::Graph> all_g;
+  std::vector<graph::PhaseGraph> inquiry;
+};
+
+/// Fetches every requested overlay in one graph::shared_overlays batch.
+/// Inquiry phases too large to materialise are implicit PhaseGraphs.
+[[nodiscard]] ConsensusOverlays consensus_overlays(const ConsensusParams& params,
+                                                   const OverlayRequest& request);
 
 /// Figure 1. `input` is the node's binary input.
 [[nodiscard]] std::unique_ptr<StageProcess> make_aea_process(const ConsensusParams& params,

@@ -31,18 +31,20 @@ GossipParams GossipParams::practical(NodeId n, std::int64_t t) {
 std::shared_ptr<const GossipConfig> GossipConfig::build(const GossipParams& params) {
   auto cfg = std::make_shared<GossipConfig>();
   cfg->params = params;
-  const int little_degree =
-      std::max(1, std::min<int>(params.probe_degree, params.little_count - 1));
-  cfg->little_g = graph::shared_overlay(params.little_count, little_degree,
-                                        params.overlay_tag ^ kOverlayLittleG);
-  cfg->inquiry.reserve(static_cast<std::size_t>(params.phases));
+  // One overlay per phase, then little G: all in one batch.
+  std::vector<graph::OverlaySpec> specs;
+  specs.reserve(static_cast<std::size_t>(params.phases) + 1);
   for (int i = 0; i < params.phases; ++i) {
     const std::int64_t wanted = static_cast<std::int64_t>(params.inquiry_base) << (i + 1);
-    const int degree =
-        static_cast<int>(std::clamp<std::int64_t>(wanted, 1, params.n - 1));
-    cfg->inquiry.push_back(graph::shared_overlay(
-        params.n, degree, params.overlay_tag ^ (kOverlayGossipBase + static_cast<std::uint64_t>(i))));
+    specs.push_back({params.n, static_cast<int>(std::clamp<std::int64_t>(wanted, 1, params.n - 1)),
+                     params.overlay_tag ^ (kOverlayGossipBase + static_cast<std::uint64_t>(i))});
   }
+  specs.push_back({params.little_count,
+                   std::max(1, std::min<int>(params.probe_degree, params.little_count - 1)),
+                   params.overlay_tag ^ kOverlayLittleG});
+  cfg->inquiry = graph::shared_overlays(specs);
+  cfg->little_g = std::move(cfg->inquiry.back());
+  cfg->inquiry.pop_back();
   return cfg;
 }
 

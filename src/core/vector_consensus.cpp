@@ -6,7 +6,6 @@
 #include "core/consensus.hpp"
 #include "core/stages.hpp"
 #include "core/tags.hpp"
-#include "graph/overlay.hpp"
 
 namespace lft::core {
 
@@ -36,17 +35,14 @@ std::shared_ptr<const VectorConsensusConfig> VectorConsensusConfig::build(
   auto cfg = std::make_shared<VectorConsensusConfig>();
   cfg->params = params;
   cfg->instances = instances > 0 ? instances : params.n;
-  const int little_degree =
-      std::max(1, std::min<int>(params.probe_degree_little, params.little_count - 1));
-  cfg->little_g = graph::shared_overlay(params.little_count, little_degree,
-                                        params.overlay_tag ^ kOverlayLittleG);
-  const int spread_degree = std::max(1, std::min<int>(params.spread_degree, params.n - 1));
-  cfg->spread_h =
-      graph::shared_overlay(params.n, spread_degree, params.overlay_tag ^ kOverlaySpreadH);
-  if (!params.use_little_pull) {
-    cfg->inquiry = inquiry_graphs(params, params.scv_phases,
-                                  params.overlay_tag ^ (kOverlayInquiryBase + 900));
-  }
+  auto overlays = consensus_overlays(
+      params, {.little_g = true,
+               .spread_h = true,
+               .inquiry_phases = params.use_little_pull ? 0 : params.scv_phases,
+               .inquiry_tag = params.overlay_tag ^ (kOverlayInquiryBase + 900)});
+  cfg->little_g = std::move(overlays.little_g);
+  cfg->spread_h = std::move(overlays.spread_h);
+  cfg->inquiry = std::move(overlays.inquiry);
   return cfg;
 }
 

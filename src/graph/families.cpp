@@ -1,5 +1,6 @@
 #include "graph/families.hpp"
 
+#include <numeric>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -7,12 +8,23 @@
 namespace lft::graph {
 
 Graph complete_graph(NodeId n) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  LFT_ASSERT(n >= 0);
+  // Row v is 0..n-1 without v; written directly, no edge list.
+  Graph g;
+  g.n_ = n;
+  const auto rows = static_cast<std::size_t>(n);
+  const std::size_t row_length = rows == 0 ? 0 : rows - 1;
+  g.offsets_.resize(rows + 1);
+  g.adjacency_.resize(rows * row_length);
+  for (std::size_t v = 0; v <= rows; ++v) {
+    g.offsets_[v] = static_cast<std::int64_t>(v * row_length);
   }
-  return Graph::from_edges(n, edges);
+  for (NodeId v = 0; v < n; ++v) {
+    auto* row = g.adjacency_.data() + static_cast<std::size_t>(v) * row_length;
+    std::iota(row, row + v, NodeId{0});
+    std::iota(row + v, row + row_length, v + 1);
+  }
+  return g;
 }
 
 Graph ring_graph(NodeId n) {

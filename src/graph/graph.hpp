@@ -19,7 +19,11 @@ class Graph {
 
   /// Builds a simple undirected graph on n vertices from an edge list.
   /// Self-loops and duplicate edges are dropped; each neighbor list is sorted.
-  static Graph from_edges(NodeId n, std::span<const std::pair<NodeId, NodeId>> edges);
+  /// `scratch` is working memory (its contents are ignored): a caller that
+  /// holds a buffer it no longer needs can donate it instead of letting the
+  /// build allocate one entry per edge endpoint.
+  static Graph from_edges(NodeId n, std::span<const std::pair<NodeId, NodeId>> edges,
+                          std::vector<NodeId> scratch = {});
 
   [[nodiscard]] NodeId num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::int64_t num_edges() const noexcept {
@@ -44,6 +48,8 @@ class Graph {
   [[nodiscard]] bool is_regular() const noexcept { return min_degree() == max_degree(); }
 
  private:
+  friend Graph complete_graph(NodeId n);
+
   NodeId n_ = 0;
   std::vector<std::int64_t> offsets_;  // n_ + 1 entries
   std::vector<NodeId> adjacency_;

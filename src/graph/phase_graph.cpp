@@ -20,33 +20,33 @@ std::mutex& stride_cache_mutex() {
   return m;
 }
 
-std::map<StrideKey, std::shared_ptr<const std::vector<NodeId>>>& stride_cache() {
-  static std::map<StrideKey, std::shared_ptr<const std::vector<NodeId>>> c;
+// Entries are never erased, so pointers to them stay valid.
+std::map<StrideKey, std::vector<NodeId>>& stride_cache() {
+  static std::map<StrideKey, std::vector<NodeId>> c;
   return c;
 }
 
-std::shared_ptr<const std::vector<NodeId>> shared_strides(NodeId n, int degree,
-                                                          std::uint64_t seed) {
+const std::vector<NodeId>* cached_strides(NodeId n, int degree, std::uint64_t seed) {
   const StrideKey key{n, degree, seed};
   {
     std::lock_guard<std::mutex> lock(stride_cache_mutex());
     auto it = stride_cache().find(key);
-    if (it != stride_cache().end()) return it->second;
+    if (it != stride_cache().end()) return &it->second;
   }
   const auto stride_count = static_cast<std::size_t>(degree / 2);
   const auto stride_range = static_cast<std::uint64_t>((n - 1) / 2);
   LFT_ASSERT(stride_count <= stride_range);
   Rng rng(seed);
   FlatSet64 seen(stride_count);
-  auto strides = std::make_shared<std::vector<NodeId>>();
-  strides->reserve(stride_count);
-  while (strides->size() < stride_count) {
+  std::vector<NodeId> strides;
+  strides.reserve(stride_count);
+  while (strides.size() < stride_count) {
     const auto s = static_cast<NodeId>(1 + rng.uniform(stride_range));
-    if (seen.insert(static_cast<std::uint64_t>(s))) strides->push_back(s);
+    if (seen.insert(static_cast<std::uint64_t>(s))) strides.push_back(s);
   }
-  std::sort(strides->begin(), strides->end());
+  std::sort(strides.begin(), strides.end());
   std::lock_guard<std::mutex> lock(stride_cache_mutex());
-  return stride_cache().emplace(key, std::move(strides)).first->second;
+  return &stride_cache().emplace(key, std::move(strides)).first->second;
 }
 
 }  // namespace
@@ -61,7 +61,7 @@ PhaseGraph PhaseGraph::circulant(NodeId n, int degree, std::uint64_t seed) {
   LFT_ASSERT(degree >= 2 && degree < n - 1);
   PhaseGraph g;
   g.n_ = n;
-  g.strides_ = shared_strides(n, degree, seed);
+  g.strides_ = cached_strides(n, degree, seed);
   return g;
 }
 

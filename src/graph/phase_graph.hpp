@@ -64,7 +64,9 @@ class PhaseGraph {
   std::shared_ptr<const Graph> graph_;
   NodeId n_ = 0;
   bool complete_ = false;
-  std::shared_ptr<const std::vector<NodeId>> strides_;  // distinct, in [1, (n-1)/2]
+  // Distinct, in [1, (n-1)/2]. Owned by the stride cache, which never drops
+  // an entry, so copies of a PhaseGraph share it without reference counts.
+  const std::vector<NodeId>* strides_ = nullptr;
 };
 
 }  // namespace lft::graph

@@ -206,11 +206,23 @@ std::vector<int> connected_components(const Graph& g, const DynamicBitset& alive
 }
 
 bool is_connected(const Graph& g) {
-  if (g.num_vertices() == 0) return true;
-  DynamicBitset all(static_cast<std::size_t>(g.num_vertices()));
-  all.set_all();
-  const auto labels = connected_components(g, all);
-  return std::all_of(labels.begin(), labels.end(), [](int l) { return l == 0; });
+  // One BFS from vertex 0 that stops as soon as it has reached every vertex:
+  // on an expander that is long before the queue drains.
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  if (n == 0) return true;
+  std::vector<char> reached(n, 0);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  reached[0] = 1;
+  queue.push_back(0);
+  for (std::size_t head = 0; head < queue.size() && queue.size() < n; ++head) {
+    for (const NodeId w : g.neighbors(queue[head])) {
+      if (reached[static_cast<std::size_t>(w)] != 0) continue;
+      reached[static_cast<std::size_t>(w)] = 1;
+      queue.push_back(w);
+    }
+  }
+  return queue.size() == n;
 }
 
 namespace {

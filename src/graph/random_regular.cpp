@@ -1,6 +1,7 @@
 #include "graph/random_regular.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -38,47 +39,52 @@ Graph random_regular_graph(NodeId n, int d, std::uint64_t seed) {
   std::vector<std::pair<NodeId, NodeId>> pairs(m);
   for (std::size_t i = 0; i < m; ++i) pairs[i] = {stubs[2 * i], stubs[2 * i + 1]};
 
-  FlatSet64 present(m);
-  std::vector<char> good(m, 0);
+  // The repair state is scoped so it is freed before the CSR build, and
+  // the stubs buffer (2m entries, no longer needed) becomes that build's
+  // scratch: the build's peak stays at the pairing's.
+  {
+    FlatSet64 present(m);
+    std::vector<char> good(m, 0);
 
-  // First pass: register conflict-free edges, queue the rest for repair.
-  std::vector<std::size_t> bad;
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto [u, v] = pairs[i];
-    const bool conflict = (u == v) || present.contains(edge_key(u, v));
-    if (conflict) {
-      bad.push_back(i);
-    } else {
-      present.insert(edge_key(u, v));
+    // First pass: register conflict-free edges, queue the rest for repair.
+    std::vector<std::size_t> bad;
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto [u, v] = pairs[i];
+      const bool conflict = (u == v) || present.contains(edge_key(u, v));
+      if (conflict) {
+        bad.push_back(i);
+      } else {
+        present.insert(edge_key(u, v));
+        good[i] = 1;
+      }
+    }
+
+    // Repair: switch each bad pair with a random good pair so both end valid.
+    std::uint64_t guard = 0;
+    const std::uint64_t guard_limit = stubs_count * 1000ULL + 100000ULL;
+    while (!bad.empty()) {
+      LFT_ASSERT_MSG(++guard < guard_limit, "edge-switch repair did not converge");
+      const std::size_t i = bad.back();
+      const std::size_t j = static_cast<std::size_t>(rng.uniform(m));
+      if (j == i || good[j] == 0) continue;
+      auto [a, b] = pairs[i];
+      auto [c, e] = pairs[j];
+      // Proposed switch: (a,c) and (b,e).
+      if (a == c || b == e) continue;
+      const std::uint64_t k1 = edge_key(a, c);
+      const std::uint64_t k2 = edge_key(b, e);
+      if (k1 == k2 || present.contains(k1) || present.contains(k2)) continue;
+      present.erase(edge_key(c, e));
+      pairs[i] = {a, c};
+      pairs[j] = {b, e};
+      present.insert(k1);
+      present.insert(k2);
       good[i] = 1;
+      bad.pop_back();
     }
   }
 
-  // Repair: switch each bad pair with a random good pair so both end valid.
-  std::uint64_t guard = 0;
-  const std::uint64_t guard_limit = stubs_count * 1000ULL + 100000ULL;
-  while (!bad.empty()) {
-    LFT_ASSERT_MSG(++guard < guard_limit, "edge-switch repair did not converge");
-    const std::size_t i = bad.back();
-    const std::size_t j = static_cast<std::size_t>(rng.uniform(m));
-    if (j == i || good[j] == 0) continue;
-    auto [a, b] = pairs[i];
-    auto [c, e] = pairs[j];
-    // Proposed switch: (a,c) and (b,e).
-    if (a == c || b == e) continue;
-    const std::uint64_t k1 = edge_key(a, c);
-    const std::uint64_t k2 = edge_key(b, e);
-    if (k1 == k2 || present.contains(k1) || present.contains(k2)) continue;
-    present.erase(edge_key(c, e));
-    pairs[i] = {a, c};
-    pairs[j] = {b, e};
-    present.insert(k1);
-    present.insert(k2);
-    good[i] = 1;
-    bad.pop_back();
-  }
-
-  return Graph::from_edges(n, pairs);
+  return Graph::from_edges(n, pairs, std::move(stubs));
 }
 
 }  // namespace lft::graph

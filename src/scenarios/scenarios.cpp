@@ -314,10 +314,7 @@ std::vector<Scenario> build_registry() {
       "(phase-graph diversity keeps the victim deciding)",
       [](std::uint64_t, NodeId n, std::int64_t t) {
         const auto params = ConsensusParams::practical(n, t);
-        const auto little_g = graph::shared_overlay(
-            params.little_count,
-            std::min<int>(params.probe_degree_little, params.little_count - 1),
-            params.overlay_tag ^ core::kOverlayLittleG);
+        const auto little_g = graph::shared_overlay(core::little_overlay_spec(params));
         sim::FaultPlan plan;
         plan.crash(sim::isolation_crash_schedule(*little_g, 1, t));
         return plan;

@@ -9,6 +9,7 @@ namespace lft::sim {
 std::vector<CrashEvent> isolation_crash_schedule(const graph::Graph& overlay, NodeId victim,
                                                  std::int64_t t) {
   std::vector<CrashEvent> events;
+  if (t <= 0) return events;
   for (NodeId w : overlay.neighbors(victim)) {
     if (static_cast<std::int64_t>(events.size()) >= t) break;
     events.push_back(CrashEvent{0, w, 0.0});

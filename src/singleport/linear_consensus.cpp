@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "core/stages.hpp"
-#include "graph/overlay.hpp"
 
 namespace lft::singleport {
 
@@ -19,10 +18,12 @@ std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
   proc->state().candidate = input;
   proc->state().is_little = self < p.little_count;
 
-  const int little_degree =
-      std::max(1, std::min<int>(p.probe_degree_little, p.little_count - 1));
-  auto g = graph::shared_overlay(p.little_count, little_degree,
-                                 p.overlay_tag ^ core::kOverlayLittleG);
+  auto overlays = core::consensus_overlays(
+      p, {.little_g = true,
+          .spread_h = true,
+          .inquiry_phases = p.scv_phases,
+          .inquiry_tag = p.overlay_tag ^ core::kOverlayInquiryBase});
+  const auto& g = overlays.little_g;
   proc->add_stage(std::make_unique<core::FloodRumorStage>(self, p.little_count, g,
                                                           p.flood_rounds_little, proc->state()));
   proc->add_stage(std::make_unique<core::ProbeStage>(self, p.little_count, g,
@@ -35,13 +36,10 @@ std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
     proc->add_stage(
         std::make_unique<core::NotifyRelatedStage>(self, p.n, p.little_count, proc->state()));
   }
-  const int spread_degree = std::max(1, std::min<int>(p.spread_degree, p.n - 1));
-  auto h = graph::shared_overlay(p.n, spread_degree, p.overlay_tag ^ core::kOverlaySpreadH);
-  proc->add_stage(
-      std::make_unique<core::SpreadFloodStage>(self, h, p.spread_rounds, proc->state()));
+  proc->add_stage(std::make_unique<core::SpreadFloodStage>(
+      self, std::move(overlays.spread_h), p.spread_rounds, proc->state()));
   proc->add_stage(std::make_unique<core::InquiryPhasesStage>(
-      self, core::inquiry_graphs(p, p.scv_phases, p.overlay_tag ^ core::kOverlayInquiryBase),
-      proc->state()));
+      self, std::move(overlays.inquiry), proc->state()));
   return proc;
 }
 

@@ -11,10 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "core/consensus.hpp"
 #include "core/params.hpp"
+#include "core/stages.hpp"
+#include "graph/overlay.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
 
@@ -340,6 +343,62 @@ TEST(ManyCrashes, RoundBoundMatchesCorollary1Shape) {
     EXPECT_LE(outcome.report.rounds, static_cast<Round>(n) + 8 * logn + 16) << "n=" << n;
     EXPECT_GE(outcome.report.rounds, static_cast<Round>(n) - 1) << "n=" << n;
   }
+}
+
+// ---- overlay requests ----------------------------------------------------------
+
+TEST(ConsensusOverlays, FewCrashesRequestIsOneBatchOfThePinnedSpecs) {
+  // crash_isolate_little's shape. These specs are the ones
+  // Overlay.BitIdenticalToPinnedDigests (test_graph) pins, so the protocol
+  // asks for exactly the pinned graphs.
+  const auto p = ConsensusParams::practical(200, 30);
+  const auto got = consensus_overlays(p, {.little_g = true,
+                                          .spread_h = true,
+                                          .inquiry_phases = p.scv_phases,
+                                          .inquiry_tag = p.overlay_tag ^ kOverlayInquiryBase});
+  const std::vector<graph::OverlaySpec> specs = {
+      {150, 16, 0x65},  {200, 12, 0x67},  {200, 20, 0x3e8},  {200, 40, 0x3e9},
+      {200, 80, 0x3ea}, {200, 160, 0x3eb}, {200, 199, 0x3ec}, {200, 199, 0x3ed}};
+  const auto want = graph::shared_overlays(specs);
+  EXPECT_EQ(got.little_g, want[0]);
+  EXPECT_EQ(got.spread_h, want[1]);
+  EXPECT_EQ(got.all_g, nullptr);
+  ASSERT_EQ(got.inquiry.size(), 6u);
+  for (std::size_t i = 0; i < got.inquiry.size(); ++i) {
+    ASSERT_TRUE(got.inquiry[i].is_materialized());
+    EXPECT_EQ(&got.inquiry[i].materialized(), want[2 + i].get()) << "phase " << i;
+  }
+}
+
+TEST(ConsensusOverlays, ImplicitInquiryPhasesMatchTheirPinnedDigest) {
+  // At n = 300000 even phase 0 (degree 20) is past the materialization
+  // budget, so the family is all implicit: circulants, then complete
+  // graphs. The digest (max degree, then the neighbors of four vertices,
+  // per phase) was recorded from the per-phase construction that the
+  // cached implicit lists replaced.
+  const auto p = ConsensusParams::practical(300000, 5000);
+  const OverlayRequest request{.inquiry_phases = p.scv_phases,
+                               .inquiry_tag = p.overlay_tag ^ kOverlayInquiryBase};
+  auto digest = [](const std::vector<graph::PhaseGraph>& family) {
+    std::uint64_t h = hash_combine(0, family.size());
+    for (const auto& g : family) {
+      h = hash_combine(h, g.is_materialized() ? 1 : 0);
+      h = hash_combine(h, static_cast<std::uint64_t>(g.max_degree()));
+      for (const NodeId v : {0, 1, 150000, 299999}) {
+        g.for_each_neighbor(
+            v, [&h](NodeId w) { h = hash_combine(h, static_cast<std::uint64_t>(w)); });
+      }
+    }
+    return h;
+  };
+  const auto family = consensus_overlays(p, request).inquiry;
+  EXPECT_EQ(family.size(), 14u);
+  EXPECT_EQ(digest(family), 0xe80be79d642e5013ULL);
+  // A second process of the configuration gets the cached family, and so
+  // does one after the cache is dropped.
+  EXPECT_EQ(digest(consensus_overlays(p, request).inquiry), 0xe80be79d642e5013ULL);
+  graph::clear_overlay_cache();
+  EXPECT_EQ(digest(consensus_overlays(p, request).inquiry), 0xe80be79d642e5013ULL);
 }
 
 }  // namespace

@@ -142,6 +142,18 @@ TEST(Docs, ArchitectureDocCoversTheSimdMessagePlane) {
   }
 }
 
+TEST(Docs, ArchitectureDocCoversTheOverlays) {
+  const auto markdown = read_file(docs_path("architecture.md"));
+  for (const char* needle :
+       {"## Overlays", "`graph::shared_overlays`", "Configuration model plus repair",
+        "1.25 × the Ramanujan bound", "not a certificate", "in-flight build",
+        "`hardware_concurrency()`", "A batch of smaller overlays builds", "`malloc_trim(0)`",
+        "BitIdenticalToPinnedDigests", "0006-1-batched-overlays.json"}) {
+    EXPECT_NE(markdown.find(needle), std::string::npos)
+        << "docs/architecture.md lacks '" << needle << "'";
+  }
+}
+
 TEST(Docs, ArchitectureDocCoversTheTransportSeam) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :

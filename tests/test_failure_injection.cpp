@@ -149,9 +149,7 @@ TEST(Isolation, LittleNodeCutFromProbeOverlayStillDecides) {
   const NodeId n = 200;
   const std::int64_t t = 30;
   const auto params = ConsensusParams::practical(n, t);
-  const auto little_g = graph::shared_overlay(
-      params.little_count, std::min<int>(params.probe_degree_little, params.little_count - 1),
-      params.overlay_tag ^ kOverlayLittleG);
+  const auto little_g = graph::shared_overlay(little_overlay_spec(params));
   auto schedule = sim::isolation_crash_schedule(*little_g, 1, t);
   ASSERT_LE(static_cast<std::int64_t>(schedule.size()), t);
   const auto inputs = random_inputs(n, 3);
@@ -168,8 +166,8 @@ TEST(Isolation, SpreadOverlayCutVictimRecoversThroughInquiries) {
   const NodeId n = 200;
   const std::int64_t t = 30;
   const auto params = ConsensusParams::practical(n, t);
-  const auto h = graph::shared_overlay(n, params.spread_degree,
-                                       params.overlay_tag ^ kOverlaySpreadH);
+  const auto h =
+      graph::shared_overlay({n, params.spread_degree, params.overlay_tag ^ kOverlaySpreadH});
   const NodeId victim = n - 1;
   auto schedule = sim::isolation_crash_schedule(*h, victim, t);
   const auto inputs = random_inputs(n, 5);

@@ -40,6 +40,16 @@ TEST(ScenarioRegistry, AtLeastFiftyScenariosSpanningAllFaultClasses) {
   EXPECT_TRUE(kinds.count("gst")) << "registry must cover GST partial synchrony";
 }
 
+TEST(ScenarioRegistry, CrashIsolateLittleRunsWithoutCrashBudget) {
+  // At t = 0 there is a single little node: the plan asks for the
+  // protocol's own little overlay (degree at least 1) and crashes nobody.
+  const Scenario* s = find_scenario("crash_isolate_little");
+  ASSERT_NE(s, nullptr);
+  const auto result = s->run_at(/*seed=*/1, s->n, /*t=*/0, {});
+  EXPECT_TRUE(result.ok) << result.detail;
+  EXPECT_EQ(result.report.crashed_count(), 0);
+}
+
 TEST(ScenarioRegistry, FindByName) {
   EXPECT_NE(find_scenario("crash_burst_flood"), nullptr);
   EXPECT_NE(find_scenario("gst_early_stabilize"), nullptr);
