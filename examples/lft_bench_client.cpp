@@ -48,8 +48,12 @@ using Clock = std::chrono::steady_clock;
 using lft::service::Client;
 
 std::vector<std::byte> payload_for(std::uint64_t client_id, std::uint64_t request_id) {
-  const std::string s =
-      "c" + std::to_string(client_id) + ":r" + std::to_string(request_id);
+  // Appends, not an operator+ chain: gcc 12 at -O3 flags the chain with a
+  // spurious -Wrestrict (GCC PR105329).
+  std::string s = "c";
+  s += std::to_string(client_id);
+  s += ":r";
+  s += std::to_string(request_id);
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
   return std::vector<std::byte>(p, p + s.size());
 }

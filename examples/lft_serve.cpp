@@ -2,15 +2,16 @@
 // (epoll or io_uring) multiplexing TCP client sessions over a ReplicaGroup
 // that orders every proposal batch through a Few-Crashes-Consensus slot (the
 // paper's Figure 3 assembly) — the same Stage/Process code the simulator
-// runs, behind the core::Transport seam. Consensus slots run through a
-// pipeline so rounds overlap network I/O.
+// runs, stepped by the simulator's own round loop (sim::Engine). Consensus
+// slots run through a pipeline so rounds overlap network I/O.
 //
 //   lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]
 //             [--trace=PATH] [--backend=auto|epoll|io_uring] [--pipeline=D]
 //             [--stats-dump=PATH] [--stats-interval-ms=MS]
 //
 // --port=0 (default) picks a free port and prints it. --sockets runs each
-// replica on its own thread behind an AF_UNIX socketpair instead of inline.
+// replica on its own thread behind an AF_UNIX socketpair instead of inline;
+// the engine then steps one socket proxy per replica.
 // --trace=PATH records the first commit slot as an LFTTRACE file that
 // `lft_forensics replay --trace=PATH` re-executes under the sim engine.
 // --no-shutdown ignores client kShutdown frames (run until killed).

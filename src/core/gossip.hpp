@@ -125,7 +125,7 @@ class GossipFinishStage final : public Stage {
 };
 
 /// Full gossip protocol at one node (a Program: runs under the engine and
-/// under a live core::RoundDriver transport unchanged).
+/// on a socket replica unchanged).
 class GossipProcess final : public sim::Process, public Program {
  public:
   GossipProcess(std::shared_ptr<const GossipConfig> cfg, NodeId self, std::uint64_t rumor);

@@ -10,10 +10,11 @@
 // surface a protocol participant needs (send, decide, halt, sleep,
 // fallback accounting), so protocol code never touches sim::Context
 // directly. A Program is one participant driven round by round through
-// that seam; the same Program object runs under the sim::Engine (via the
-// ContextIo adapter) and under a live core::RoundDriver transport (see
-// core/driver.hpp) — which is what lets the service plane serve real
-// traffic with the identical, unforked protocol implementations.
+// that seam; the same Program object runs in-process under the sim::Engine
+// (via the ContextIo adapter) and on a replica thread behind a socket (see
+// net/transport.hpp), whose engine-side proxy replays its effects through
+// sim::Context — which is what lets the service plane serve real traffic
+// with the identical, unforked protocol implementations.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,9 @@
 namespace lft::core {
 
 /// What a protocol participant can do to the outside world during a round.
-/// This is the full per-node surface: both the engine's Context and the live
-/// RoundDriver implement it, so protocol code written against ProtocolIo is
-/// transport-agnostic.
+/// This is the full per-node surface: the engine's Context (via ContextIo)
+/// and the socket replica's buffering io both implement it, so protocol code
+/// written against ProtocolIo is transport-agnostic.
 class ProtocolIo {
  public:
   virtual ~ProtocolIo() = default;
@@ -39,7 +40,7 @@ class ProtocolIo {
   /// storage that is reused right after the call.
   virtual void send(NodeId to, std::uint32_t tag, std::uint64_t value, std::uint64_t bits = 1,
                     sim::PayloadView body = {}) = 0;
-  /// Irrevocable decision (forwarded to the driver's bookkeeping).
+  /// Irrevocable decision (forwarded to the engine's bookkeeping).
   virtual void decide(std::uint64_t value) = 0;
   /// Voluntarily stops participating from the next round on.
   virtual void halt() = 0;
@@ -171,7 +172,7 @@ class StageDriver {
 
 /// Multi-port driver process for protocols whose shared state is a
 /// BinaryState (AEA, SCV, both consensus algorithms). Implements Program,
-/// so the same object runs under the engine and under a live RoundDriver.
+/// so the same object runs under the engine and on a socket replica.
 class StageProcess final : public sim::Process, public Program {
  public:
   explicit StageProcess(NodeId self) : self_(self) {}
@@ -208,8 +209,8 @@ class StageProcess final : public sim::Process, public Program {
 };
 
 /// Adapts the engine context to ProtocolIo: one of the two transport-seam
-/// implementations (the other is the RoundDriver's buffering io in
-/// core/driver.hpp). A zero-cost forwarding shim — every method inlines to
+/// implementations (the other is the socket replica's buffering io in
+/// net/transport.cpp). A zero-cost forwarding shim — every method inlines to
 /// the corresponding Context call, so driving protocols through the seam
 /// costs nothing on the engine hot path.
 class ContextIo final : public ProtocolIo {

@@ -13,6 +13,7 @@ namespace {
 // Round request:  [u64 round][u32 count][count x message]
 // Round response: [u64 round][u8 decided][u64 decision][u8 halted]
 //                 [u64 wake_at + 1][u64 fallback_pulls][u32 count][messages]
+//                 (wake_at + 1 = 0: the node did not call sleep_until)
 // Shutdown: an empty request payload.
 
 void put_message(ByteWriter& w, const sim::Message& m) {
@@ -48,14 +49,67 @@ void put_message(ByteWriter& w, const sim::Message& m) {
   return true;
 }
 
+/// The replica's side of one round: a ProtocolIo that encodes the Program's
+/// sends straight into the response body (payload bytes are copied before
+/// send() returns) and keeps its lifecycle effects for the response header.
+class ReplicaIo final : public core::ProtocolIo {
+ public:
+  ReplicaIo(NodeId self, std::vector<std::byte>& scratch) : self_(self), messages_(scratch) {}
+
+  void send(NodeId to, std::uint32_t tag, std::uint64_t value, std::uint64_t bits,
+            sim::PayloadView body) override {
+    LFT_ASSERT(to >= 0);
+    LFT_ASSERT(bits >= 1);
+    sim::Message m;
+    m.from = self_;
+    m.to = to;
+    m.tag = tag;
+    m.value = value;
+    m.bits = bits;
+    m.set_body(body);
+    put_message(messages_, m);
+    ++count_;
+  }
+  void decide(std::uint64_t value) override {
+    LFT_ASSERT_MSG(!decided_ || decision_ == value, "decision is irrevocable");
+    decided_ = true;
+    decision_ = value;
+  }
+  void halt() override { halted_ = true; }
+  // Only the last call of a round survives, as in the engine's do_sleep.
+  void sleep_until(Round wake_round) override { wake_at_ = wake_round; }
+  void count_fallback() override { ++fallback_pulls_; }
+
+  /// Writes the response frame for `round_word`.
+  void encode(ByteWriter& w, std::uint64_t round_word) const {
+    w.put_u64(round_word);
+    w.put_u8(decided_ ? 1 : 0);
+    w.put_u64(decision_);
+    w.put_u8(halted_ ? 1 : 0);
+    w.put_u64(static_cast<std::uint64_t>(wake_at_ + 1));
+    w.put_u64(fallback_pulls_);
+    w.put_u32(count_);
+    w.put_bytes(messages_.view());
+  }
+
+ private:
+  NodeId self_;
+  ByteWriter messages_;
+  std::uint32_t count_ = 0;
+  bool decided_ = false;
+  std::uint64_t decision_ = 0;
+  bool halted_ = false;
+  Round wake_at_ = -1;  // -1: no sleep_until this round
+  std::uint64_t fallback_pulls_ = 0;
+};
+
 /// The replica thread: one Program behind one socketpair end, stepped by
 /// round frames until the hub sends the empty shutdown frame.
 void replica_main(Fd fd, std::unique_ptr<core::Program> program, NodeId self) {
   std::vector<std::byte> payload;
   std::vector<sim::Message> inbox;
-  std::vector<sim::Message> outbox;
-  sim::PayloadArena arena;  // single-buffered: bodies only live until encode
-  std::vector<std::byte> scratch;
+  std::vector<std::byte> messages;
+  std::vector<std::byte> response;
   for (;;) {
     if (!recv_frame(fd, payload) || payload.empty()) return;
     ByteReader reader(payload);
@@ -70,26 +124,26 @@ void replica_main(Fd fd, std::unique_ptr<core::Program> program, NodeId self) {
       inbox.push_back(m);
     }
 
-    outbox.clear();
-    arena.clear();
-    core::StepResult result;
-    core::BatchIo io(self, arena, outbox, result);
+    ReplicaIo io(self, messages);
     program->run_round(static_cast<Round>(*round_word), inbox, io);
-
-    ByteWriter writer(scratch);
-    writer.put_u64(*round_word);
-    writer.put_u8(result.decided ? 1 : 0);
-    writer.put_u64(result.decision);
-    writer.put_u8(result.halted ? 1 : 0);
-    writer.put_u64(static_cast<std::uint64_t>(result.wake_at + 1));
-    writer.put_u64(static_cast<std::uint64_t>(result.fallback_pulls));
-    writer.put_u32(static_cast<std::uint32_t>(outbox.size()));
-    for (const sim::Message& m : outbox) put_message(writer, m);
+    ByteWriter writer(response);
+    io.encode(writer, *round_word);
     if (!send_frame(fd, writer.view())) return;
   }
 }
 
 }  // namespace
+
+class SocketTransport::Proxy final : public sim::Process {
+ public:
+  explicit Proxy(SocketTransport& transport) : transport_(&transport) {}
+  void on_round(sim::Context& ctx, const sim::Inbox& inbox) override {
+    transport_->round_trip(ctx, inbox);
+  }
+
+ private:
+  SocketTransport* transport_;
+};
 
 SocketTransport::SocketTransport(std::vector<std::unique_ptr<core::Program>> programs) {
   replicas_.reserve(programs.size());
@@ -112,60 +166,48 @@ SocketTransport::~SocketTransport() {
   }
 }
 
-void SocketTransport::step_round(Round round, std::span<const NodeId> active,
-                                 std::span<const std::span<const sim::Message>> inboxes,
-                                 std::vector<sim::Message>& outbox,
-                                 std::span<core::StepResult> results) {
-  // Phase 1: ship every active node its round frame. Strict lock-step makes
-  // blocking sends deadlock-free: every replica is parked in recv_frame
-  // (its previous response was fully consumed last round), so it drains.
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    ByteWriter writer(request_);
-    writer.put_u64(static_cast<std::uint64_t>(round));
-    writer.put_u32(static_cast<std::uint32_t>(inboxes[i].size()));
-    for (const sim::Message& m : inboxes[i]) put_message(writer, m);
-    LFT_ASSERT_MSG(send_frame(replicas_[static_cast<std::size_t>(active[i])].hub_end,
-                              writer.view()),
-                   "transport: replica hung up");
-  }
+std::unique_ptr<sim::Process> SocketTransport::proxy() {
+  return std::make_unique<Proxy>(*this);
+}
 
-  // Phase 2: collect responses in ascending node order — replicas compute
-  // concurrently regardless of read order, and ascending assembly is what
-  // reproduces the engine's ascending-sender batch shape bit for bit.
-  sim::PayloadArena& arena = arena_[static_cast<std::size_t>(round) & 1];
-  arena.clear();
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Fd& fd = replicas_[static_cast<std::size_t>(active[i])].hub_end;
-    LFT_ASSERT_MSG(recv_frame(fd, response_) && !response_.empty(),
-                   "transport: replica died mid-round");
-    ByteReader reader(response_);
-    const auto round_word = reader.get_u64();
-    LFT_ASSERT_MSG(round_word &&
-                       static_cast<Round>(*round_word) == round,
-                   "transport: response round mismatch");
-    const auto decided = reader.get_u8();
-    const auto decision = reader.get_u64();
-    const auto halted = reader.get_u8();
-    const auto wake_word = reader.get_u64();
-    const auto pulls = reader.get_u64();
-    const auto count = reader.get_u32();
-    LFT_ASSERT_MSG(decided && decision && halted && wake_word && pulls && count,
-                   "transport: malformed response");
-    core::StepResult& r = results[i];
-    r.decided = *decided != 0;
-    r.decision = *decision;
-    r.halted = *halted != 0;
-    r.wake_at = static_cast<Round>(*wake_word) - 1;
-    r.fallback_pulls = static_cast<std::int64_t>(*pulls);
-    for (std::uint32_t k = 0; k < *count; ++k) {
-      sim::Message m;
-      LFT_ASSERT_MSG(get_message(reader, m), "transport: malformed response message");
-      // Re-home the body: the decode buffer is reused for the next replica,
-      // but the batch must survive until the next step_round returns.
-      if (m.has_body()) m.set_body(arena.store(m.body()));
-      outbox.push_back(m);
-    }
+void SocketTransport::round_trip(sim::Context& ctx, const sim::Inbox& inbox) {
+  const NodeId self = ctx.self();
+  LFT_ASSERT(static_cast<std::size_t>(self) < replicas_.size());
+  const Fd& fd = replicas_[static_cast<std::size_t>(self)].hub_end;
+  const auto round = static_cast<std::uint64_t>(ctx.round());
+  {
+    ByteWriter writer(request_);
+    writer.put_u64(round);
+    writer.put_u32(static_cast<std::uint32_t>(inbox.size()));
+    for (const sim::Message& m : inbox) put_message(writer, m);
+    LFT_ASSERT_MSG(send_frame(fd, writer.view()), "transport: replica hung up");
   }
+  LFT_ASSERT_MSG(recv_frame(fd, response_) && !response_.empty(),
+                 "transport: replica died mid-round");
+
+  ByteReader reader(response_);
+  const auto round_word = reader.get_u64();
+  LFT_ASSERT_MSG(round_word && *round_word == round, "transport: response round mismatch");
+  const auto decided = reader.get_u8();
+  const auto decision = reader.get_u64();
+  const auto halted = reader.get_u8();
+  const auto wake_word = reader.get_u64();
+  const auto pulls = reader.get_u64();
+  const auto count = reader.get_u32();
+  LFT_ASSERT_MSG(decided && decision && halted && wake_word && pulls && count,
+                 "transport: malformed response");
+  // Replay in the engine: ctx.send copies each body into the engine's round
+  // arena, so the decode buffer is free for the next node's round trip.
+  for (std::uint32_t k = 0; k < *count; ++k) {
+    sim::Message m;
+    LFT_ASSERT_MSG(get_message(reader, m), "transport: malformed response message");
+    LFT_ASSERT_MSG(m.from == self, "transport: replica sent as another node");
+    ctx.send(m.to, m.tag, m.value, m.bits, m.body());
+  }
+  if (*decided != 0) ctx.decide(*decision);
+  if (*halted != 0) ctx.halt();
+  if (*wake_word != 0) ctx.sleep_until(static_cast<Round>(*wake_word) - 1);
+  for (std::uint64_t i = 0; i < *pulls; ++i) ctx.count_fallback();
 }
 
 }  // namespace lft::net

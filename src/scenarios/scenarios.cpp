@@ -1025,14 +1025,14 @@ std::vector<Scenario> build_registry() {
   // ---- service plane (lft_serve's ordering slot) ---------------------------
 
   // Fault-free and seed-independent by design: this is the exact execution a
-  // live lft_serve commit slot performs under the RoundDriver, registered so
-  // LFTTRACE files recorded from live traffic replay against the engine
+  // live lft_serve commit slot steps on its pooled engine, registered so
+  // LFTTRACE files recorded from live traffic replay against a fresh engine
   // (`lft_forensics replay`). Adaptive-style entry (no plan half): the
   // scenario has no fault plan to rebuild or perturb.
   list.push_back(Scenario{
       "service_slot_commit", "few_crashes", "none", 7, 1,
       "one lft_serve commit slot: fault-free few-crashes consensus, all inputs 1 — "
-      "the engine twin of a live RoundDriver slot execution",
+      "the fresh-engine twin of a live slot execution",
       [](std::uint64_t seed, NodeId n, std::int64_t t, const core::RunOptions& options) {
         (void)seed;
         auto outcome = service::run_slot_on_engine(n, t, options);

@@ -9,6 +9,22 @@
 
 namespace lft::service {
 
+namespace {
+
+/// Hands a pooled process to a per-slot engine without giving up ownership.
+class Borrowed final : public sim::Process {
+ public:
+  explicit Borrowed(sim::Process& target) : target_(&target) {}
+  void on_round(sim::Context& ctx, const sim::Inbox& inbox) override {
+    target_->on_round(ctx, inbox);
+  }
+
+ private:
+  sim::Process* target_;
+};
+
+}  // namespace
+
 std::vector<std::unique_ptr<core::Program>> make_slot_programs(NodeId n, std::int64_t t) {
   const auto params = core::ConsensusParams::practical(n, t);
   std::vector<std::unique_ptr<core::Program>> programs;
@@ -29,11 +45,6 @@ SlotOutcome evaluate_slot(sim::Report report) {
   return out;
 }
 
-SlotOutcome run_slot(NodeId n, core::Transport& transport, const core::RunOptions& options) {
-  core::RoundDriver driver(n, transport, options);
-  return evaluate_slot(driver.run());
-}
-
 SlotOutcome run_slot_on_engine(NodeId n, std::int64_t t, const core::RunOptions& options) {
   const auto params = core::ConsensusParams::practical(n, t);
   auto factory = [&](NodeId v) {
@@ -43,52 +54,33 @@ SlotOutcome run_slot_on_engine(NodeId n, std::int64_t t, const core::RunOptions&
 }
 
 SlotContext::SlotContext(NodeId n, std::int64_t t, bool use_sockets)
-    : n_(n), t_(t), use_sockets_(use_sockets) {
-  rebuild();
-}
+    : n_(n), t_(t), use_sockets_(use_sockets) {}
 
-void SlotContext::rebuild() {
-  const auto params = core::ConsensusParams::practical(n_, t_);
-  processes_.clear();
-  std::vector<std::unique_ptr<core::Program>> programs;
-  programs.reserve(static_cast<std::size_t>(n_));
-  for (NodeId v = 0; v < n_; ++v) {
-    auto proc = core::make_few_crashes_process(params, v, /*input=*/1);
-    if (!use_sockets_) processes_.push_back(proc.get());
-    programs.push_back(std::move(proc));
-  }
-  if (use_sockets_) {
-    transport_ = std::make_unique<net::SocketTransport>(std::move(programs));
-  } else {
-    transport_ = std::make_unique<core::LoopbackTransport>(std::move(programs));
-  }
-  driver_ = std::make_unique<core::RoundDriver>(n_, *transport_);
-}
+SlotContext::~SlotContext() = default;
 
 void SlotContext::begin(sim::TraceSink* trace) {
-  if (!fresh_) {
-    // Reuse path: rewind the pooled Programs and driver scratch in place.
-    // Sockets mode rebuilds — its Programs were moved into replica threads —
-    // as does the (currently unreachable) case of a stage without reset
-    // support.
-    bool reusable = !use_sockets_;
-    if (reusable) {
-      const auto params = core::ConsensusParams::practical(n_, t_);
-      for (core::StageProcess* proc : processes_) {
-        if (!core::reset_few_crashes_process(*proc, params, /*input=*/1)) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    if (reusable) {
-      driver_->reset();
-    } else {
-      rebuild();
-    }
+  // The last slot's engine goes first: it borrows the processes (or socket
+  // proxies) and hands its buffers back to scratch_ for the next one.
+  engine_.reset();
+  sim::EngineConfig config;
+  config.scratch = &scratch_;
+  config.trace = trace;
+  engine_.emplace(n_, config);
+  if (use_sockets_) {
+    sockets_.reset();  // joins the last slot's replica threads
+    sockets_ = std::make_unique<net::SocketTransport>(make_slot_programs(n_, t_));
+    for (NodeId v = 0; v < n_; ++v) engine_->set_process(v, sockets_->proxy());
+    return;
   }
-  driver_->set_trace(trace);
-  fresh_ = false;
+  const auto params = core::ConsensusParams::practical(n_, t_);
+  processes_.resize(static_cast<std::size_t>(n_));
+  for (NodeId v = 0; v < n_; ++v) {
+    auto& proc = processes_[static_cast<std::size_t>(v)];
+    if (proc == nullptr || !core::reset_few_crashes_process(*proc, params, /*input=*/1)) {
+      proc = core::make_few_crashes_process(params, v, /*input=*/1);
+    }
+    engine_->set_process(v, std::make_unique<Borrowed>(*proc));
+  }
 }
 
 }  // namespace lft::service

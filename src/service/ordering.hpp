@@ -1,19 +1,24 @@
 // The service's ordering engine: each commit slot is one fault-free
 // Few-Crashes-Consensus execution (Figure 3) over the replica group, every
 // input 1 ("commit the pending batch"). The slot is seed-independent by
-// construction, so a trace recorded from a *live* RoundDriver execution
-// replays bit-for-bit against the registered "service_slot_commit" scenario
-// under sim::Engine — the bridge that puts live service bugs in reach of
-// the forensics plane (lft_forensics replay / shrink).
+// construction, and a live slot is stepped by sim::Engine itself — over
+// in-process Processes or over socket proxies — so a trace recorded from a
+// live slot replays bit-for-bit against the registered
+// "service_slot_commit" scenario: the bridge that puts live service bugs in
+// reach of the forensics plane (lft_forensics replay / shrink).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "core/driver.hpp"
 #include "core/io.hpp"
 #include "core/run_options.hpp"
 #include "sim/engine.hpp"
+
+namespace lft::net {
+class SocketTransport;
+}  // namespace lft::net
 
 namespace lft::service {
 
@@ -38,50 +43,50 @@ struct SlotOutcome {
 
 [[nodiscard]] SlotOutcome evaluate_slot(sim::Report report);
 
-/// Runs one slot over a live Transport (whose Programs must come from
-/// make_slot_programs at the same shape) under the RoundDriver's lock-step.
-[[nodiscard]] SlotOutcome run_slot(NodeId n, core::Transport& transport,
-                                   const core::RunOptions& options = {});
-
-/// The deterministic twin: the same slot under sim::Engine, fault-free.
-/// Bit-identical Report and trace digests to run_slot — the equivalence the
-/// twin tests pin down and the forensics replay path depends on.
+/// The reference execution: the same slot as a fresh run_system call,
+/// fault-free. SlotContext's pooled and socket-backed slots must match it
+/// bit for bit (Report and trace digests) — the equivalence the twin tests
+/// pin down and the forensics replay path depends on.
 [[nodiscard]] SlotOutcome run_slot_on_engine(NodeId n, std::int64_t t,
                                              const core::RunOptions& options = {});
 
-/// A pooled slot execution context: the consensus Programs, the Transport,
-/// and the RoundDriver scratch for one slot, reusable across slots. This is
-/// what makes the slot pipeline cheap — begin() *resets* the pooled
-/// StageProcesses and rewinds the driver instead of reconstructing them
-/// (loopback; the sockets transport pins its Programs to replica threads,
-/// so that path rebuilds per slot). A reset context executes bit-identically
-/// to a freshly built one — the pipelined twin tests pin this down.
+/// A pooled slot execution context: the consensus Processes and the engine
+/// buffers for one slot, reusable across slots. begin() *resets* the pooled
+/// StageProcesses instead of reconstructing them and builds a fresh
+/// sim::Engine over them that adopts this context's EngineScratch, so every
+/// slot reuses the last one's message buffers. In sockets mode the engine
+/// steps one proxy per replica thread instead (net::SocketTransport); those
+/// threads own their Programs, so that path builds fresh replicas per slot.
+/// A reset context executes bit-identically to a freshly built one — the
+/// pipelined twin tests pin this down.
 class SlotContext {
  public:
   SlotContext(NodeId n, std::int64_t t, bool use_sockets);
+  ~SlotContext();
+  SlotContext(const SlotContext&) = delete;
+  SlotContext& operator=(const SlotContext&) = delete;
 
   /// Prepares a fresh slot execution, recording digests into `trace` when
   /// non-null. Must be called before the first step() of every slot.
   void begin(sim::TraceSink* trace = nullptr);
 
   /// Advances one lock-step consensus round; false once the slot finished.
-  [[nodiscard]] bool step() { return driver_->step(); }
+  [[nodiscard]] bool step() { return engine_->step(); }
 
   /// Evaluates the finished slot. Call after step() returns false.
-  [[nodiscard]] SlotOutcome finish() { return evaluate_slot(driver_->finish()); }
+  [[nodiscard]] SlotOutcome finish() const { return evaluate_slot(engine_->finish()); }
 
  private:
-  void rebuild();
-
   NodeId n_;
   std::int64_t t_;
   bool use_sockets_;
-  bool fresh_ = true;
-  /// Borrowed views into the loopback transport's Programs, for reset();
-  /// empty in sockets mode.
-  std::vector<core::StageProcess*> processes_;
-  std::unique_ptr<core::Transport> transport_;
-  std::unique_ptr<core::RoundDriver> driver_;
+  /// Loopback: the pooled Processes, built on the first begin().
+  std::vector<std::unique_ptr<core::StageProcess>> processes_;
+  /// Sockets: this slot's replica threads.
+  std::unique_ptr<net::SocketTransport> sockets_;
+  sim::EngineScratch scratch_;
+  /// Declared last so it is destroyed first: it borrows everything above.
+  std::optional<sim::Engine> engine_;
 };
 
 }  // namespace lft::service

@@ -1,6 +1,6 @@
 // ReplicaGroup: the service's replication core. Each committed batch runs
-// one consensus slot (service/ordering.hpp) over a live Transport —
-// LoopbackTransport inline, or net::SocketTransport across replica threads —
+// one consensus slot (service/ordering.hpp) on sim::Engine — over in-process
+// Processes, or over proxies of net::SocketTransport's replica threads —
 // and is then applied to every replica's StateMachine; the group asserts all
 // replicas applied identically (equal log digests) before acknowledging.
 //
@@ -9,8 +9,8 @@
 // consensus rounds, step() advances every in-flight slot one lock-step
 // round, and take_head() retires slots strictly in enqueue order — the
 // cross-slot total order is the FIFO, so pipelining changes throughput, not
-// the log. Slot contexts (Programs + transport + driver scratch) are pooled
-// and reset between slots instead of reconstructed.
+// the log. Slot contexts (Processes + engine scratch) are pooled and reset
+// between slots instead of reconstructed.
 //
 // When `trace_path` is set, the first slot's execution is recorded and saved
 // as an LFTTRACE file that `lft_forensics replay` re-executes under the
@@ -33,8 +33,9 @@ namespace lft::service {
 struct ReplicaGroupOptions {
   NodeId n = kDefaultGroupSize;
   std::int64_t t = kDefaultFaultBudget;
-  /// false: slot Programs run inline (LoopbackTransport); true: each replica
-  /// runs on its own thread behind a socketpair (net::SocketTransport).
+  /// false: slot Processes run inline on the engine; true: each replica
+  /// runs on its own thread behind a socketpair (net::SocketTransport) and
+  /// the engine steps a proxy per replica.
   bool use_sockets = false;
   /// When non-empty, the first slot's execution is recorded and saved here
   /// as an LFTTRACE frame replayable by `lft_forensics replay`.

@@ -33,7 +33,7 @@ struct ServerOptions {
   NodeId n = kDefaultGroupSize;
   std::int64_t t = kDefaultFaultBudget;
   /// Replica Programs behind socketpair threads (net::SocketTransport)
-  /// instead of inline (core::LoopbackTransport).
+  /// instead of inline on the slot's engine.
   bool use_sockets = false;
   /// Honor kShutdown frames (tests and benches stop the server this way).
   bool allow_shutdown = true;

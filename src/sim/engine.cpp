@@ -1127,135 +1127,144 @@ void Engine::deliver_batch() {
 }
 
 Report Engine::run() {
-  for (NodeId v = 0; v < n_; ++v) {
-    LFT_ASSERT_MSG(processes_[static_cast<std::size_t>(v)] != nullptr,
-                   "every node needs a Process before run()");
+  while (step()) {
+  }
+  return finish();
+}
+
+bool Engine::step() {
+  if (finished_) return false;
+  if (round_ == 0) {
+    for (NodeId v = 0; v < n_; ++v) {
+      LFT_ASSERT_MSG(processes_[static_cast<std::size_t>(v)] != nullptr,
+                     "every node needs a Process before the first round");
+    }
+  }
+  if (round_ >= config_.max_rounds) {
+    finished_ = true;
+    return false;
+  }
+  // 0a. Fault plane, pre-round phase: omission/partition/link windows and
+  //     Byzantine takeovers that affect this round's sends.
+  if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/true);
+
+  // 0b. Wake sleepers whose timer (or a message) is due. Heap entries are
+  //    lazily invalidated: only nodes still marked sleeping with a due wake
+  //    round count.
+  woken_.clear();
+  while (!sleep_heap_.empty() && sleep_heap_.top().first <= round_) {
+    const NodeId v = sleep_heap_.top().second;
+    sleep_heap_.pop();
+    const auto vi = static_cast<std::size_t>(v);
+    if (sleeping_[vi] == 0 || wake_at_[vi] > round_) continue;
+    sleeping_[vi] = 0;
+    --sleeping_count_;
+    woken_.push_back(v);
+  }
+  if (!woken_.empty()) {
+    std::sort(woken_.begin(), woken_.end());
+    const auto old_size = active_.size();
+    active_.insert(active_.end(), woken_.begin(), woken_.end());
+    std::inplace_merge(active_.begin(),
+                       active_.begin() + static_cast<std::ptrdiff_t>(old_size),
+                       active_.end());
   }
 
+  // 1. Step every active node in id order (serially or sharded across the
+  //    worker pool — bit-identical either way), filling outbox_ with the
+  //    round's sends in ascending sender order.
+  const std::uint64_t step_start = tele_ != nullptr ? obs::now_ns() : 0;
+  step_active();
+  if (tele_ != nullptr) {
+    tele_->step_ns.record(obs::now_ns() - step_start);
+    tele_->round_active.record(active_.size());
+  }
+
+  // 2. Fault plane, post-step phase: the adaptive adversary inspects this
+  //    round's pending sends and node states (crashes classically land
+  //    here).
+  if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/false);
+
+  // 3. Filter, account, and sort this round's batch for delivery.
+  //    Telemetry brackets the batch with message conservation: everything
+  //    entering the round (in-flight delayed + fresh sends) leaves it as
+  //    delivered, still-delayed, or lost (crash/fault/dead).
+  const std::int64_t tele_pending_before = pending_delayed_count_;
+  const std::uint64_t tele_delayed_before = total_delayed_;
+  const std::uint64_t tele_sent = tele_ != nullptr ? outbox_.size() : 0;
+  deliver_batch();
+  if (tele_ != nullptr) {
+    const auto delivered = static_cast<std::uint64_t>(inbox_.size());
+    const std::uint64_t newly_delayed = total_delayed_ - tele_delayed_before;
+    const std::int64_t lost = tele_pending_before + static_cast<std::int64_t>(tele_sent) -
+                              static_cast<std::int64_t>(delivered) - pending_delayed_count_;
+    tele_->rounds.inc();
+    tele_->sent_total.add(tele_sent);
+    tele_->delivered_total.add(delivered);
+    tele_->delayed_total.add(newly_delayed);
+    tele_->lost_total.add(static_cast<std::uint64_t>(std::max<std::int64_t>(lost, 0)));
+    tele_->round_delivered.record(delivered);
+    tele_->round_delayed.record(newly_delayed);
+    tele_->round_lost.record(static_cast<std::uint64_t>(std::max<std::int64_t>(lost, 0)));
+    std::size_t arena_bytes = 0;
+    for (const auto& sink : sinks_) {
+      arena_bytes += sink.arena[0].bytes_stored() + sink.arena[1].bytes_stored();
+    }
+    tele_->arena_bytes.set_max(static_cast<std::int64_t>(arena_bytes));
+  }
+
+  // 3b. Emit this round's trace digest (inbox_ now holds the delivered
+  //     batch in normal form; active_ is still the set that was stepped).
+  if (config_.trace != nullptr) {
+    digest_.round = round_;
+    digest_.delivered = inbox_.size();
+    digest_.active_hash = digest_nodes(active_);
+    for (const auto& sink : sinks_) digest_.body_hash ^= sink.body_hash;
+    config_.trace->on_round(digest_);
+    digest_ = RoundDigest{};
+  }
+
+  // Reset only the crash slots touched this round; keep-filter slots are
+  // released (captured state freed) but their storage is reused.
+  for (const NodeId v : crashed_this_round_) {
+    crash_filter_[static_cast<std::size_t>(v)] = kNotCrashedThisRound;
+  }
+  crashed_this_round_.clear();
+  for (std::size_t i = 0; i < keep_filters_used_; ++i) keep_filters_[i] = nullptr;
+  keep_filters_used_ = 0;
+
+  // 4. Drop crashed/halted nodes from the active set and park sleepers;
+  //    done when nobody is active or sleeping.
+  std::erase_if(active_, [this](NodeId v) {
+    const auto vi = static_cast<std::size_t>(v);
+    const auto& s = status_[vi];
+    if (s.crashed || s.halted) return true;
+    if (wake_at_[vi] > round_ + 1) {
+      sleeping_[vi] = 1;
+      ++sleeping_count_;
+      sleep_heap_.emplace(wake_at_[vi], v);
+      return true;
+    }
+    return false;
+  });
+  // Messages still in transit keep the engine ticking (a delivery may wake
+  // a sleeping or future receiver; undeliverable ones resolve to lost_dead
+  // at their due round), so conservation holds over the whole trace.
+  completed_ = active_.empty() && sleeping_count_ == 0 && pending_delayed_count_ == 0;
+  ++round_;  // the finishing round still counts
+  finished_ = completed_ || round_ >= config_.max_rounds;
+  return !finished_;
+}
+
+Report Engine::finish() const {
   Report report;
-  bool completed = false;
-
-  for (round_ = 0; round_ < config_.max_rounds; ++round_) {
-    // 0a. Fault plane, pre-round phase: omission/partition/link windows and
-    //     Byzantine takeovers that affect this round's sends.
-    if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/true);
-
-    // 0b. Wake sleepers whose timer (or a message) is due. Heap entries are
-    //    lazily invalidated: only nodes still marked sleeping with a due wake
-    //    round count.
-    woken_.clear();
-    while (!sleep_heap_.empty() && sleep_heap_.top().first <= round_) {
-      const NodeId v = sleep_heap_.top().second;
-      sleep_heap_.pop();
-      const auto vi = static_cast<std::size_t>(v);
-      if (sleeping_[vi] == 0 || wake_at_[vi] > round_) continue;
-      sleeping_[vi] = 0;
-      --sleeping_count_;
-      woken_.push_back(v);
-    }
-    if (!woken_.empty()) {
-      std::sort(woken_.begin(), woken_.end());
-      const auto old_size = active_.size();
-      active_.insert(active_.end(), woken_.begin(), woken_.end());
-      std::inplace_merge(active_.begin(),
-                         active_.begin() + static_cast<std::ptrdiff_t>(old_size),
-                         active_.end());
-    }
-
-    // 1. Step every active node in id order (serially or sharded across the
-    //    worker pool — bit-identical either way), filling outbox_ with the
-    //    round's sends in ascending sender order.
-    const std::uint64_t step_start = tele_ != nullptr ? obs::now_ns() : 0;
-    step_active();
-    if (tele_ != nullptr) {
-      tele_->step_ns.record(obs::now_ns() - step_start);
-      tele_->round_active.record(active_.size());
-    }
-
-    // 2. Fault plane, post-step phase: the adaptive adversary inspects this
-    //    round's pending sends and node states (crashes classically land
-    //    here).
-    if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/false);
-
-    // 3. Filter, account, and sort this round's batch for delivery.
-    //    Telemetry brackets the batch with message conservation: everything
-    //    entering the round (in-flight delayed + fresh sends) leaves it as
-    //    delivered, still-delayed, or lost (crash/fault/dead).
-    const std::int64_t tele_pending_before = pending_delayed_count_;
-    const std::uint64_t tele_delayed_before = total_delayed_;
-    const std::uint64_t tele_sent = tele_ != nullptr ? outbox_.size() : 0;
-    deliver_batch();
-    if (tele_ != nullptr) {
-      const auto delivered = static_cast<std::uint64_t>(inbox_.size());
-      const std::uint64_t newly_delayed = total_delayed_ - tele_delayed_before;
-      const std::int64_t lost = tele_pending_before + static_cast<std::int64_t>(tele_sent) -
-                                static_cast<std::int64_t>(delivered) - pending_delayed_count_;
-      tele_->rounds.inc();
-      tele_->sent_total.add(tele_sent);
-      tele_->delivered_total.add(delivered);
-      tele_->delayed_total.add(newly_delayed);
-      tele_->lost_total.add(static_cast<std::uint64_t>(std::max<std::int64_t>(lost, 0)));
-      tele_->round_delivered.record(delivered);
-      tele_->round_delayed.record(newly_delayed);
-      tele_->round_lost.record(static_cast<std::uint64_t>(std::max<std::int64_t>(lost, 0)));
-      std::size_t arena_bytes = 0;
-      for (const auto& sink : sinks_) {
-        arena_bytes += sink.arena[0].bytes_stored() + sink.arena[1].bytes_stored();
-      }
-      tele_->arena_bytes.set_max(static_cast<std::int64_t>(arena_bytes));
-    }
-
-    // 3b. Emit this round's trace digest (inbox_ now holds the delivered
-    //     batch in normal form; active_ is still the set that was stepped).
-    if (config_.trace != nullptr) {
-      digest_.round = round_;
-      digest_.delivered = inbox_.size();
-      digest_.active_hash = digest_nodes(active_);
-      for (const auto& sink : sinks_) digest_.body_hash ^= sink.body_hash;
-      config_.trace->on_round(digest_);
-      digest_ = RoundDigest{};
-    }
-
-    // Reset only the crash slots touched this round; keep-filter slots are
-    // released (captured state freed) but their storage is reused.
-    for (const NodeId v : crashed_this_round_) {
-      crash_filter_[static_cast<std::size_t>(v)] = kNotCrashedThisRound;
-    }
-    crashed_this_round_.clear();
-    for (std::size_t i = 0; i < keep_filters_used_; ++i) keep_filters_[i] = nullptr;
-    keep_filters_used_ = 0;
-
-    // 4. Drop crashed/halted nodes from the active set and park sleepers;
-    //    done when nobody is active or sleeping.
-    std::erase_if(active_, [this](NodeId v) {
-      const auto vi = static_cast<std::size_t>(v);
-      const auto& s = status_[vi];
-      if (s.crashed || s.halted) return true;
-      if (wake_at_[vi] > round_ + 1) {
-        sleeping_[vi] = 1;
-        ++sleeping_count_;
-        sleep_heap_.emplace(wake_at_[vi], v);
-        return true;
-      }
-      return false;
-    });
-    // Messages still in transit keep the engine ticking (a delivery may wake
-    // a sleeping or future receiver; undeliverable ones resolve to lost_dead
-    // at their due round), so conservation holds over the whole trace.
-    if (active_.empty() && sleeping_count_ == 0 && pending_delayed_count_ == 0) {
-      completed = true;
-      ++round_;  // this round still counts
-      break;
-    }
-  }
-
-  for (const auto& s : status_) {
-    metrics_.max_sends_per_node = std::max(metrics_.max_sends_per_node, s.sends);
-  }
-  metrics_.rounds = round_;
-  report.rounds = round_;
-  report.completed = completed;
   report.metrics = metrics_;
+  for (const auto& s : status_) {
+    report.metrics.max_sends_per_node = std::max(report.metrics.max_sends_per_node, s.sends);
+  }
+  report.metrics.rounds = round_;
+  report.rounds = round_;
+  report.completed = completed_;
   report.nodes = status_;
   return report;
 }

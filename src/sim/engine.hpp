@@ -317,7 +317,8 @@ struct EngineConfig {
 };
 
 /// One execution: n nodes driven in lock-step rounds under the fault plane.
-/// Construct, install a Process per node (plus injectors), then run() once.
+/// Construct, install a Process per node (plus injectors), then run() once
+/// (or step() until it returns false, then finish()).
 class Engine {
  public:
   /// Builds an engine for n nodes; `config` is fixed for the execution.
@@ -339,8 +340,16 @@ class Engine {
   /// Process.
   void mark_byzantine(NodeId v);
 
-  /// Runs to completion (all non-faulty nodes halted) or the round cap.
+  /// Runs to completion (all non-faulty nodes halted) or the round cap:
+  /// `while (step()) {}`, then finish().
   Report run();
+  /// Executes one lock-step round. Returns false once the execution has
+  /// finished (every non-faulty node halted, or the round cap hit); the
+  /// finishing round still executes on the call that returns false, and
+  /// later calls do nothing. Stepping and run() are bit-identical.
+  [[nodiscard]] bool step();
+  /// The execution's Report; call after step() returned false.
+  [[nodiscard]] Report finish() const;
 
   /// Post-run (or mid-run, from adversaries) introspection.
   [[nodiscard]] Process& process(NodeId v);
@@ -551,6 +560,9 @@ class Engine {
   // recording is out-of-band: it never changes a Report or digest bit.
   struct Telemetry;
   std::unique_ptr<Telemetry> tele_;
+
+  bool finished_ = false;   // step() returned false
+  bool completed_ = false;  // finished with every node halted (not the cap)
 };
 
 inline NodeId Context::num_nodes() const noexcept { return engine_->n_; }

@@ -117,8 +117,7 @@ inline constexpr std::uint64_t kMulBody = 0xc4ceb9fe1a85ec53ULL;
 /// local partials folded at delivery, rare dropped messages subtracted
 /// during compaction) instead of re-streaming the reordered delivered batch
 /// from DRAM — a full extra memory pass that blew the recorder-overhead
-/// gate (bench/bench_trace.cpp) on million-message rounds; it is also what
-/// lets core::RoundDriver sum its collected batch in any order; (3) unlike
+/// gate (bench/bench_trace.cpp) on million-message rounds; (3) unlike
 /// XOR, a sum does not cancel identical duplicate messages (legal in the
 /// model) pairwise.
 [[nodiscard]] inline std::uint64_t digest_messages_final(std::uint64_t header_sum,

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,13 @@ struct AeaCase {
   std::string pattern;
   std::string adversary;
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const AeaCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.pattern << " " << c.adversary;
+}
 
 class AeaSweep : public ::testing::TestWithParam<AeaCase> {};
 
@@ -154,6 +162,10 @@ struct ScvCase {
   std::string adversary;
 };
 
+void PrintTo(const ScvCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.adversary;
+}
+
 class ScvSweep : public ::testing::TestWithParam<ScvCase> {};
 
 TEST_P(ScvSweep, EveryNonFaultyNodeLearnsTheCommonValue) {
@@ -212,6 +224,10 @@ struct ConsensusCase {
   std::string pattern;
   std::string adversary;
 };
+
+void PrintTo(const ConsensusCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.pattern << " " << c.adversary;
+}
 
 class FewCrashesSweep : public ::testing::TestWithParam<ConsensusCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,13 @@ struct AggCase {
   NodeId ones;
   std::string adversary;
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const AggCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " ones=" << c.ones << " " << c.adversary;
+}
 
 class MajoritySweep : public ::testing::TestWithParam<AggCase> {};
 

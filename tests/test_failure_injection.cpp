@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ struct WindowCase {
   const char* stage;
   double frac;  // position of the burst within the protocol schedule [0, 1]
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, here including the address of `stage`,
+// which ASLR changes on every run.
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  *os << c.stage << " at " << c.frac;
+}
 
 class StageWindowSweep : public ::testing::TestWithParam<WindowCase> {};
 

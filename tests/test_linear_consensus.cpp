@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,13 @@ struct LinearCase {
   std::string pattern;
   std::string adversary;
 };
+
+// gtest appends the printed parameter to each case's listed name; without a
+// printer it dumps the raw bytes, uninitialised padding included, and the
+// name changes from run to run.
+void PrintTo(const LinearCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " t=" << c.t << " " << c.pattern << " " << c.adversary;
+}
 
 class LinearSweep : public ::testing::TestWithParam<LinearCase> {};
 

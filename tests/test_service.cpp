@@ -1,8 +1,9 @@
 // The service plane: replicated state machine semantics (dedup, digests),
-// the transport seam's twin property (identical Programs under sim::Engine,
-// LoopbackTransport, and SocketTransport produce bit-identical Reports and
-// trace digests), live-trace forensics replay, and the lft_serve server /
-// client loop over real TCP sockets.
+// the twin property (a pooled live slot, stepped by sim::Engine over
+// in-process Processes or over SocketTransport proxies, produces Reports and
+// trace digests bit-identical to a fresh run_system execution), live-trace
+// forensics replay, and the lft_serve server / client loop over real TCP
+// sockets.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,11 +17,9 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 
-#include "core/driver.hpp"
 #include "core/run_options.hpp"
 #include "forensics/replay.hpp"
 #include "forensics/trace.hpp"
-#include "net/transport.hpp"
 #include "scenarios/scenarios.hpp"
 #include "service/client.hpp"
 #include "service/ordering.hpp"
@@ -97,16 +96,12 @@ TwinRun run_on_engine(NodeId n, std::int64_t t) {
 
 TwinRun run_on_transport(NodeId n, std::int64_t t, bool sockets) {
   forensics::TraceRecorder recorder;
-  core::RunOptions options;
-  options.trace = &recorder;
-  TwinRun r;
-  if (sockets) {
-    net::SocketTransport transport(make_slot_programs(n, t));
-    r.outcome = run_slot(n, transport, options);
-  } else {
-    core::LoopbackTransport transport(make_slot_programs(n, t));
-    r.outcome = run_slot(n, transport, options);
+  SlotContext slot(n, t, sockets);
+  slot.begin(&recorder);
+  while (slot.step()) {
   }
+  TwinRun r;
+  r.outcome = slot.finish();
   r.trace = recorder.take();
   return r;
 }
@@ -141,8 +136,11 @@ TEST(TransportSeam, TwinHoldsAcrossShapes) {
   // Shapes honoring Few-Crashes-Consensus's 5t < n requirement.
   for (const auto& [n, t] : {std::pair<NodeId, std::int64_t>{6, 1}, {12, 2}, {25, 4}}) {
     const auto engine = run_on_engine(n, t);
-    const auto live = run_on_transport(n, t, /*sockets=*/false);
-    expect_twin(engine, live, ("loopback n=" + std::to_string(n)).c_str());
+    for (const bool sockets : {false, true}) {
+      const auto live = run_on_transport(n, t, sockets);
+      expect_twin(engine, live,
+                  ((sockets ? "sockets n=" : "loopback n=") + std::to_string(n)).c_str());
+    }
   }
 }
 
