@@ -11,16 +11,16 @@
 //
 //   lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]
 //                    [--open-loop=RATE] [--sockets] [--trace=PATH]
-//                    [--backend=auto|epoll|io_uring] [--pipeline=D]
-//                    [--json=PATH] [--server-stats] [--stats-json=PATH]
+//                    [--pipeline=D] [--json=PATH] [--server-stats] [--stats-json=PATH]
 //
 // Without --port (or with --port=0) an in-process server is spawned and
-// shut down at the end; --sockets/--trace/--backend/--pipeline apply to
-// that spawned server. --json writes the run's metrics (req/s, p50/p95/p99
-// ack latency) in the BENCH_*.json artifact schema. --server-stats fetches
-// the server's telemetry snapshot over the wire (kStatsRequest) after the
-// audit and prints its request-latency histogram — the server-side view of
-// the same traffic, measured frame-arrival to ack-enqueue; --stats-json
+// shut down at the end; --sockets/--trace/--pipeline apply to that
+// spawned server. A port above 65535, like any malformed number, exits 2.
+// --json writes the run's metrics (req/s, p50/p95/p99 ack latency) in the
+// BENCH_*.json artifact schema. --server-stats fetches the server's
+// telemetry snapshot over the wire (kStatsRequest) after the audit and
+// prints its request-latency histogram — the server-side view of the same
+// traffic, measured frame-arrival to ack-enqueue; --stats-json
 // writes that full snapshot as JSON (the BENCH_service_stats.json artifact
 // CI archives), and the --json row gains server_* latency fields.
 #include <algorithm>
@@ -37,7 +37,6 @@
 
 #include "bench_json.hpp"
 #include "common/cli.hpp"
-#include "net/reactor.hpp"
 #include "obs/obs.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -208,34 +207,32 @@ void print_usage() {
   std::printf(
       "usage: lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]\n"
       "                        [--open-loop=RATE] [--sockets] [--trace=PATH]\n"
-      "                        [--backend=auto|epoll|io_uring] [--pipeline=D]\n"
-      "                        [--json=PATH] [--server-stats] [--stats-json=PATH]\n");
+      "                        [--pipeline=D] [--json=PATH] [--server-stats]\n"
+      "                        [--stats-json=PATH]\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int port = 0;
+  std::uint16_t port = 0;
   std::int64_t requests = 100000;
   int clients = 4;
   std::int64_t window = 4;
   std::int64_t open_rate = 0;
   bool sockets = false;
   std::string trace_path;
-  std::string backend_name = "auto";
   int pipeline = 4;
   std::string json_path;
   bool server_stats = false;
   std::string stats_json_path;
   const bool parsed = lft::cli::ArgParser(argc, argv)
-                          .on_int("--port", port, 0)
+                          .on_port("--port", port)
                           .on_i64("--requests", requests, 1)
                           .on_int("--clients", clients, 1)
                           .on_i64("--window", window, 1)
                           .on_i64("--open-loop", open_rate, 0)
                           .on_flag("--sockets", sockets)
                           .on_str("--trace", trace_path)
-                          .on_str("--backend", backend_name)
                           .on_int("--pipeline", pipeline, 1)
                           .on_str("--json", json_path)
                           .on_flag("--server-stats", server_stats)
@@ -245,28 +242,19 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
-  lft::net::ReactorBackend backend = lft::net::ReactorBackend::kAuto;
-  if (!lft::net::parse_backend(backend_name, backend)) {
-    std::fprintf(stderr, "lft_bench_client: unknown backend '%s'\n", backend_name.c_str());
-    print_usage();
-    return 2;
-  }
   const bool open_loop = open_rate > 0;
 
   // Spawn an in-process server unless pointed at a live one.
   std::optional<lft::service::Server> server;
   std::thread server_thread;
-  std::uint16_t target_port = static_cast<std::uint16_t>(port);
-  std::string backend_used = "external";
+  std::uint16_t target_port = port;
   if (port == 0) {
     lft::service::ServerOptions options;
     options.use_sockets = sockets;
     options.trace_path = trace_path;
-    options.backend = backend;
     options.pipeline = pipeline;
     server.emplace(options);
     target_port = server->port();
-    backend_used = server->backend();
     server_thread = std::thread([&server] { server->run(); });
   }
 
@@ -276,15 +264,14 @@ int main(int argc, char** argv) {
   if (open_loop) {
     std::printf(
         "lft_bench_client: %llu requests over %d clients (open loop, %lld req/s) "
-        "-> port %u (backend %s)\n",
+        "-> port %u\n",
         static_cast<unsigned long long>(total), clients,
-        static_cast<long long>(open_rate), target_port, backend_used.c_str());
+        static_cast<long long>(open_rate), target_port);
   } else {
     std::printf(
-        "lft_bench_client: %llu requests over %d clients (window %lld) -> port %u "
-        "(backend %s)\n",
+        "lft_bench_client: %llu requests over %d clients (window %lld) -> port %u\n",
         static_cast<unsigned long long>(total), clients, static_cast<long long>(window),
-        target_port, backend_used.c_str());
+        target_port);
   }
   std::fflush(stdout);
 
@@ -412,7 +399,7 @@ int main(int argc, char** argv) {
     rows.begin_row();
     rows.field("bench", std::string("service_closed_loop"));
     rows.field("mode", std::string(open_loop ? "open" : "closed"));
-    rows.field("backend", backend_used);
+    rows.field("backend", std::string(port == 0 ? "epoll" : "external"));
     rows.field("pipeline", static_cast<std::int64_t>(pipeline));
     rows.field("requests", static_cast<std::int64_t>(total));
     rows.field("clients", static_cast<std::int64_t>(clients));

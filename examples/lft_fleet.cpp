@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -83,8 +84,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       .on_value("--sizes",
                 [&opt](const std::string& csv) {
                   for (const auto& part : lft::cli::split_csv(csv)) {
-                    const long size = std::strtol(part.c_str(), nullptr, 10);
-                    if (size < 8) return false;
+                    std::int64_t size = 0;
+                    if (!lft::cli::parse_i64(part, size) || size < 8 ||
+                        size > std::numeric_limits<NodeId>::max()) {
+                      return false;
+                    }
                     opt.sizes.push_back(static_cast<NodeId>(size));
                   }
                   return true;
@@ -93,8 +97,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       .on_value(
           "--verify-serial",
           [&opt](const std::string& value) {
-            opt.verify_serial = value.empty() ? 8 : std::strtoll(value.c_str(), nullptr, 10);
-            return true;
+            if (value.empty()) {
+              opt.verify_serial = 8;
+              return true;
+            }
+            return lft::cli::parse_i64(value, opt.verify_serial);
           },
           /*allow_bare=*/true)
       .on_str("--json", opt.json_path)

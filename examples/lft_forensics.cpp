@@ -78,7 +78,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
       .on_int("--workers", opt.workers, 1)
       .on_value("--n",
                 [&opt](const std::string& v) {
-                  opt.n = static_cast<NodeId>(std::strtol(v.c_str(), nullptr, 10));
+                  std::int64_t n = 0;
+                  if (!lft::cli::parse_i64(v, n) || n < std::numeric_limits<NodeId>::min() ||
+                      n > std::numeric_limits<NodeId>::max()) {
+                    return false;
+                  }
+                  opt.n = static_cast<NodeId>(n);
                   return true;
                 })
       .on_i64("--t", opt.t, std::numeric_limits<std::int64_t>::min())

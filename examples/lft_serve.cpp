@@ -1,23 +1,23 @@
-// lft_serve: the replicated coordination service, live. A reactor server
-// (epoll or io_uring) multiplexing TCP client sessions over a ReplicaGroup
-// that orders every proposal batch through a Few-Crashes-Consensus slot (the
-// paper's Figure 3 assembly) — the same Stage/Process code the simulator
-// runs, stepped by the simulator's own round loop (sim::Engine). Consensus
-// slots run through a pipeline so rounds overlap network I/O.
+// lft_serve: the replicated coordination service, live. An epoll server
+// multiplexing TCP client sessions over a ReplicaGroup that orders every
+// proposal batch through a Few-Crashes-Consensus slot (the paper's Figure 3
+// assembly) — the same Stage/Process code the simulator runs, stepped by
+// the simulator's own round loop (sim::Engine). Consensus slots run
+// through a pipeline so rounds overlap network I/O.
 //
 //   lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]
-//             [--trace=PATH] [--backend=auto|epoll|io_uring] [--pipeline=D]
+//             [--trace=PATH] [--pipeline=D]
 //             [--stats-dump=PATH] [--stats-interval-ms=MS]
 //
-// --port=0 (default) picks a free port and prints it. --sockets runs each
-// replica on its own thread behind an AF_UNIX socketpair instead of inline;
-// the engine then steps one socket proxy per replica.
+// --port=0 (default) picks a free port and prints it; a port above 65535,
+// like any malformed number, exits 2. --sockets runs each replica on its
+// own thread behind an AF_UNIX socketpair instead of inline; the engine
+// then steps one socket proxy per replica.
 // --trace=PATH records the first commit slot as an LFTTRACE file that
 // `lft_forensics replay --trace=PATH` re-executes under the sim engine.
 // --no-shutdown ignores client kShutdown frames (run until killed).
-// --backend picks the readiness backend; auto (default) uses io_uring when
-// the kernel supports it and falls back to epoll. --pipeline sets the slot
-// pipeline depth D (how many consensus slots may be in flight at once).
+// --pipeline sets the slot pipeline depth D (how many consensus slots may
+// be in flight at once).
 // --stats-dump=PATH periodically overwrites PATH with the live telemetry
 // snapshot (JSON rows for .json, Prometheus text exposition otherwise);
 // --stats-interval-ms sets the cadence. The same snapshot is served live
@@ -28,7 +28,6 @@
 #include <string>
 
 #include "common/cli.hpp"
-#include "net/reactor.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 
@@ -37,31 +36,29 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]\n"
-      "                 [--trace=PATH] [--backend=auto|epoll|io_uring] [--pipeline=D]\n"
+      "                 [--trace=PATH] [--pipeline=D]\n"
       "                 [--stats-dump=PATH] [--stats-interval-ms=MS]\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int port = 0;
+  std::uint16_t port = 0;
   int n = lft::service::kDefaultGroupSize;
   std::int64_t t = lft::service::kDefaultFaultBudget;
   bool sockets = false;
   bool no_shutdown = false;
   std::string trace_path;
-  std::string backend_name = "auto";
   int pipeline = 4;
   std::string stats_dump;
   std::int64_t stats_interval_ms = 1000;
   const bool parsed = lft::cli::ArgParser(argc, argv)
-                          .on_int("--port", port, 0)
+                          .on_port("--port", port)
                           .on_int("--n", n, 1)
                           .on_i64("--t", t, 0)
                           .on_flag("--sockets", sockets)
                           .on_flag("--no-shutdown", no_shutdown)
                           .on_str("--trace", trace_path)
-                          .on_str("--backend", backend_name)
                           .on_int("--pipeline", pipeline, 1)
                           .on_str("--stats-dump", stats_dump)
                           .on_i64("--stats-interval-ms", stats_interval_ms, 1)
@@ -75,31 +72,23 @@ int main(int argc, char** argv) {
                  static_cast<long long>(t));
     return 2;
   }
-  lft::net::ReactorBackend backend = lft::net::ReactorBackend::kAuto;
-  if (!lft::net::parse_backend(backend_name, backend)) {
-    std::fprintf(stderr, "lft_serve: unknown backend '%s'\n", backend_name.c_str());
-    print_usage();
-    return 2;
-  }
 
   lft::service::ServerOptions options;
-  options.port = static_cast<std::uint16_t>(port);
+  options.port = port;
   options.n = static_cast<lft::NodeId>(n);
   options.t = t;
   options.use_sockets = sockets;
   options.allow_shutdown = !no_shutdown;
   options.trace_path = trace_path;
-  options.backend = backend;
   options.pipeline = pipeline;
   options.stats_dump_path = stats_dump;
   options.stats_dump_interval_ms = stats_interval_ms;
 
   lft::service::Server server(options);
   std::printf(
-      "lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld replicas=%s backend=%s "
-      "pipeline=%d)\n",
-      server.port(), n, static_cast<long long>(t),
-      sockets ? "socketpair threads" : "inline", server.backend(), pipeline);
+      "lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld replicas=%s pipeline=%d)\n",
+      server.port(), n, static_cast<long long>(t), sockets ? "socketpair threads" : "inline",
+      pipeline);
   if (!trace_path.empty()) {
     std::printf("lft_serve: first commit slot will be traced to %s\n", trace_path.c_str());
   }

@@ -11,10 +11,7 @@ Validates the single service row CI archives from the service-smoke step:
 
 With --baseline it additionally enforces the checked-in req/s floor
 (bench/service_baseline.json): the row must meet every floor entry whose
-backend/pipeline/mode it matches. With --expect-backend NAME it logs a
-notice when the run degraded to a different backend (an io_uring request
-on a kernel without io_uring falls back to epoll) — a notice, not a
-failure, because the fallback is the designed behavior.
+backend/pipeline/mode it matches.
 
 With --append-history DIR the row is wrapped into a bench/history/ point
 (NNNN-label.json, the schema scripts/bench_report.py renders) so service
@@ -23,13 +20,12 @@ throughput joins the perf-history dashboard.
 With --server-stats BENCH_service_stats.json it additionally prints an
 advisory report from the server's own telemetry snapshot (the --stats-json
 artifact of lft_bench_client --server-stats): server-side request-latency
-p50/p99, pump-phase p99s, and the reactor batch profile. Report-only —
+p50/p99, pump-phase p99s, and the epoll wait-batch profile. Report-only —
 server-side latency has no hard gate; the gates stay on the client-measured
 closed-loop numbers above.
 
 Usage: check_service_smoke.py BENCH_service.json
            [--baseline bench/service_baseline.json]
-           [--expect-backend auto|epoll|io_uring]
            [--server-stats BENCH_service_stats.json]
            [--append-history DIR --label NAME --commit HASH --machine DESC]
 """
@@ -175,9 +171,6 @@ def main() -> int:
     parser.add_argument("artifact", help="BENCH_service.json from lft_bench_client")
     parser.add_argument("--baseline", default=None,
                         help="service_baseline.json with req/s floor entries")
-    parser.add_argument("--expect-backend", default=None,
-                        help="backend the run was configured for; a mismatch "
-                             "logs a fallback notice")
     parser.add_argument("--server-stats", default=None, metavar="STATS_JSON",
                         help="server telemetry snapshot (--stats-json artifact) "
                              "to report on; advisory only, never gates")
@@ -195,11 +188,6 @@ def main() -> int:
     row = rows[0]
 
     check_schema(row, args.artifact)
-
-    if args.expect_backend and args.expect_backend != row["backend"]:
-        print(f"NOTICE: requested backend '{args.expect_backend}' but the run "
-              f"used '{row['backend']}' — the kernel lacks the requested "
-              "backend and the reactor fell back (designed degradation)")
 
     if args.baseline:
         check_floor(row, args.baseline)

@@ -5,10 +5,13 @@
 // on purpose — the CLIs are the only consumers.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,30 @@ namespace lft::cli {
     start = comma + 1;
   }
   return parts;
+}
+
+/// Parses all of `v` as a base-10 integer: false when it is empty, has
+/// leading space or trailing characters (`1e5`, `12x`), or overflows.
+[[nodiscard]] inline bool parse_i64(const std::string& v, std::int64_t& out) {
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) != 0) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v.c_str(), &end, 10);
+  if (errno != 0 || end != v.c_str() + v.size()) return false;
+  out = x;
+  return true;
+}
+
+/// parse_i64 for unsigned values; a sign is malformed, since strtoull
+/// would silently wrap `-1` to 2^64 - 1.
+[[nodiscard]] inline bool parse_u64(const std::string& v, std::uint64_t& out) {
+  if (v.empty() || v[0] < '0' || v[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+  if (errno != 0 || end != v.c_str() + v.size()) return false;
+  out = x;
+  return true;
 }
 
 class ArgParser {
@@ -56,30 +83,48 @@ class ArgParser {
     return *this;
   }
 
-  /// `--name=N`, unsigned.
+  /// `--name=N`, unsigned; malformed values are rejected (parse_u64).
   ArgParser& on_u64(const char* name, std::uint64_t& out) {
     handlers_.push_back(Handler{name, true, false, [&out](const std::string& v) {
-                                  out = std::strtoull(v.c_str(), nullptr, 10);
-                                  return true;
+                                  return parse_u64(v, out);
                                 }});
     return *this;
   }
 
-  /// `--name=N`, signed, clamped below at `min`.
+  /// `--name=N`, signed, clamped below at `min`; malformed values are
+  /// rejected (parse_i64).
   ArgParser& on_i64(const char* name, std::int64_t& out, std::int64_t min) {
     handlers_.push_back(Handler{name, true, false, [&out, min](const std::string& v) {
-                                  out = std::strtoll(v.c_str(), nullptr, 10);
-                                  if (out < min) out = min;
+                                  std::int64_t x = 0;
+                                  if (!parse_i64(v, x)) return false;
+                                  out = x < min ? min : x;
                                   return true;
                                 }});
     return *this;
   }
 
-  /// `--name=N`, int, clamped below at `min`.
+  /// `--name=N`, int, clamped below at `min`; malformed values and values
+  /// outside int are rejected.
   ArgParser& on_int(const char* name, int& out, int min) {
     handlers_.push_back(Handler{name, true, false, [&out, min](const std::string& v) {
-                                  out = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-                                  if (out < min) out = min;
+                                  std::int64_t x = 0;
+                                  if (!parse_i64(v, x) || x < std::numeric_limits<int>::min() ||
+                                      x > std::numeric_limits<int>::max()) {
+                                    return false;
+                                  }
+                                  out = x < min ? min : static_cast<int>(x);
+                                  return true;
+                                }});
+    return *this;
+  }
+
+  /// `--name=PORT`, a TCP port: values above 65535 are rejected, not
+  /// wrapped.
+  ArgParser& on_port(const char* name, std::uint16_t& out) {
+    handlers_.push_back(Handler{name, true, false, [&out](const std::string& v) {
+                                  std::uint64_t x = 0;
+                                  if (!parse_u64(v, x) || x > 65535) return false;
+                                  out = static_cast<std::uint16_t>(x);
                                   return true;
                                 }});
     return *this;

@@ -54,13 +54,6 @@ void FrameParser::compact_or_grow(std::size_t tail_needed) {
   }
 }
 
-void FrameParser::feed(std::span<const std::byte> bytes) {
-  if (bytes.empty()) return;
-  compact_or_grow(bytes.size());
-  std::memcpy(buf_.data() + end_, bytes.data(), bytes.size());
-  end_ += bytes.size();
-}
-
 std::span<std::byte> FrameParser::writable(std::size_t min_bytes) {
   compact_or_grow(min_bytes);
   return {buf_.data() + end_, buf_.size() - end_};
@@ -81,15 +74,6 @@ bool FrameParser::frame_ready(std::uint32_t& len) {
     return false;
   }
   return avail >= sizeof(std::uint32_t) + len;
-}
-
-bool FrameParser::next(std::vector<std::byte>& payload) {
-  std::uint32_t len = 0;
-  if (!frame_ready(len)) return false;
-  const std::byte* body = buf_.data() + pos_ + sizeof(std::uint32_t);
-  payload.assign(body, body + len);
-  pos_ += sizeof(std::uint32_t) + len;
-  return true;
 }
 
 bool FrameParser::next_view(std::span<const std::byte>& payload) {

@@ -1,8 +1,8 @@
 // Length-prefixed framing over stream sockets: every frame is a u32
-// little-endian payload length followed by the payload bytes. The parser is
-// incremental — feed it whatever the socket produced and drain complete
-// frames — so it composes with both blocking reads (replica endpoints) and
-// epoll-driven nonblocking reads (the service server and the transport hub).
+// little-endian payload length followed by the payload bytes. Lock-step
+// endpoints (the socket replicas) use the blocking send_frame/recv_frame;
+// the service server (nonblocking sessions) and its clients read into a
+// FrameParser and drain whatever complete frames have arrived.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +26,11 @@ void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payloa
 [[nodiscard]] bool send_frame(const Fd& fd, std::span<const std::byte> payload);
 [[nodiscard]] bool recv_frame(const Fd& fd, std::vector<std::byte>& payload);
 
-/// Incremental frame parser for nonblocking streams. Two fill paths:
-/// feed() copies bytes in, or writable()/commit() exposes the buffer tail
-/// so the socket read lands directly in the parser (one copy fewer on the
-/// hot path). Two drain paths: next() copies the payload out, next_view()
-/// hands back a view into the buffer.
+/// Incremental frame parser: writable()/commit() exposes the buffer tail
+/// so the socket read lands directly in the parser, and next_view() hands
+/// back each complete payload as a view into the buffer.
 class FrameParser {
  public:
-  /// Appends raw stream bytes to the internal buffer.
-  void feed(std::span<const std::byte> bytes);
-
   /// Direct-fill: returns a writable tail span of at least `min_bytes`
   /// (compacting/growing as needed). Read from the socket into it, then
   /// commit() however many bytes actually arrived. Invalidates next_view()
@@ -43,12 +38,9 @@ class FrameParser {
   [[nodiscard]] std::span<std::byte> writable(std::size_t min_bytes);
   void commit(std::size_t n);
 
-  /// Copies the next complete frame's payload into `payload` and consumes
-  /// it; false when no complete frame is buffered.
-  [[nodiscard]] bool next(std::vector<std::byte>& payload);
-
-  /// Zero-copy variant: `payload` views the internal buffer and stays
-  /// valid until the next feed()/writable() call.
+  /// Views the next complete frame's payload and consumes it; false when
+  /// no complete frame is buffered. `payload` views the internal buffer and
+  /// stays valid until the next writable() call.
   [[nodiscard]] bool next_view(std::span<const std::byte>& payload);
 
   /// True when the buffered length prefix exceeds kMaxFrameBytes: the

@@ -47,12 +47,11 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       group_(ReplicaGroupOptions{options_.n, options_.t, options_.use_sockets,
                                  options_.trace_path, options_.pipeline}),
-      reactor_(net::make_reactor(options_.backend)),
       obs_(registry_) {
   port_ = options_.port;
   listener_ = net::listen_tcp(port_);
   net::set_nonblocking(listener_, true);
-  reactor_->add(listener_.get(), EPOLLIN, [this](std::uint32_t) { accept_ready(); });
+  loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) { accept_ready(); });
 }
 
 void Server::run() {
@@ -68,7 +67,7 @@ void Server::run() {
     int timeout_ms = busy ? 0 : -1;
     if (dumping && !busy) timeout_ms = static_cast<int>(options_.stats_dump_interval_ms);
     const std::uint64_t wait_start = obs::now_ns();
-    const int dispatched = reactor_->wait(timeout_ms);
+    const int dispatched = loop_.wait(timeout_ms);
     obs_.reactor_wait_ns.record(obs::now_ns() - wait_start);
     obs_.reactor_batch.record(static_cast<std::uint64_t>(dispatched));
     pump();
@@ -162,8 +161,8 @@ void Server::accept_ready() {
     Session session;
     session.fd = std::move(fd);
     sessions_.emplace(raw, std::move(session));
-    reactor_->add(raw, EPOLLIN | EPOLLET,
-                  [this, raw](std::uint32_t events) { session_event(raw, events); });
+    loop_.add(raw, EPOLLIN | EPOLLET,
+              [this, raw](std::uint32_t events) { session_event(raw, events); });
     ++stats_.sessions_accepted;
   }
 }
@@ -390,7 +389,7 @@ void Server::flush_session(int fd) {
   const bool want_write = !session.out.empty();
   if (want_write != session.want_write) {
     session.want_write = want_write;
-    reactor_->modify(fd, want);
+    loop_.modify(fd, want);
   }
 }
 
@@ -438,7 +437,7 @@ void Server::drain_shutdown() {
 }
 
 void Server::drop_session(int fd) {
-  reactor_->remove(fd);
+  loop_.remove(fd);
   sessions_.erase(fd);  // Fd RAII closes the socket
 }
 

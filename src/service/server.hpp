@@ -1,5 +1,5 @@
-// lft_serve's server: a single-threaded reactor (net::Reactor — epoll or
-// io_uring) multiplexing client sessions over TCP, group-committing
+// lft_serve's server: a single-threaded epoll loop (net::EpollLoop)
+// multiplexing client sessions over TCP, group-committing
 // proposals through the ReplicaGroup's slot pipeline. Proposals that arrive
 // while the pipeline has room ride the next consensus slot (one slot per
 // dispatch batch, not per request); while a slot's acks are being flushed,
@@ -13,14 +13,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "net/epoll.hpp"
 #include "net/frame.hpp"
-#include "net/reactor.hpp"
 #include "net/ring.hpp"
 #include "net/socket.hpp"
 #include "obs/obs.hpp"
@@ -39,8 +38,8 @@ struct ServerOptions {
   bool allow_shutdown = true;
   /// When set, the first commit slot is recorded as an LFTTRACE file.
   std::string trace_path;
-  /// Readiness backend; kAuto picks io_uring when the kernel supports it.
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
+  /// Readiness backend: epoll is the only one.
+  net::ReactorBackend backend = net::ReactorBackend::kEpoll;
   /// Slot pipeline depth D (ReplicaGroupOptions::pipeline).
   int pipeline = 4;
   /// Backpressure bound: once this many proposals are queued ahead of the
@@ -62,15 +61,14 @@ class Server {
   /// The bound port (useful with options.port = 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Serves until a kShutdown frame arrives (allow_shutdown) — the reactor
+  /// Serves until a kShutdown frame arrives (allow_shutdown) — the epoll
   /// loop, typically run on its own thread by tests and lft_serve.
   void run();
 
   [[nodiscard]] const ReplicaGroup& group() const noexcept { return group_; }
 
-  /// The readiness backend actually serving ("epoll" or "io_uring") — kAuto
-  /// and kIoUring degrade to epoll on kernels without io_uring.
-  [[nodiscard]] const char* backend() const noexcept { return reactor_->name(); }
+  /// The readiness backend serving: always "epoll".
+  [[nodiscard]] const char* backend() const noexcept { return "epoll"; }
 
   struct Stats {
     std::uint64_t sessions_accepted = 0;
@@ -148,7 +146,7 @@ class Server {
     obs::Histogram& pump_flush_ns;
     obs::Histogram& pipeline_depth;   ///< slots in flight, sampled per pump
     obs::Histogram& pause_ns;         ///< backpressure pause durations
-    obs::Histogram& reactor_wait_ns;  ///< time inside Reactor::wait
+    obs::Histogram& reactor_wait_ns;  ///< time inside EpollLoop::wait
     obs::Histogram& reactor_batch;    ///< callbacks dispatched per wait
     obs::Gauge& ring_high_water;      ///< max queued output bytes, any session
     obs::Counter& stats_requests;     ///< kStatsRequest frames served
@@ -158,7 +156,7 @@ class Server {
   ReplicaGroup group_;
   net::Fd listener_;
   std::uint16_t port_ = 0;
-  std::unique_ptr<net::Reactor> reactor_;
+  net::EpollLoop loop_;
   std::unordered_map<int, Session> sessions_;
   std::vector<Pending> pending_;                  // waiting for a pipeline slot
   std::deque<std::vector<PendingMeta>> inflight_;  // parallel to the group's slots
@@ -166,7 +164,7 @@ class Server {
   std::vector<int> dirty_;   // sessions with queued output to flush
   std::vector<std::byte> scratch_;  ///< reused frame encode buffer
   Stats stats_;
-  obs::Registry registry_;  ///< single-writer: the reactor thread
+  obs::Registry registry_;  ///< single-writer: the server thread
   Instruments obs_;         ///< references into registry_ (declared after it)
   bool stop_ = false;
 };

@@ -1,14 +1,18 @@
 // Unit tests for src/common: hashing, deterministic RNG, integer/modular
-// math, the dynamic bitset, and the bounds-checked codec.
+// math, the dynamic bitset, the bounds-checked codec, and the CLI parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/cli.hpp"
 #include "common/codec.hpp"
 #include "common/flat_set64.hpp"
 #include "common/hash.hpp"
@@ -378,6 +382,88 @@ TEST(FlatSet64, BackwardShiftKeepsProbeChainsIntact) {
   for (std::uint64_t k = 1; k <= 64; ++k) {
     EXPECT_EQ(set.contains(k), k % 2 == 0) << k;
   }
+}
+
+// ---- cli --------------------------------------------------------------------
+
+/// Runs an ArgParser with one numeric sink of each kind over `args`.
+struct CliRun {
+  std::uint64_t u = 7;
+  std::int64_t i = 7;
+  int k = 7;
+  std::uint16_t port = 7;
+
+  [[nodiscard]] bool parse(std::vector<std::string> args) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    return cli::ArgParser(static_cast<int>(argv.size()), argv.data())
+        .on_u64("--u", u)
+        .on_i64("--i", i, -5)
+        .on_int("--k", k, 1)
+        .on_port("--port", port)
+        .parse();
+  }
+};
+
+TEST(Cli, RejectsExponentNotation) {
+  // strtoull stops at 'e': unchecked, `1e5` silently meant 1.
+  for (const char* arg : {"--u=1e5", "--i=1e5", "--k=1e5", "--port=1e3"}) {
+    CliRun run;
+    EXPECT_FALSE(run.parse({arg})) << arg;
+  }
+}
+
+TEST(Cli, RejectsTrailingCharacters) {
+  for (const char* arg : {"--u=12x", "--i=12x", "--k=12x", "--k=12 ", "--k= 12", "--port=80x"}) {
+    CliRun run;
+    EXPECT_FALSE(run.parse({arg})) << arg;
+  }
+}
+
+TEST(Cli, RejectsEmptyValues) {
+  for (const char* arg : {"--u=", "--i=", "--k=", "--port=", "--u", "--k"}) {
+    CliRun run;
+    EXPECT_FALSE(run.parse({arg})) << arg;
+  }
+  std::uint64_t u = 0;
+  std::int64_t i = 0;
+  EXPECT_FALSE(cli::parse_u64("", u));
+  EXPECT_FALSE(cli::parse_i64("", i));
+}
+
+TEST(Cli, RejectsOverflowAndSignedUnsigned) {
+  for (const char* arg : {"--u=18446744073709551616", "--u=-1",
+                          "--i=9223372036854775808", "--i=-9223372036854775809",
+                          "--k=2147483648", "--k=-2147483649", "--port=65536",
+                          "--port=70000", "--port=-1"}) {
+    CliRun run;
+    EXPECT_FALSE(run.parse({arg})) << arg;
+  }
+}
+
+TEST(Cli, AcceptsValidValuesAtEachBound) {
+  CliRun high;
+  ASSERT_TRUE(high.parse({"--u=18446744073709551615", "--i=9223372036854775807",
+                          "--k=2147483647", "--port=65535"}));
+  EXPECT_EQ(high.u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(high.i, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(high.k, std::numeric_limits<int>::max());
+  EXPECT_EQ(high.port, 65535);
+
+  CliRun low;
+  ASSERT_TRUE(low.parse({"--u=0", "--i=-5", "--k=1", "--port=0"}));
+  EXPECT_EQ(low.u, 0u);
+  EXPECT_EQ(low.i, -5);
+  EXPECT_EQ(low.k, 1);
+  EXPECT_EQ(low.port, 0);
+}
+
+TEST(Cli, ClampsWellFormedValuesBelowTheMinimum) {
+  CliRun run;
+  ASSERT_TRUE(run.parse({"--i=-9223372036854775808", "--k=-2147483648"}));
+  EXPECT_EQ(run.i, -5);
+  EXPECT_EQ(run.k, 1);
 }
 
 }  // namespace

@@ -237,10 +237,10 @@ TEST(DocsService, CoversTheServicePlaneContracts) {
 TEST(DocsService, CoversThePipelinedReactorServicePlane) {
   const auto markdown = read_file(docs_path("service.md"));
   for (const char* needle :
-       {"slot pipeline", "pipeline of depth", "take_head", "net::Reactor",
-        "EpollLoop", "IoUringReactor", "LFT_IOURING", "falls back to epoll",
+       {"slot pipeline", "pipeline of depth", "take_head", "There is one readiness backend",
+        "EpollLoop", "interleaved pairs", "EPOLLET", "ready list",
         "ByteRing", "writev", "EPOLLOUT", "backpressure", "max_pending",
-        "--backend", "--pipeline", "--open-loop", "p99",
+        "\"backend\": \"epoll\"", "--pipeline", "--open-loop", "p99",
         "check_service_smoke.py", "service_baseline.json", "bench_service"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/service.md lacks '" << needle << "'";
@@ -250,8 +250,8 @@ TEST(DocsService, CoversThePipelinedReactorServicePlane) {
 TEST(Docs, ArchitectureDocCoversTheServiceSeams) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :
-       {"slot pipeline", "reactor seam", "net::Reactor", "EpollLoop",
-        "IoUringReactor", "LFT_IOURING", "ByteRing", "FrameParser", "writev"}) {
+       {"slot pipeline", "one readiness backend", "the server holds directly", "EpollLoop",
+        "10-pair A/B", "edge-triggered", "ByteRing", "FrameParser", "writev"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";
   }

@@ -1,6 +1,6 @@
-// The net plane's building blocks: the reactor seam (epoll and io_uring
-// backends behind net::Reactor), the EpollLoop ready-list drain, and the
-// ByteRing output buffer the buffered sessions flush through writev.
+// The net plane's building blocks: the EpollLoop readiness contract and
+// ready-list drain, and the ByteRing output buffer the buffered sessions
+// flush through writev.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -8,12 +8,9 @@
 
 #include <array>
 #include <cstring>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "net/epoll.hpp"
-#include "net/reactor.hpp"
 #include "net/ring.hpp"
 #include "net/socket.hpp"
 
@@ -69,140 +66,85 @@ TEST(ByteRing, ReadableSplitsIntoAtMostTwoSpans) {
   EXPECT_EQ(ring.size(), 100u + 3000u);
 }
 
-// ---- the reactor seam -------------------------------------------------------
+// ---- EpollLoop: the readiness contract the server relies on ----------------
 
-TEST(ReactorSeam, ParseBackendAcceptsTheDocumentedNames) {
-  ReactorBackend backend = ReactorBackend::kAuto;
-  EXPECT_TRUE(parse_backend("auto", backend));
-  EXPECT_EQ(backend, ReactorBackend::kAuto);
-  EXPECT_TRUE(parse_backend("epoll", backend));
-  EXPECT_EQ(backend, ReactorBackend::kEpoll);
-  EXPECT_TRUE(parse_backend("io_uring", backend));
-  EXPECT_EQ(backend, ReactorBackend::kIoUring);
-  EXPECT_TRUE(parse_backend("iouring", backend));
-  EXPECT_EQ(backend, ReactorBackend::kIoUring);
-  EXPECT_FALSE(parse_backend("kqueue", backend));
-}
-
-TEST(ReactorSeam, MakeReactorDegradesGracefully) {
-  const auto epoll = make_reactor(ReactorBackend::kEpoll);
-  EXPECT_STREQ(epoll->name(), "epoll");
-  const auto uring = make_reactor(ReactorBackend::kIoUring);
-  if (io_uring_available()) {
-    EXPECT_STREQ(uring->name(), "io_uring");
-  } else {
-    EXPECT_STREQ(uring->name(), "epoll") << "kIoUring must fall back, not fail";
-  }
-  const auto aut = make_reactor(ReactorBackend::kAuto);
-  EXPECT_STREQ(aut->name(), io_uring_available() ? "io_uring" : "epoll");
-}
-
-/// Both backends run the same readiness contract suite; the io_uring
-/// instantiation skips on kernels without io_uring.
-class ReactorContract : public ::testing::TestWithParam<ReactorBackend> {
- protected:
-  std::unique_ptr<Reactor> make() {
-    if (GetParam() == ReactorBackend::kIoUring && !io_uring_available()) {
-      return nullptr;
-    }
-    return make_reactor(GetParam());
-  }
-};
-
-TEST_P(ReactorContract, DispatchesReadableAndHonorsRemove) {
-  auto reactor = make();
-  if (!reactor) GTEST_SKIP() << "io_uring unavailable on this kernel";
-
+TEST(EpollLoop, DispatchesReadableAndHonorsRemove) {
+  EpollLoop loop;
   int pipe_fds[2] = {-1, -1};
   ASSERT_EQ(::pipe(pipe_fds), 0);
   int fired = 0;
   std::uint32_t last_events = 0;
-  reactor->add(pipe_fds[0], EPOLLIN, [&](std::uint32_t events) {
+  loop.add(pipe_fds[0], EPOLLIN, [&](std::uint32_t events) {
     ++fired;
     last_events = events;
   });
-  EXPECT_EQ(reactor->watched(), 1u);
+  EXPECT_EQ(loop.watched(), 1u);
 
   // Nothing readable yet: a poll dispatches nothing.
-  EXPECT_EQ(reactor->wait(0), 0);
+  EXPECT_EQ(loop.wait(0), 0);
   EXPECT_EQ(fired, 0);
 
   ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
-  // Bounded block instead of a pure poll: the io_uring backend arms its
-  // oneshot poll on the wait that first sees the fd.
-  EXPECT_EQ(reactor->wait(1000), 1);
+  EXPECT_EQ(loop.wait(1000), 1);
   EXPECT_EQ(fired, 1);
   EXPECT_NE(last_events & EPOLLIN, 0u);
 
   // Still readable (the byte was not drained): dispatches again.
-  EXPECT_EQ(reactor->wait(1000), 1);
+  EXPECT_EQ(loop.wait(1000), 1);
   EXPECT_EQ(fired, 2);
 
-  reactor->remove(pipe_fds[0]);
-  EXPECT_EQ(reactor->watched(), 0u);
-  EXPECT_EQ(reactor->wait(0), 0);
+  loop.remove(pipe_fds[0]);
+  EXPECT_EQ(loop.watched(), 0u);
+  EXPECT_EQ(loop.wait(0), 0);
   EXPECT_EQ(fired, 2);
 
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorContract, ModifySwitchesTheWatchedEvents) {
-  auto reactor = make();
-  if (!reactor) GTEST_SKIP() << "io_uring unavailable on this kernel";
-
+TEST(EpollLoop, ModifySwitchesTheWatchedEvents) {
+  EpollLoop loop;
   int pipe_fds[2] = {-1, -1};
   ASSERT_EQ(::pipe(pipe_fds), 0);
   int fired = 0;
   std::uint32_t last_events = 0;
   // Watch the WRITE end for readability — a pipe write end is never
   // readable, so nothing fires until modify() switches to EPOLLOUT.
-  reactor->add(pipe_fds[1], EPOLLIN, [&](std::uint32_t events) {
+  loop.add(pipe_fds[1], EPOLLIN, [&](std::uint32_t events) {
     ++fired;
     last_events = events;
   });
-  EXPECT_EQ(reactor->wait(0), 0);
+  EXPECT_EQ(loop.wait(0), 0);
 
-  reactor->modify(pipe_fds[1], EPOLLOUT);
-  EXPECT_EQ(reactor->wait(1000), 1);
+  loop.modify(pipe_fds[1], EPOLLOUT);
+  EXPECT_EQ(loop.wait(1000), 1);
   EXPECT_EQ(fired, 1);
   EXPECT_NE(last_events & EPOLLOUT, 0u);
 
-  reactor->remove(pipe_fds[1]);
+  loop.remove(pipe_fds[1]);
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
 
-TEST_P(ReactorContract, CallbackMayRemoveItself) {
-  auto reactor = make();
-  if (!reactor) GTEST_SKIP() << "io_uring unavailable on this kernel";
-
+TEST(EpollLoop, CallbackMayRemoveItself) {
+  EpollLoop loop;
   int pipe_fds[2] = {-1, -1};
   ASSERT_EQ(::pipe(pipe_fds), 0);
   int fired = 0;
-  reactor->add(pipe_fds[0], EPOLLIN, [&, reactor = reactor.get()](std::uint32_t) {
+  loop.add(pipe_fds[0], EPOLLIN, [&](std::uint32_t) {
     ++fired;
-    reactor->remove(pipe_fds[0]);
+    loop.remove(pipe_fds[0]);
   });
   ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
-  EXPECT_EQ(reactor->wait(1000), 1);
+  EXPECT_EQ(loop.wait(1000), 1);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(reactor->watched(), 0u);
-  EXPECT_EQ(reactor->wait(0), 0);
+  EXPECT_EQ(loop.watched(), 0u);
+  EXPECT_EQ(loop.wait(0), 0);
   EXPECT_EQ(fired, 1);
 
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
-
-std::string backend_name(const ::testing::TestParamInfo<ReactorBackend>& info) {
-  return info.param == ReactorBackend::kEpoll ? "epoll" : "io_uring";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorContract,
-                         ::testing::Values(ReactorBackend::kEpoll,
-                                           ReactorBackend::kIoUring),
-                         backend_name);
 
 // ---- EpollLoop ready-list drain ---------------------------------------------
 
@@ -210,7 +152,7 @@ TEST(EpollLoopDrain, DispatchesMoreReadyFdsThanOneWaitBatch) {
   // Regression test for the fixed 64-event wait array: with more than 64
   // fds ready at once, a single wait() must dispatch every one — the late
   // fds must not wait for the caller's next loop iteration. Callbacks
-  // drain their fd, as every real reactor callback does.
+  // drain their fd, as every server callback does.
   constexpr int kPipes = 80;  // > the 64-event epoll_wait batch
   EpollLoop loop;
   std::vector<std::array<int, 2>> pipes(kPipes);

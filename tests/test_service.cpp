@@ -14,7 +14,6 @@
 
 #include "common/codec.hpp"
 #include "net/frame.hpp"
-#include "net/reactor.hpp"
 #include "net/socket.hpp"
 
 #include "core/run_options.hpp"
@@ -399,21 +398,6 @@ std::vector<std::byte> stream_of(const std::vector<std::vector<std::byte>>& payl
   return stream;
 }
 
-TEST(FrameParser, ReassemblesFramesFedByteByByte) {
-  const auto payloads = sample_payloads();
-  const auto stream = stream_of(payloads);
-  net::FrameParser parser;
-  std::vector<std::vector<std::byte>> got;
-  for (const std::byte b : stream) {
-    parser.feed(std::span<const std::byte>(&b, 1));
-    std::vector<std::byte> payload;
-    while (parser.next(payload)) got.push_back(payload);
-  }
-  EXPECT_EQ(got, payloads);
-  EXPECT_EQ(parser.buffered(), 0u);
-  EXPECT_FALSE(parser.corrupt());
-}
-
 TEST(FrameParser, DirectFillReassemblesAtAdversarialSplits) {
   // The writable()/commit() path the nonblocking sessions use, with the
   // stream chopped at every prime-ish granularity: frames land split across
@@ -435,6 +419,7 @@ TEST(FrameParser, DirectFillReassemblesAtAdversarialSplits) {
       while (parser.next_view(view)) got.emplace_back(view.begin(), view.end());
     }
     EXPECT_EQ(got, payloads) << "split " << split;
+    EXPECT_EQ(parser.buffered(), 0u) << "split " << split;
     EXPECT_FALSE(parser.corrupt());
   }
 }
@@ -446,9 +431,13 @@ TEST(FrameParser, OversizedLengthPrefixIsCorruptionNotAnAllocation) {
   std::memcpy(prefix, &len, sizeof prefix);
   // Byte by byte: corruption must latch once the prefix completes, without
   // waiting for (or allocating) the advertised body.
-  for (const std::byte b : prefix) parser.feed(std::span<const std::byte>(&b, 1));
   std::span<const std::byte> view;
-  EXPECT_FALSE(parser.next_view(view));
+  for (const std::byte b : prefix) {
+    EXPECT_FALSE(parser.corrupt());
+    parser.writable(1)[0] = b;
+    parser.commit(1);
+    EXPECT_FALSE(parser.next_view(view));
+  }
   EXPECT_TRUE(parser.corrupt());
 }
 
@@ -619,23 +608,12 @@ TEST(ReplicaGroup, PipelineDepthsRetireFifoAndBitIdentical) {
   }
 }
 
-// ---- the server across reactor backends -------------------------------------
+// ---- the server under a pipelined window -------------------------------------
 
-class ServerBackends : public ::testing::TestWithParam<net::ReactorBackend> {
- protected:
-  [[nodiscard]] bool available() const {
-    return GetParam() != net::ReactorBackend::kIoUring || net::io_uring_available();
-  }
-};
-
-TEST_P(ServerBackends, PipelinedWindowAcksInOrder) {
-  if (!available()) GTEST_SKIP() << "io_uring unavailable on this kernel";
+TEST(ServiceServer, PipelinedWindowAcksInOrder) {
   ServerOptions options;
-  options.backend = GetParam();
   options.pipeline = 4;
   RunningServer rs(options);
-  EXPECT_STREQ(rs.server.backend(),
-               GetParam() == net::ReactorBackend::kEpoll ? "epoll" : "io_uring");
 
   Client client(rs.server.port(), /*client_id=*/1);
   ASSERT_TRUE(client.connected());
@@ -662,20 +640,10 @@ TEST_P(ServerBackends, PipelinedWindowAcksInOrder) {
   EXPECT_EQ(state->size, static_cast<std::uint64_t>(kRequests));
 }
 
-std::string server_backend_name(
-    const ::testing::TestParamInfo<net::ReactorBackend>& info) {
-  return info.param == net::ReactorBackend::kEpoll ? "epoll" : "io_uring";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ServerBackends,
-                         ::testing::Values(net::ReactorBackend::kEpoll,
-                                           net::ReactorBackend::kIoUring),
-                         server_backend_name);
-
-TEST(ServiceServer, LogDigestIsIdenticalAcrossBackendsAndDepths) {
+TEST(ServiceServer, LogDigestIsIdenticalAcrossDepths) {
   // The same single-session workload must leave a bit-identical log —
-  // equal digest — whatever the reactor backend or pipeline depth, and the
-  // digest must match a direct StateMachine replay of the same commands.
+  // equal digest — whatever the pipeline depth, and the digest must match
+  // a direct StateMachine replay of the same commands.
   constexpr int kRequests = 60;
   constexpr int kWindow = 8;
   StateMachine expect;
@@ -684,20 +652,9 @@ TEST(ServiceServer, LogDigestIsIdenticalAcrossBackendsAndDepths) {
                                bytes_of("op " + std::to_string(i))});
   }
 
-  struct Config {
-    net::ReactorBackend backend;
-    int pipeline;
-  };
-  for (const auto& config : {Config{net::ReactorBackend::kEpoll, 1},
-                             Config{net::ReactorBackend::kEpoll, 4},
-                             Config{net::ReactorBackend::kIoUring, 2},
-                             Config{net::ReactorBackend::kIoUring, 4}}) {
-    if (config.backend == net::ReactorBackend::kIoUring && !net::io_uring_available()) {
-      continue;
-    }
+  for (const int pipeline : {1, 2, 4}) {
     ServerOptions options;
-    options.backend = config.backend;
-    options.pipeline = config.pipeline;
+    options.pipeline = pipeline;
     RunningServer rs(options);
     Client client(rs.server.port(), /*client_id=*/1);
     ASSERT_TRUE(client.connected());
@@ -717,8 +674,7 @@ TEST(ServiceServer, LogDigestIsIdenticalAcrossBackendsAndDepths) {
     ASSERT_TRUE(state.has_value());
     EXPECT_EQ(state->size, static_cast<std::uint64_t>(kRequests));
     EXPECT_EQ(state->digest, expect.digest())
-        << rs.server.backend() << " depth " << config.pipeline
-        << " produced a different log";
+        << "depth " << pipeline << " produced a different log";
   }
 }
 
