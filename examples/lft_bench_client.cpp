@@ -15,7 +15,9 @@
 //
 // Without --port (or with --port=0) an in-process server is spawned and
 // shut down at the end; --sockets/--trace/--pipeline apply to that
-// spawned server. A port above 65535, like any malformed number, exits 2.
+// spawned server. A port above 65535, like any malformed number, exits 2,
+// and so does --requests below --clients. The first --requests % --clients
+// clients run one request more than the rest, so exactly --requests run.
 // --json writes the run's metrics (req/s, p50/p95/p99 ack latency) in the
 // BENCH_*.json artifact schema. --server-stats fetches the server's
 // telemetry snapshot over the wire (kStatsRequest) after the audit and
@@ -242,6 +244,14 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
+  if (requests < clients) {
+    // Every client runs at least one request; fewer would leave idle
+    // clients whose empty audit proves nothing.
+    std::fprintf(stderr, "bad argument: --requests=%lld is below --clients=%d\n",
+                 static_cast<long long>(requests), clients);
+    print_usage();
+    return 2;
+  }
   const bool open_loop = open_rate > 0;
 
   // Spawn an in-process server unless pointed at a live one.
@@ -258,9 +268,14 @@ int main(int argc, char** argv) {
     server_thread = std::thread([&server] { server->run(); });
   }
 
-  const auto per_client = static_cast<std::uint64_t>(requests) /
-                          static_cast<std::uint64_t>(clients);
-  const std::uint64_t total = per_client * static_cast<std::uint64_t>(clients);
+  // The first requests % clients clients run one extra request, so the
+  // clients together run exactly --requests.
+  const std::uint64_t total = static_cast<std::uint64_t>(requests);
+  const auto client_count = static_cast<std::uint64_t>(clients);
+  auto requests_of = [&](int c) {
+    const auto index = static_cast<std::uint64_t>(c);
+    return total / client_count + (index < total % client_count ? 1 : 0);
+  };
   if (open_loop) {
     std::printf(
         "lft_bench_client: %llu requests over %d clients (open loop, %lld req/s) "
@@ -285,11 +300,11 @@ int main(int argc, char** argv) {
     WorkerResult& result = results[static_cast<std::size_t>(c)];
     if (open_loop) {
       workers.emplace_back(run_open_worker, target_port,
-                           static_cast<std::uint64_t>(c + 1), per_client,
+                           static_cast<std::uint64_t>(c + 1), requests_of(c),
                            rate_per_client, std::ref(result));
     } else {
       workers.emplace_back(run_worker, target_port, static_cast<std::uint64_t>(c + 1),
-                           per_client, static_cast<std::uint64_t>(window),
+                           requests_of(c), static_cast<std::uint64_t>(window),
                            std::ref(result));
     }
   }
@@ -302,7 +317,7 @@ int main(int argc, char** argv) {
   latencies.reserve(total);
   for (int c = 0; c < clients; ++c) {
     const auto& r = results[static_cast<std::size_t>(c)];
-    if (!r.ok || r.acked != per_client) {
+    if (!r.ok || r.acked != requests_of(c)) {
       ok = false;
       std::fprintf(stderr, "client %d FAILED after %llu acks: %s\n", c + 1,
                    static_cast<unsigned long long>(r.acked), r.error.c_str());

@@ -2,8 +2,8 @@
 // multiplexing TCP client sessions over a ReplicaGroup that orders every
 // proposal batch through a Few-Crashes-Consensus slot (the paper's Figure 3
 // assembly) — the same Stage/Process code the simulator runs, stepped by
-// the simulator's own round loop (sim::Engine). Consensus slots run
-// through a pipeline so rounds overlap network I/O.
+// the simulator's own round loop (sim::Engine). Each slot runs its rounds
+// to completion between two reactor polls.
 //
 //   lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]
 //             [--trace=PATH] [--pipeline=D]

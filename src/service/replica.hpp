@@ -9,8 +9,15 @@
 // consensus rounds, step() advances every in-flight slot one lock-step
 // round, and take_head() retires slots strictly in enqueue order — the
 // cross-slot total order is the FIFO, so pipelining changes throughput, not
-// the log. Slot contexts (Processes + engine scratch) are pooled and reset
-// between slots instead of reconstructed.
+// the log. The server steps until the head slot is done before it polls
+// again, so in practice it rarely has more than one slot in flight. Slot
+// contexts (Processes + engine scratch) are pooled and reset between slots
+// instead of reconstructed.
+//
+// Retire applies the batch to all n replicas' StateMachines (arena-backed
+// logs, so an apply is an append, not an allocation), asserts every
+// replica's Applied equals replica 0's per command, and compares the n log
+// digests once per slot.
 //
 // When `trace_path` is set, the first slot's execution is recorded and saved
 // as an LFTTRACE file that `lft_forensics replay` re-executes under the
@@ -65,8 +72,8 @@ class ReplicaGroup {
   CommitResult commit(std::span<const Command> batch);
 
   // --- pipelined interface -------------------------------------------------
-  // The server overlaps consensus with I/O: enqueue batches while the
-  // pipeline has room, step() between reactor polls, retire finished heads.
+  // The server enqueues batches while the pipeline has room, step()s until
+  // the head slot is done, and retires finished heads between reactor polls.
 
   [[nodiscard]] bool can_enqueue() const noexcept {
     return live_.size() < static_cast<std::size_t>(depth());

@@ -19,7 +19,7 @@ namespace {
 /// is empty, so the next edge re-arms us).
 constexpr std::size_t kRecvChunk = 64 * 1024;
 
-void put_commit(ByteWriter& w, std::uint64_t index, const Command& cmd) {
+void put_commit(ByteWriter& w, std::uint64_t index, const CommandView& cmd) {
   w.put_u8(static_cast<std::uint8_t>(MsgType::kCommit));
   w.put_u64(index);
   w.put_u64(cmd.client_id);
@@ -60,9 +60,10 @@ void Server::run() {
       static_cast<std::uint64_t>(options_.stats_dump_interval_ms) * 1000000u;
   std::uint64_t next_dump_ns = dumping ? obs::now_ns() + interval_ns : 0;
   while (!stop_) {
-    // Block only when the pipeline is idle; while slots are in flight, poll
-    // so consensus rounds overlap network I/O. A stats-dumping server never
-    // blocks forever — it wakes each interval to keep the dump current.
+    // Block only when nothing is queued or in flight. pump() runs the head
+    // slot to completion, so a slot costs one poll, not one per consensus
+    // round. A stats-dumping server never blocks forever — it wakes each
+    // interval to keep the dump current.
     const bool busy = group_.in_flight() > 0 || !pending_.empty();
     int timeout_ms = busy ? 0 : -1;
     if (dumping && !busy) timeout_ms = static_cast<int>(options_.stats_dump_interval_ms);
@@ -87,7 +88,7 @@ void Server::pump() {
   obs_.pump_enqueue_ns.record(obs::now_ns() - mark);
 
   mark = obs::now_ns();
-  if (group_.in_flight() > 0) group_.step();
+  while (group_.in_flight() > 0 && !group_.head_ready()) group_.step();
   obs_.pump_step_ns.record(obs::now_ns() - mark);
 
   mark = obs::now_ns();

@@ -2,8 +2,9 @@
 // multiplexing client sessions over TCP, group-committing
 // proposals through the ReplicaGroup's slot pipeline. Proposals that arrive
 // while the pipeline has room ride the next consensus slot (one slot per
-// dispatch batch, not per request); while a slot's acks are being flushed,
-// the next slot is already running its consensus rounds. Sessions are
+// dispatch batch, not per request). Each pump runs the head slot's
+// consensus rounds to completion before it retires the slot and flushes the
+// acks, so a slot costs one reactor poll, not one per round. Sessions are
 // nonblocking and edge-triggered: input lands directly in each session's
 // FrameParser, output coalesces into a per-session ring buffer flushed with
 // one vectored write (EPOLLOUT re-arms on partial writes), and a bounded
@@ -118,8 +119,9 @@ class Server {
   /// Drains parsed frames; false when the session was dropped.
   [[nodiscard]] bool process_frames(int fd, Session& session);
   void handle_frame(Session& session, std::span<const std::byte> payload);
-  /// Overlap engine: admit pending batches, advance in-flight slots one
-  /// round, retire finished heads, resume paused sessions, flush output.
+  /// One pass of the serving loop: admit pending batches, step in-flight
+  /// slots until the head has finished its rounds, retire finished heads,
+  /// resume paused sessions, flush output.
   void pump();
   void enqueue_batch();
   void retire_head();

@@ -6,6 +6,7 @@
 // sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -74,6 +75,59 @@ TEST(StateMachine, DigestIsOrderSensitiveAndDeterministic) {
   const auto before = x.digest();
   (void)x.apply(Command{1, 2, bytes_of("b")});
   EXPECT_EQ(x.digest(), before);
+}
+
+/// A payload of `size` bytes with a position- and seed-dependent pattern.
+std::vector<std::byte> pattern_bytes(std::size_t size, unsigned seed) {
+  std::vector<std::byte> p(size);
+  for (std::size_t j = 0; j < size; ++j) {
+    p[j] = std::byte{static_cast<unsigned char>(seed + 131 * j + (j >> 8))};
+  }
+  return p;
+}
+
+TEST(StateMachine, LogDigestAndEntriesArePinned) {
+  // A fixed apply sequence: empty, 16-byte and 64 KiB payloads, then a
+  // replay of a client's last request and a stale (older) request. The
+  // digest literal must never move whatever the log's storage: replicas
+  // compare it, and kState hands it to clients.
+  const std::vector<Command> fresh{
+      Command{1, 1, {}},
+      Command{2, 1, pattern_bytes(16, 7)},
+      Command{1, 2, pattern_bytes(64 * 1024, 11)},
+      Command{3, 9, bytes_of("tail")},
+  };
+  StateMachine sm;
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const Applied a = sm.apply(fresh[i]);
+    EXPECT_EQ(a.index, i);
+    EXPECT_FALSE(a.duplicate);
+  }
+  ASSERT_EQ(sm.size(), fresh.size());
+  EXPECT_EQ(sm.payload_bytes(), 16u + 64u * 1024u + 4u);
+  EXPECT_EQ(sm.digest(), 0x1c4b62ad657cd645ULL);
+
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const CommandView e = sm.entry(i);
+    EXPECT_EQ(e.client_id, fresh[i].client_id) << "entry " << i;
+    EXPECT_EQ(e.request_id, fresh[i].request_id) << "entry " << i;
+    ASSERT_EQ(e.payload.size(), fresh[i].payload.size()) << "entry " << i;
+    EXPECT_TRUE(std::equal(e.payload.begin(), e.payload.end(), fresh[i].payload.begin()))
+        << "entry " << i << " payload bytes differ";
+  }
+
+  // Duplicates append nothing: no entry, no arena bytes, no digest step.
+  const std::uint64_t digest = sm.digest();
+  const std::size_t arena = sm.payload_bytes();
+  const Applied replay = sm.apply(Command{2, 1, pattern_bytes(16, 7)});
+  EXPECT_TRUE(replay.duplicate);
+  EXPECT_EQ(replay.index, 1u);
+  const Applied stale = sm.apply(Command{1, 1, pattern_bytes(64 * 1024, 3)});
+  EXPECT_TRUE(stale.duplicate);
+  EXPECT_EQ(stale.index, 2u);  // the client's last applied request's index
+  EXPECT_EQ(sm.size(), fresh.size());
+  EXPECT_EQ(sm.payload_bytes(), arena);
+  EXPECT_EQ(sm.digest(), digest);
 }
 
 // ---- the twin property -----------------------------------------------------
@@ -638,6 +692,53 @@ TEST(ServiceServer, PipelinedWindowAcksInOrder) {
   const auto state = client.read_state();
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->size, static_cast<std::uint64_t>(kRequests));
+}
+
+TEST(ServiceServer, EachSlotCostsAboutOneReactorPoll) {
+  // The serving loop runs the head slot's consensus rounds to completion
+  // before it polls again, so reactor waits per committed slot stay near 1
+  // under a pipelined load. A loop that polled once per consensus round
+  // (18 rounds at n=7, t=1) would wait several times per slot.
+  ServerOptions options;
+  options.pipeline = 4;
+  RunningServer rs(options);
+  constexpr int kClients = 2;
+  constexpr int kRequests = 300;
+  constexpr int kWindow = 32;
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([&rs, c] {
+      Client client(rs.server.port(), static_cast<std::uint64_t>(c + 1));
+      ASSERT_TRUE(client.connected());
+      int sent = 0;
+      int acked = 0;
+      while (acked < kRequests) {
+        while (sent < kRequests && sent - acked < kWindow) {
+          ++sent;
+          client.queue_propose(static_cast<std::uint64_t>(sent),
+                               bytes_of("p " + std::to_string(sent)));
+        }
+        ASSERT_TRUE(client.flush());
+        ASSERT_TRUE(client.recv_ack().has_value());
+        ++acked;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  Client monitor(rs.server.port(), /*client_id=*/77);
+  ASSERT_TRUE(monitor.connected());
+  const auto snapshot = monitor.server_stats();
+  ASSERT_TRUE(snapshot.has_value());
+  const auto* waits = snapshot->find_histogram("lft_service_reactor_batch");
+  const auto* batches = snapshot->find_counter("lft_service_commit_batches_total");
+  ASSERT_NE(waits, nullptr);
+  ASSERT_NE(batches, nullptr);
+  ASSERT_GT(batches->value, 0u);
+  const double waits_per_slot =
+      static_cast<double>(waits->data.count()) / static_cast<double>(batches->value);
+  EXPECT_LT(waits_per_slot, 4.0) << waits->data.count() << " reactor waits for "
+                                 << batches->value << " commit slots";
 }
 
 TEST(ServiceServer, LogDigestIsIdenticalAcrossDepths) {
