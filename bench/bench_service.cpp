@@ -1,12 +1,11 @@
-// Service commit-path bench: in-process loopback throughput of the
-// ReplicaGroup slot pipeline, no sockets and no client threads — the
-// server-side ceiling the service plane can reach once network I/O is off
-// the table. The table sweeps pipeline depth D (1/2/4) against batch size
-// and reports commands/sec plus the per-slot consensus cost; depth 1 is the
-// strictly serial commit path, so the D>1 rows isolate what slot pooling
-// plus pipelined stepping buys. Every cell asserts the log digest matches
-// the depth-1 reference — pipelining must change throughput, never the log.
-// --json=PATH captures the rows in the BENCH_*.json artifact schema.
+// Service commit-path bench: in-process loopback throughput of
+// ReplicaGroup::commit, no sockets and no client threads — the server-side
+// ceiling the service plane can reach once network I/O is off the table.
+// The table sweeps batch size and reports commands/sec plus the per-slot
+// consensus cost. Every cell commits the same command sequence, so every
+// cell must reproduce the first cell's log digest — batching changes
+// throughput, never the log. --json=PATH captures the rows in the
+// BENCH_*.json artifact schema.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@ namespace {
 
 using service::Command;
 using service::ReplicaGroup;
-using service::ReplicaGroupOptions;
 
 std::vector<Command> make_batch(std::uint64_t& next_request, std::size_t batch_size) {
   std::vector<Command> batch;
@@ -44,25 +42,14 @@ struct CellResult {
   std::uint64_t slots = 0;
 };
 
-/// Pushes `commands` commands through the pipeline in batches of
-/// `batch_size`, keeping the pipeline as full as depth permits.
-CellResult run_cell(int pipeline, std::size_t batch_size, std::uint64_t commands) {
-  ReplicaGroupOptions options;
-  options.pipeline = pipeline;
-  ReplicaGroup group(options);
+/// Commits `commands` commands in batches of `batch_size`, one slot each.
+CellResult run_cell(std::size_t batch_size, std::uint64_t commands) {
+  ReplicaGroup group;
   std::uint64_t next_request = 0;
-  std::uint64_t enqueued = 0;
   const WallTimer timer;
-  while (enqueued < commands || group.in_flight() > 0) {
-    while (enqueued < commands && group.can_enqueue()) {
-      group.enqueue(make_batch(next_request, batch_size));
-      enqueued += batch_size;
-    }
-    group.step();
-    while (group.head_ready()) {
-      const auto result = group.take_head();
-      benchmark::DoNotOptimize(result.applied.size());
-    }
+  while (next_request < commands) {
+    const auto result = group.commit(make_batch(next_request, batch_size));
+    benchmark::DoNotOptimize(result.applied.size());
   }
   CellResult cell;
   cell.wall_ms = timer.ms();
@@ -77,83 +64,63 @@ CellResult run_cell(int pipeline, std::size_t batch_size, std::uint64_t commands
 }
 
 void print_service_table(JsonRows* json) {
-  banner("service commit pipeline",
-         "loopback ReplicaGroup throughput (commands/sec) by pipeline depth and batch "
-         "size; every cell must reproduce the depth-1 log digest");
-  static const int kDepths[] = {1, 2, 4};
+  banner("service commit path",
+         "loopback ReplicaGroup::commit throughput (commands/sec) by batch size; every "
+         "cell must reproduce the first cell's log digest");
+  // Each batch size divides the command count, so every cell commits the
+  // same command sequence.
   static const std::size_t kBatches[] = {64, 256, 1024};
   const std::uint64_t commands = 1 << 16;
 
-  Table table({"depth", "batch", "slots", "wall_ms", "cmds_per_s", "slot_us", "digest_ok"});
+  Table table({"batch", "slots", "wall_ms", "cmds_per_s", "slot_us", "digest_ok"});
   table.print_header();
+  std::uint64_t reference_digest = 0;
   for (const std::size_t batch : kBatches) {
-    std::uint64_t reference_digest = 0;
-    for (const int depth : kDepths) {
-      const CellResult cell = run_cell(depth, batch, commands);
-      if (depth == 1) reference_digest = cell.digest;
-      const bool digest_ok = cell.digest == reference_digest;
-      table.cell(static_cast<std::int64_t>(depth));
-      table.cell(static_cast<std::int64_t>(batch));
-      table.cell(static_cast<std::int64_t>(cell.slots));
-      table.cell(cell.wall_ms);
-      table.cell(cell.commands_per_s);
-      table.cell(cell.slot_us);
-      table.cell(std::string(digest_ok ? "yes" : "NO"));
-      table.end_row();
-      if (json != nullptr) {
-        json->begin_row();
-        // Per-cell bench name + items_per_second keep the rows renderable as
-        // a bench/history/ series by scripts/bench_report.py.
-        json->field("bench", std::string("service_commit_pipeline/d") +
-                                 std::to_string(depth) + "/b" + std::to_string(batch));
-        json->field("simd", std::string("service"));
-        json->field("depth", static_cast<std::int64_t>(depth));
-        json->field("batch", static_cast<std::int64_t>(batch));
-        json->field("commands", static_cast<std::int64_t>(commands));
-        json->field("slots", static_cast<std::int64_t>(cell.slots));
-        json->field("wall_ms", cell.wall_ms);
-        json->field("cmds_per_s", cell.commands_per_s);
-        json->field("items_per_second", cell.commands_per_s);
-        json->field("slot_us", cell.slot_us);
-        json->field("ok", std::string(digest_ok ? "yes" : "NO"));
-      }
-      if (!digest_ok) {
-        std::fprintf(stderr, "digest mismatch at depth %d batch %zu\n", depth, batch);
-        std::exit(1);
-      }
+    const CellResult cell = run_cell(batch, commands);
+    if (batch == kBatches[0]) reference_digest = cell.digest;
+    const bool digest_ok = cell.digest == reference_digest;
+    table.cell(static_cast<std::int64_t>(batch));
+    table.cell(static_cast<std::int64_t>(cell.slots));
+    table.cell(cell.wall_ms);
+    table.cell(cell.commands_per_s);
+    table.cell(cell.slot_us);
+    table.cell(std::string(digest_ok ? "yes" : "NO"));
+    table.end_row();
+    if (json != nullptr) {
+      json->begin_row();
+      // Per-cell bench name + items_per_second keep the rows renderable as
+      // a bench/history/ series by scripts/bench_report.py.
+      json->field("bench", std::string("service_commit/b") + std::to_string(batch));
+      json->field("simd", std::string("service"));
+      json->field("batch", static_cast<std::int64_t>(batch));
+      json->field("commands", static_cast<std::int64_t>(commands));
+      json->field("slots", static_cast<std::int64_t>(cell.slots));
+      json->field("wall_ms", cell.wall_ms);
+      json->field("cmds_per_s", cell.commands_per_s);
+      json->field("items_per_second", cell.commands_per_s);
+      json->field("slot_us", cell.slot_us);
+      json->field("ok", std::string(digest_ok ? "yes" : "NO"));
+    }
+    if (!digest_ok) {
+      std::fprintf(stderr, "digest mismatch at batch %zu\n", batch);
+      std::exit(1);
     }
   }
 }
 
-/// google-benchmark twin of the table: one 256-command batch per iteration,
-/// pipeline kept full at the requested depth.
-void bm_commit_pipeline(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  constexpr std::size_t kBatch = 256;
-  service::ReplicaGroupOptions options;
-  options.pipeline = depth;
-  service::ReplicaGroup group(options);
+/// google-benchmark twin of the table: one commit of state.range(0)
+/// commands per iteration.
+void bm_commit(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  ReplicaGroup group;
   std::uint64_t next_request = 0;
   for (auto _ : state) {
-    while (!group.can_enqueue()) {
-      group.step();
-      while (group.head_ready()) {
-        benchmark::DoNotOptimize(group.take_head().applied.size());
-      }
-    }
-    group.enqueue(make_batch(next_request, kBatch));
-  }
-  while (group.in_flight() > 0) {
-    group.step();
-    while (group.head_ready()) {
-      benchmark::DoNotOptimize(group.take_head().applied.size());
-    }
+    benchmark::DoNotOptimize(group.commit(make_batch(next_request, batch)).applied.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-  state.counters["depth"] = static_cast<double>(depth);
+                          static_cast<std::int64_t>(batch));
 }
-BENCHMARK(bm_commit_pipeline)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_commit)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace lft::bench

@@ -11,13 +11,14 @@
 //
 //   lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]
 //                    [--open-loop=RATE] [--sockets] [--trace=PATH]
-//                    [--pipeline=D] [--json=PATH] [--server-stats] [--stats-json=PATH]
+//                    [--json=PATH] [--server-stats] [--stats-json=PATH]
 //
 // Without --port (or with --port=0) an in-process server is spawned and
-// shut down at the end; --sockets/--trace/--pipeline apply to that
-// spawned server. A port above 65535, like any malformed number, exits 2,
-// and so does --requests below --clients. The first --requests % --clients
-// clients run one request more than the rest, so exactly --requests run.
+// shut down at the end; --sockets/--trace configure that spawned server, so
+// giving either with --port=N exits 2 rather than being ignored. A port
+// above 65535, like any malformed number, exits 2, and so does --requests
+// below --clients. The first --requests % --clients clients run one request
+// more than the rest, so exactly --requests run.
 // --json writes the run's metrics (req/s, p50/p95/p99 ack latency) in the
 // BENCH_*.json artifact schema. --server-stats fetches the server's
 // telemetry snapshot over the wire (kStatsRequest) after the audit and
@@ -209,8 +210,7 @@ void print_usage() {
   std::printf(
       "usage: lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]\n"
       "                        [--open-loop=RATE] [--sockets] [--trace=PATH]\n"
-      "                        [--pipeline=D] [--json=PATH] [--server-stats]\n"
-      "                        [--stats-json=PATH]\n");
+      "                        [--json=PATH] [--server-stats] [--stats-json=PATH]\n");
 }
 
 }  // namespace
@@ -223,7 +223,6 @@ int main(int argc, char** argv) {
   std::int64_t open_rate = 0;
   bool sockets = false;
   std::string trace_path;
-  int pipeline = 4;
   std::string json_path;
   bool server_stats = false;
   std::string stats_json_path;
@@ -235,7 +234,6 @@ int main(int argc, char** argv) {
                           .on_i64("--open-loop", open_rate, 0)
                           .on_flag("--sockets", sockets)
                           .on_str("--trace", trace_path)
-                          .on_int("--pipeline", pipeline, 1)
                           .on_str("--json", json_path)
                           .on_flag("--server-stats", server_stats)
                           .on_str("--stats-json", stats_json_path)
@@ -252,6 +250,14 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
+  if (port != 0 && (sockets || !trace_path.empty())) {
+    // Both configure the in-process server; an external one ignores them.
+    std::fprintf(stderr, "bad argument: --sockets and --trace need the in-process server, "
+                         "not --port=%u\n",
+                 port);
+    print_usage();
+    return 2;
+  }
   const bool open_loop = open_rate > 0;
 
   // Spawn an in-process server unless pointed at a live one.
@@ -262,7 +268,6 @@ int main(int argc, char** argv) {
     lft::service::ServerOptions options;
     options.use_sockets = sockets;
     options.trace_path = trace_path;
-    options.pipeline = pipeline;
     server.emplace(options);
     target_port = server->port();
     server_thread = std::thread([&server] { server->run(); });
@@ -415,7 +420,6 @@ int main(int argc, char** argv) {
     rows.field("bench", std::string("service_closed_loop"));
     rows.field("mode", std::string(open_loop ? "open" : "closed"));
     rows.field("backend", std::string(port == 0 ? "epoll" : "external"));
-    rows.field("pipeline", static_cast<std::int64_t>(pipeline));
     rows.field("requests", static_cast<std::int64_t>(total));
     rows.field("clients", static_cast<std::int64_t>(clients));
     rows.field("window", static_cast<std::int64_t>(open_loop ? 0 : window));

@@ -2,12 +2,11 @@
 // multiplexing TCP client sessions over a ReplicaGroup that orders every
 // proposal batch through a Few-Crashes-Consensus slot (the paper's Figure 3
 // assembly) — the same Stage/Process code the simulator runs, stepped by
-// the simulator's own round loop (sim::Engine). Each slot runs its rounds
-// to completion between two reactor polls.
+// the simulator's own round loop (sim::Engine). One slot runs at a time,
+// its rounds to completion between two reactor polls.
 //
 //   lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]
-//             [--trace=PATH] [--pipeline=D]
-//             [--stats-dump=PATH] [--stats-interval-ms=MS]
+//             [--trace=PATH] [--stats-dump=PATH] [--stats-interval-ms=MS]
 //
 // --port=0 (default) picks a free port and prints it; a port above 65535,
 // like any malformed number, exits 2. --sockets runs each replica on its
@@ -16,11 +15,9 @@
 // --trace=PATH records the first commit slot as an LFTTRACE file that
 // `lft_forensics replay --trace=PATH` re-executes under the sim engine.
 // --no-shutdown ignores client kShutdown frames (run until killed).
-// --pipeline sets the slot pipeline depth D (how many consensus slots may
-// be in flight at once).
-// --stats-dump=PATH periodically overwrites PATH with the live telemetry
-// snapshot (JSON rows for .json, Prometheus text exposition otherwise);
-// --stats-interval-ms sets the cadence. The same snapshot is served live
+// --stats-dump=PATH periodically replaces PATH (write PATH.tmp, rename)
+// with the live telemetry snapshot (JSON rows for .json, Prometheus text
+// exposition otherwise); --stats-interval-ms sets the cadence. The same snapshot is served live
 // over the wire to any client sending kStatsRequest
 // (`lft_bench_client --server-stats` prints it).
 #include <cstdio>
@@ -36,8 +33,7 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]\n"
-      "                 [--trace=PATH] [--pipeline=D]\n"
-      "                 [--stats-dump=PATH] [--stats-interval-ms=MS]\n");
+      "                 [--trace=PATH] [--stats-dump=PATH] [--stats-interval-ms=MS]\n");
 }
 
 }  // namespace
@@ -49,7 +45,6 @@ int main(int argc, char** argv) {
   bool sockets = false;
   bool no_shutdown = false;
   std::string trace_path;
-  int pipeline = 4;
   std::string stats_dump;
   std::int64_t stats_interval_ms = 1000;
   const bool parsed = lft::cli::ArgParser(argc, argv)
@@ -59,7 +54,6 @@ int main(int argc, char** argv) {
                           .on_flag("--sockets", sockets)
                           .on_flag("--no-shutdown", no_shutdown)
                           .on_str("--trace", trace_path)
-                          .on_int("--pipeline", pipeline, 1)
                           .on_str("--stats-dump", stats_dump)
                           .on_i64("--stats-interval-ms", stats_interval_ms, 1)
                           .parse();
@@ -80,15 +74,13 @@ int main(int argc, char** argv) {
   options.use_sockets = sockets;
   options.allow_shutdown = !no_shutdown;
   options.trace_path = trace_path;
-  options.pipeline = pipeline;
   options.stats_dump_path = stats_dump;
   options.stats_dump_interval_ms = stats_interval_ms;
 
   lft::service::Server server(options);
   std::printf(
-      "lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld replicas=%s pipeline=%d)\n",
-      server.port(), n, static_cast<long long>(t), sockets ? "socketpair threads" : "inline",
-      pipeline);
+      "lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld replicas=%s)\n", server.port(), n,
+      static_cast<long long>(t), sockets ? "socketpair threads" : "inline");
   if (!trace_path.empty()) {
     std::printf("lft_serve: first commit slot will be traced to %s\n", trace_path.c_str());
   }

@@ -2,16 +2,16 @@
 """Gate + schema check for the lft_bench_client --json artifact.
 
 Validates the single service row CI archives from the service-smoke step:
-  * the full schema is present (bench, mode, backend, pipeline, requests,
-    clients, window, open_rate, slots, wall_ms, req_per_s, p50/p95/p99_ms,
-    ok) with sane types;
+  * the full schema is present (bench, mode, backend, requests, clients,
+    window, open_rate, slots, wall_ms, req_per_s, p50/p95/p99_ms, ok) with
+    sane types;
   * ok == "yes" (the closed loop lost, duplicated, and reordered nothing);
   * the counters are consistent (requests/clients/slots positive, more
     consensus slots than requests is impossible under group commit).
 
 With --baseline it additionally enforces the checked-in req/s floor
 (bench/service_baseline.json): the row must meet every floor entry whose
-backend/pipeline/mode it matches.
+backend/mode it matches.
 
 With --append-history DIR the row is wrapped into a bench/history/ point
 (NNNN-label.json, the schema scripts/bench_report.py renders) so service
@@ -40,7 +40,6 @@ REQUIRED_FIELDS = {
     "bench": str,
     "mode": str,
     "backend": str,
-    "pipeline": int,
     "requests": int,
     "clients": int,
     "window": int,
@@ -93,8 +92,6 @@ def check_floor(row, baseline_path):
     for floor in baseline.get("floors", []):
         if floor.get("backend") != row["backend"]:
             continue
-        if floor.get("pipeline") not in (None, row["pipeline"]):
-            continue
         if floor.get("mode", "closed") != row["mode"]:
             continue
         matched = True
@@ -102,14 +99,13 @@ def check_floor(row, baseline_path):
         if row["req_per_s"] < minimum:
             raise SystemExit(
                 f"FAIL: {row['req_per_s']:.0f} req/s on {row['backend']} "
-                f"(pipeline {row['pipeline']}) is below the checked-in floor "
+                f"({row['mode']} loop) is below the checked-in floor "
                 f"of {minimum} req/s ({baseline_path})")
         print(f"floor: {row['req_per_s']:.0f} req/s >= {minimum} "
-              f"({row['backend']}, pipeline {row['pipeline']})")
+              f"({row['backend']}, {row['mode']} loop)")
     if not matched:
         print(f"floor: no entry in {baseline_path} matches backend="
-              f"{row['backend']} pipeline={row['pipeline']} mode={row['mode']}; "
-              "nothing gated")
+              f"{row['backend']} mode={row['mode']}; nothing gated")
 
 
 def report_server_stats(path):
@@ -201,7 +197,7 @@ def main() -> int:
 
     print(f"OK: {row['requests']} requests over {row['clients']} clients in "
           f"{row['slots']} slots, {row['req_per_s']:.0f} req/s on "
-          f"{row['backend']} (pipeline {row['pipeline']}, {row['mode']} loop), "
+          f"{row['backend']} ({row['mode']} loop), "
           "schema valid")
     return 0
 

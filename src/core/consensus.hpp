@@ -69,7 +69,7 @@ struct ConsensusOverlays {
 [[nodiscard]] std::unique_ptr<StageProcess> make_many_crashes_process(
     const ConsensusParams& params, NodeId self, int input);
 
-/// Pooling support (the service plane's slot pipeline): rewinds a process
+/// Pooling support (the service plane's pooled slot context): rewinds a process
 /// built by make_few_crashes_process to the state a fresh construction with
 /// `input` would have — every stage reset, shared BinaryState reinitialized.
 /// False when any stage lacks reset support; the caller rebuilds instead.

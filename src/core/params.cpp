@@ -48,9 +48,9 @@ ConsensusParams ConsensusParams::practical(NodeId n, std::int64_t t) {
   if (n - 1 <= p.probe_degree_all) {
     p.probe_delta_all = static_cast<int>(std::max<std::int64_t>(0, n - 1 - t));
   } else {
-    const double alive_degree = static_cast<double>(p.probe_degree_all) *
-                                static_cast<double>(n - t) / static_cast<double>(n);
-    p.probe_delta_all = std::max(1, static_cast<int>(alive_degree / 3.0));
+    const double surviving_degree = static_cast<double>(p.probe_degree_all) *
+                                    static_cast<double>(n - t) / static_cast<double>(n);
+    p.probe_delta_all = std::max(1, static_cast<int>(surviving_degree / 3.0));
   }
   p.probe_gamma_little = 2 + lg_rounds(static_cast<std::uint64_t>(p.little_count));
   p.probe_gamma_all = 2 + lg_rounds(static_cast<std::uint64_t>(n));

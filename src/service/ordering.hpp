@@ -58,7 +58,7 @@ struct SlotOutcome {
 /// steps one proxy per replica thread instead (net::SocketTransport); those
 /// threads own their Programs, so that path builds fresh replicas per slot.
 /// A reset context executes bit-identically to a freshly built one — the
-/// pipelined twin tests pin this down.
+/// pooled-slot twin tests pin this down.
 class SlotContext {
  public:
   SlotContext(NodeId n, std::int64_t t, bool use_sockets);

@@ -3,78 +3,41 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "forensics/trace.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace lft::service {
 
-/// One in-flight commit slot: a pooled execution context plus the batch it
-/// orders and the optional black-box recorder.
-struct ReplicaGroup::Slot {
-  Slot(NodeId n, std::int64_t t, bool use_sockets) : ctx(n, t, use_sockets) {}
-
-  SlotContext ctx;
-  std::vector<Command> batch;
-  forensics::TraceRecorder recorder;
-  bool record = false;
-  bool done = false;
-};
-
-ReplicaGroup::ReplicaGroup(ReplicaGroupOptions options) : options_(std::move(options)) {
+ReplicaGroup::ReplicaGroup(ReplicaGroupOptions options)
+    : options_(std::move(options)), ctx_(options_.n, options_.t, options_.use_sockets) {
   LFT_ASSERT_MSG(options_.n >= 1 && options_.t >= 0 && options_.t < options_.n,
                  "replica group needs 0 <= t < n");
   machines_.resize(static_cast<std::size_t>(options_.n));
 }
 
-ReplicaGroup::~ReplicaGroup() = default;
-
-std::unique_ptr<ReplicaGroup::Slot> ReplicaGroup::acquire_slot() {
-  if (!pool_.empty()) {
-    auto slot = std::move(pool_.back());
-    pool_.pop_back();
-    return slot;
-  }
-  return std::make_unique<Slot>(options_.n, options_.t, options_.use_sockets);
-}
-
 void ReplicaGroup::enqueue(std::vector<Command> batch) {
-  LFT_ASSERT_MSG(can_enqueue(), "slot pipeline is full");
-  auto slot = acquire_slot();
-  slot->batch = std::move(batch);
-  slot->done = false;
-  // The black box records the first slot only; while that slot is still in
-  // flight no other slot may start recording.
-  slot->record = !options_.trace_path.empty() && !trace_saved_ && !trace_pending_;
-  if (slot->record) {
-    trace_pending_ = true;
-    slot->recorder = forensics::TraceRecorder{};
-  }
-  slot->ctx.begin(slot->record ? &slot->recorder : nullptr);
-  live_.push_back(std::move(slot));
-}
-
-bool ReplicaGroup::head_ready() const noexcept {
-  return !live_.empty() && live_.front()->done;
+  LFT_ASSERT_MSG(!active_, "enqueue() while a slot is running");
+  batch_ = std::move(batch);
+  active_ = true;
+  done_ = false;
+  ctx_.begin(recording() ? &recorder_ : nullptr);
 }
 
 void ReplicaGroup::step() {
-  for (auto& slot : live_) {
-    if (!slot->done) slot->done = !slot->ctx.step();
-  }
+  LFT_ASSERT_MSG(active_, "step() without a running slot");
+  if (!done_) done_ = !ctx_.step();
 }
 
 CommitResult ReplicaGroup::take_head() {
-  LFT_ASSERT_MSG(head_ready(), "take_head() without a finished head slot");
-  auto slot = std::move(live_.front());
-  live_.pop_front();
+  LFT_ASSERT_MSG(head_ready(), "take_head() without a finished slot");
+  active_ = false;
 
-  auto outcome = slot->ctx.finish();
+  auto outcome = ctx_.finish();
   // The slot is the ordering barrier — its unanimous decision 1 is what
   // authorizes applying the batch at the same log position on every replica.
   LFT_ASSERT_MSG(outcome.committed, "consensus slot failed to commit");
 
-  if (slot->record) {
-    forensics::Trace trace = slot->recorder.take();
+  if (recording()) {
+    forensics::Trace trace = recorder_.take();
     trace.meta.scenario = kSlotScenarioName;
     trace.meta.seed = 0;  // the slot is seed-independent
     trace.meta.n = options_.n;
@@ -83,8 +46,6 @@ CommitResult ReplicaGroup::take_head() {
     trace.report_fingerprint = scenarios::fingerprint(outcome.report);
     trace_saved_ = save_trace(trace, options_.trace_path);
     LFT_ASSERT_MSG(trace_saved_, "failed to save service slot trace");
-    trace_pending_ = false;
-    slot->record = false;
   }
 
   CommitResult result;
@@ -94,14 +55,14 @@ CommitResult ReplicaGroup::take_head() {
   // Machine-major apply order: each replica's log and dedup map stay hot
   // across the whole batch (command-major order bounces all n working sets
   // per command). The cross-replica agreement check is unchanged.
-  result.applied.reserve(slot->batch.size());
-  for (const Command& cmd : slot->batch) {
+  result.applied.reserve(batch_.size());
+  for (const Command& cmd : batch_) {
     result.applied.push_back(machines_[0].apply(cmd));
   }
   for (std::size_t v = 1; v < machines_.size(); ++v) {
     StateMachine& m = machines_[v];
-    for (std::size_t i = 0; i < slot->batch.size(); ++i) {
-      const Applied a = m.apply(slot->batch[i]);
+    for (std::size_t i = 0; i < batch_.size(); ++i) {
+      const Applied a = m.apply(batch_[i]);
       LFT_ASSERT_MSG(a.index == result.applied[i].index &&
                          a.duplicate == result.applied[i].duplicate,
                      "replica state machines diverged on apply");
@@ -113,14 +74,12 @@ CommitResult ReplicaGroup::take_head() {
   }
   ++slots_;
 
-  slot->batch.clear();
-  pool_.push_back(std::move(slot));
+  batch_.clear();
   return result;
 }
 
-CommitResult ReplicaGroup::commit(std::span<const Command> batch) {
-  LFT_ASSERT_MSG(live_.empty(), "commit() requires an idle pipeline");
-  enqueue(std::vector<Command>(batch.begin(), batch.end()));
+CommitResult ReplicaGroup::commit(std::vector<Command> batch) {
+  enqueue(std::move(batch));
   while (!head_ready()) step();
   return take_head();
 }

@@ -4,15 +4,12 @@
 // and is then applied to every replica's StateMachine; the group asserts all
 // replicas applied identically (equal log digests) before acknowledging.
 //
-// Slots run through a pipeline of depth D (ReplicaGroupOptions::pipeline):
-// enqueue() admits a batch while earlier slots are still running their
-// consensus rounds, step() advances every in-flight slot one lock-step
-// round, and take_head() retires slots strictly in enqueue order — the
-// cross-slot total order is the FIFO, so pipelining changes throughput, not
-// the log. The server steps until the head slot is done before it polls
-// again, so in practice it rarely has more than one slot in flight. Slot
-// contexts (Processes + engine scratch) are pooled and reset between slots
-// instead of reconstructed.
+// One slot runs at a time: enqueue() starts a batch's slot, step() advances
+// it one lock-step round until head_ready(), and take_head() applies the
+// batch and returns the result. commit() is that sequence. The cross-slot
+// total order is the slot sequence itself. The slot's execution context
+// (Processes + engine scratch) is pooled and reset between slots instead of
+// reconstructed.
 //
 // Retire applies the batch to all n replicas' StateMachines (arena-backed
 // logs, so an apply is an append, not an allocation), asserts every
@@ -25,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "forensics/trace.hpp"
 #include "service/ordering.hpp"
 #include "service/state_machine.hpp"
 
@@ -47,8 +42,7 @@ struct ReplicaGroupOptions {
   /// When non-empty, the first slot's execution is recorded and saved here
   /// as an LFTTRACE frame replayable by `lft_forensics replay`.
   std::string trace_path;
-  /// Slot pipeline depth D: how many consensus slots may be in flight at
-  /// once. 1 reproduces the strictly serial commit path.
+  /// Unread: perfbench/src/serve.cpp still sets it; the next benchmark change deletes it.
   int pipeline = 1;
 };
 
@@ -63,35 +57,22 @@ struct CommitResult {
 class ReplicaGroup {
  public:
   explicit ReplicaGroup(ReplicaGroupOptions options = {});
-  ~ReplicaGroup();
 
-  /// Synchronous path: orders `batch` through one consensus slot and applies
-  /// it to all n replicas. Requires an idle pipeline (no slots in flight).
-  /// Aborts (assert) if the slot fails to commit or any replica's log digest
-  /// diverges — either means the replication core is broken.
-  CommitResult commit(std::span<const Command> batch);
+  /// Orders `batch` through one consensus slot and applies it to all n
+  /// replicas: enqueue, step until head_ready, take_head. Aborts (assert) if
+  /// the slot fails to commit or any replica's log digest diverges — either
+  /// means the replication core is broken.
+  CommitResult commit(std::vector<Command> batch);
 
-  // --- pipelined interface -------------------------------------------------
-  // The server enqueues batches while the pipeline has room, step()s until
-  // the head slot is done, and retires finished heads between reactor polls.
-
-  [[nodiscard]] bool can_enqueue() const noexcept {
-    return live_.size() < static_cast<std::size_t>(depth());
-  }
-  /// Admits `batch` as the next slot (FIFO). Asserts can_enqueue().
+  /// Starts `batch`'s consensus slot. Asserts no slot is running.
   void enqueue(std::vector<Command> batch);
-  /// Advances every in-flight slot one consensus round.
+  /// Advances the running slot one consensus round.
   void step();
-  /// True when the oldest in-flight slot has finished its consensus rounds.
-  [[nodiscard]] bool head_ready() const noexcept;
-  /// Retires the oldest slot: asserts it committed, applies its batch to
-  /// every replica, returns the result. Slots retire strictly in enqueue
-  /// order — only the head is ever accessible.
+  /// True when the running slot has finished its consensus rounds.
+  [[nodiscard]] bool head_ready() const noexcept { return active_ && done_; }
+  /// Retires the finished slot: asserts it committed, applies its batch to
+  /// every replica, returns the result. The group is idle again after.
   [[nodiscard]] CommitResult take_head();
-  [[nodiscard]] std::size_t in_flight() const noexcept { return live_.size(); }
-  [[nodiscard]] int depth() const noexcept {
-    return options_.pipeline < 1 ? 1 : options_.pipeline;
-  }
 
   /// Replica 0's state machine (identical to every other replica's).
   [[nodiscard]] const StateMachine& machine() const noexcept { return machines_[0]; }
@@ -100,17 +81,20 @@ class ReplicaGroup {
   [[nodiscard]] bool trace_saved() const noexcept { return trace_saved_; }
 
  private:
-  struct Slot;
-
-  std::unique_ptr<Slot> acquire_slot();
+  /// The black box records the first slot only.
+  [[nodiscard]] bool recording() const noexcept {
+    return !options_.trace_path.empty() && !trace_saved_;
+  }
 
   ReplicaGroupOptions options_;
   std::vector<StateMachine> machines_;
-  std::deque<std::unique_ptr<Slot>> live_;   // FIFO: front is the oldest slot
-  std::vector<std::unique_ptr<Slot>> pool_;  // finished contexts, ready to reset
+  forensics::TraceRecorder recorder_;  // before ctx_: its engine may point here
+  SlotContext ctx_;                     // pooled: reset by every enqueue()
+  std::vector<Command> batch_;          // the running slot's commands
+  bool active_ = false;  // enqueued and not yet taken
+  bool done_ = false;    // the running slot finished its rounds
   std::uint64_t slots_ = 0;
   bool trace_saved_ = false;
-  bool trace_pending_ = false;  // a recording slot is in flight
 };
 
 }  // namespace lft::service

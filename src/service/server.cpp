@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -36,7 +37,6 @@ Server::Instruments::Instruments(obs::Registry& registry)
       pump_step_ns(registry.histogram("lft_service_pump_step_ns")),
       pump_retire_ns(registry.histogram("lft_service_pump_retire_ns")),
       pump_flush_ns(registry.histogram("lft_service_pump_flush_ns")),
-      pipeline_depth(registry.histogram("lft_service_pipeline_depth")),
       pause_ns(registry.histogram("lft_service_pause_ns")),
       reactor_wait_ns(registry.histogram("lft_service_reactor_wait_ns")),
       reactor_batch(registry.histogram("lft_service_reactor_batch")),
@@ -46,7 +46,7 @@ Server::Instruments::Instruments(obs::Registry& registry)
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       group_(ReplicaGroupOptions{options_.n, options_.t, options_.use_sockets,
-                                 options_.trace_path, options_.pipeline}),
+                                 options_.trace_path}),
       obs_(registry_) {
   port_ = options_.port;
   listener_ = net::listen_tcp(port_);
@@ -60,11 +60,11 @@ void Server::run() {
       static_cast<std::uint64_t>(options_.stats_dump_interval_ms) * 1000000u;
   std::uint64_t next_dump_ns = dumping ? obs::now_ns() + interval_ns : 0;
   while (!stop_) {
-    // Block only when nothing is queued or in flight. pump() runs the head
-    // slot to completion, so a slot costs one poll, not one per consensus
-    // round. A stats-dumping server never blocks forever — it wakes each
-    // interval to keep the dump current.
-    const bool busy = group_.in_flight() > 0 || !pending_.empty();
+    // Block only when nothing is pending. pump() runs each slot to
+    // completion, so a slot costs one poll, not one per consensus round. A
+    // stats-dumping server never blocks forever — it wakes each interval to
+    // keep the dump current.
+    const bool busy = !pending_.empty();
     int timeout_ms = busy ? 0 : -1;
     if (dumping && !busy) timeout_ms = static_cast<int>(options_.stats_dump_interval_ms);
     const std::uint64_t wait_start = obs::now_ns();
@@ -82,23 +82,20 @@ void Server::run() {
 }
 
 void Server::pump() {
+  const bool committing = !pending_.empty();
   std::uint64_t mark = obs::now_ns();
-  while (!pending_.empty() && group_.can_enqueue()) enqueue_batch();
-  obs_.pipeline_depth.record(static_cast<std::uint64_t>(group_.in_flight()));
+  if (committing) enqueue_pending();
   obs_.pump_enqueue_ns.record(obs::now_ns() - mark);
 
   mark = obs::now_ns();
-  while (group_.in_flight() > 0 && !group_.head_ready()) group_.step();
+  if (committing) {
+    while (!group_.head_ready()) group_.step();
+  }
   obs_.pump_step_ns.record(obs::now_ns() - mark);
 
   mark = obs::now_ns();
-  while (group_.head_ready()) {
-    retire_head();
-    if (!pending_.empty() && group_.can_enqueue()) enqueue_batch();
-  }
+  if (committing) ack_slot();
   if (pending_.size() < options_.max_pending) resume_paused();
-  // Resumed sessions may have refilled the queue with pipeline room left.
-  while (!pending_.empty() && group_.can_enqueue()) enqueue_batch();
   obs_.pump_retire_ns.record(obs::now_ns() - mark);
 
   mark = obs::now_ns();
@@ -106,44 +103,35 @@ void Server::pump() {
   obs_.pump_flush_ns.record(obs::now_ns() - mark);
 }
 
-void Server::enqueue_batch() {
+void Server::enqueue_pending() {
   // Group commit: everything queued right now shares one consensus slot.
-  std::vector<Command> commands;
-  commands.reserve(pending_.size());
-  std::vector<PendingMeta> metas;
-  metas.reserve(pending_.size());
-  for (Pending& p : pending_) {
-    metas.push_back(PendingMeta{p.fd, p.cmd.request_id, p.arrival_ns});
-    commands.push_back(std::move(p.cmd));
-  }
-  pending_.clear();
-  inflight_.push_back(std::move(metas));
-  group_.enqueue(std::move(commands));
+  slot_meta_.swap(pending_meta_);
+  pending_meta_.clear();
+  group_.enqueue(std::exchange(pending_, {}));
+  pending_.reserve(slot_meta_.size());  // the next batch is likely as large
 }
 
-void Server::retire_head() {
+void Server::ack_slot() {
   const CommitResult result = group_.take_head();
-  LFT_ASSERT_MSG(!inflight_.empty(), "retired a slot with no pending metadata");
-  std::vector<PendingMeta> metas = std::move(inflight_.front());
-  inflight_.pop_front();
   ++stats_.commit_batches;
-  stats_.commit_entries += metas.size();
+  stats_.commit_entries += slot_meta_.size();
 
   // Acks to each proposer still connected — coalesced into its session ring,
   // so the whole batch reaches the kernel in one vectored write per session.
   const std::uint64_t ack_ns = obs::now_ns();
-  for (std::size_t i = 0; i < metas.size(); ++i) {
+  for (std::size_t i = 0; i < slot_meta_.size(); ++i) {
+    const PendingMeta& meta = slot_meta_[i];
     const Applied& a = result.applied[i];
     if (a.duplicate) ++stats_.duplicates;
-    obs_.request_ns.record(ack_ns - metas[i].arrival_ns);
-    const auto it = sessions_.find(metas[i].fd);
+    obs_.request_ns.record(ack_ns - meta.arrival_ns);
+    const auto it = sessions_.find(meta.fd);
     if (it == sessions_.end()) continue;  // proposer left; the commit stands
     ByteWriter w(scratch_);
     w.put_u8(static_cast<std::uint8_t>(MsgType::kAck));
-    w.put_u64(metas[i].request_id);
+    w.put_u64(meta.request_id);
     w.put_u64(a.index);
     w.put_u8(a.duplicate ? 1 : 0);
-    queue_frame(metas[i].fd, it->second, w.view());
+    queue_frame(meta.fd, it->second, w.view());
   }
 
   // New log entries to every subscriber.
@@ -255,13 +243,8 @@ void Server::handle_frame(Session& session, std::span<const std::byte> payload) 
         queue_error(fd, session, "malformed propose payload");
         return;
       }
-      Pending p;
-      p.fd = fd;
-      p.arrival_ns = obs::now_ns();
-      p.cmd.client_id = session.client_id;
-      p.cmd.request_id = *request_id;
-      p.cmd.payload.assign(body->begin(), body->end());
-      pending_.push_back(std::move(p));
+      pending_.push_back(Command{session.client_id, *request_id, {body->begin(), body->end()}});
+      pending_meta_.push_back(PendingMeta{fd, *request_id, obs::now_ns()});
       ++stats_.proposals;
       if (pending_.size() >= options_.max_pending) pause(fd, session);
       return;
@@ -407,8 +390,8 @@ void Server::flush_dirty() {
 }
 
 void Server::drain_shutdown() {
-  // Run the pipeline dry: frames parsed on paused sessions still commit, but
-  // no new bytes are read off any socket once stop_ is set.
+  // Commit until nothing is pending: frames parsed on paused sessions still
+  // commit, but no new bytes are read off any socket once stop_ is set.
   for (;;) {
     if (!paused_.empty() && pending_.size() < options_.max_pending) {
       std::vector<int> paused;
@@ -420,10 +403,10 @@ void Server::drain_shutdown() {
         (void)process_frames(fd, it->second);
       }
     }
-    if (group_.in_flight() == 0 && pending_.empty()) break;
-    while (!pending_.empty() && group_.can_enqueue()) enqueue_batch();
-    group_.step();
-    while (group_.head_ready()) retire_head();
+    if (pending_.empty()) break;
+    enqueue_pending();
+    while (!group_.head_ready()) group_.step();
+    ack_slot();
   }
   // Final flush: blocking sends so the last acks and the kBye reach peers.
   for (auto& [fd, session] : sessions_) {
@@ -455,11 +438,18 @@ obs::Snapshot Server::telemetry() const {
 }
 
 void Server::write_stats_dump() const {
+  // Write a sibling file and rename it over PATH: a concurrent reader (a
+  // Prometheus textfile collector, say) sees the old snapshot or the new
+  // one, never an empty or partial file. The dump is best-effort; serving
+  // goes on if it fails.
   const std::string& path = options_.stats_dump_path;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) return;  // dump is best-effort; serving goes on
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
+  if (!out.good()) return;
   const obs::Snapshot snap = telemetry();
   out << (path.ends_with(".json") ? snap.to_json() : snap.to_prometheus());
+  out.close();
+  if (out.fail() || std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
 }
 
 }  // namespace lft::service

@@ -1,19 +1,18 @@
 // lft_serve's server: a single-threaded epoll loop (net::EpollLoop)
-// multiplexing client sessions over TCP, group-committing
-// proposals through the ReplicaGroup's slot pipeline. Proposals that arrive
-// while the pipeline has room ride the next consensus slot (one slot per
-// dispatch batch, not per request). Each pump runs the head slot's
-// consensus rounds to completion before it retires the slot and flushes the
-// acks, so a slot costs one reactor poll, not one per round. Sessions are
-// nonblocking and edge-triggered: input lands directly in each session's
-// FrameParser, output coalesces into a per-session ring buffer flushed with
-// one vectored write (EPOLLOUT re-arms on partial writes), and a bounded
-// pending-proposal queue pauses sessions when the service falls behind —
-// the wire protocol is src/service/wire.hpp over net/frame.hpp frames.
+// multiplexing client sessions over TCP, group-committing proposals through
+// the ReplicaGroup one consensus slot at a time. Everything proposed since
+// the last slot rides the next one (one slot per dispatch batch, not per
+// request). Each pump runs that slot's consensus rounds to completion before
+// it acks the batch and flushes, so a slot costs one reactor poll, not one
+// per round. Sessions are nonblocking and edge-triggered: input lands
+// directly in each session's FrameParser, output coalesces into a
+// per-session ring buffer flushed with one vectored write (EPOLLOUT re-arms
+// on partial writes), and a bounded pending-proposal queue pauses sessions
+// when the service falls behind — the wire protocol is src/service/wire.hpp
+// over net/frame.hpp frames.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -41,16 +40,17 @@ struct ServerOptions {
   std::string trace_path;
   /// Readiness backend: epoll is the only one.
   net::ReactorBackend backend = net::ReactorBackend::kEpoll;
-  /// Slot pipeline depth D (ReplicaGroupOptions::pipeline).
+  /// Unread: perfbench/src/serve.cpp still sets it; the next benchmark change deletes it.
   int pipeline = 4;
-  /// Backpressure bound: once this many proposals are queued ahead of the
-  /// pipeline, proposing sessions are paused (their bytes stay in the
-  /// kernel socket buffer) until the pipeline catches up.
+  /// Backpressure bound: once this many proposals wait for the next slot,
+  /// proposing sessions are paused (their bytes stay in the kernel socket
+  /// buffer) until a commit drains the queue.
   std::size_t max_pending = 16384;
   /// When set, the server periodically writes its telemetry snapshot to
-  /// this path (overwritten in place): JSON rows for a `.json` path,
-  /// Prometheus text exposition otherwise. A final dump happens at
-  /// shutdown. An idle server wakes every interval to stay current.
+  /// this path (written to PATH.tmp, then renamed over PATH, so a reader
+  /// never sees a partial file): JSON rows for a `.json` path, Prometheus
+  /// text exposition otherwise. A final dump happens at shutdown. An idle
+  /// server wakes every interval to stay current.
   std::string stats_dump_path;
   std::int64_t stats_dump_interval_ms = 1000;
 };
@@ -100,17 +100,12 @@ class Server {
     std::uint64_t next_commit_index = 0;  ///< subscription push cursor
     std::uint64_t paused_at_ns = 0;       ///< backpressure pause start (telemetry)
   };
-  struct Pending {
-    int fd = -1;  ///< proposer's session (may have closed by commit time)
-    std::uint64_t arrival_ns = 0;  ///< frame-arrival stamp (request latency)
-    Command cmd;
-  };
-  /// What retire_head() needs to ack a command — the payload itself moved
-  /// into the slot's batch.
+  /// What ack_slot() needs to ack a queued command, parallel to pending_:
+  /// the command itself moves into the slot's batch.
   struct PendingMeta {
-    int fd = -1;
+    int fd = -1;  ///< proposer's session (may have closed by commit time)
     std::uint64_t request_id = 0;
-    std::uint64_t arrival_ns = 0;
+    std::uint64_t arrival_ns = 0;  ///< frame-arrival stamp (request latency)
   };
 
   void accept_ready();
@@ -119,12 +114,13 @@ class Server {
   /// Drains parsed frames; false when the session was dropped.
   [[nodiscard]] bool process_frames(int fd, Session& session);
   void handle_frame(Session& session, std::span<const std::byte> payload);
-  /// One pass of the serving loop: admit pending batches, step in-flight
-  /// slots until the head has finished its rounds, retire finished heads,
-  /// resume paused sessions, flush output.
+  /// One pass of the serving loop: commit everything pending as one slot
+  /// run to completion, ack it, resume paused sessions, flush output.
   void pump();
-  void enqueue_batch();
-  void retire_head();
+  /// Starts the slot for everything pending (group commit).
+  void enqueue_pending();
+  /// Retires the finished slot: acks its proposers, feeds subscribers.
+  void ack_slot();
   void resume_paused();
   void drain_shutdown();
   void push_commits(Session& session);
@@ -146,7 +142,6 @@ class Server {
     obs::Histogram& pump_step_ns;
     obs::Histogram& pump_retire_ns;
     obs::Histogram& pump_flush_ns;
-    obs::Histogram& pipeline_depth;   ///< slots in flight, sampled per pump
     obs::Histogram& pause_ns;         ///< backpressure pause durations
     obs::Histogram& reactor_wait_ns;  ///< time inside EpollLoop::wait
     obs::Histogram& reactor_batch;    ///< callbacks dispatched per wait
@@ -160,8 +155,9 @@ class Server {
   std::uint16_t port_ = 0;
   net::EpollLoop loop_;
   std::unordered_map<int, Session> sessions_;
-  std::vector<Pending> pending_;                  // waiting for a pipeline slot
-  std::deque<std::vector<PendingMeta>> inflight_;  // parallel to the group's slots
+  std::vector<Command> pending_;          // proposals waiting for the next slot
+  std::vector<PendingMeta> pending_meta_;  // parallel to pending_
+  std::vector<PendingMeta> slot_meta_;     // the running slot's pending_meta_
   std::vector<int> paused_;  // sessions suspended by backpressure
   std::vector<int> dirty_;   // sessions with queued output to flush
   std::vector<std::byte> scratch_;  ///< reused frame encode buffer

@@ -299,7 +299,7 @@ Engine::Engine(NodeId n, EngineConfig config)
   // The active set never exceeds n, so a small engine can never engage the
   // pool — skip creating threads it would only park and join.
   if (workers > 1 && static_cast<std::size_t>(n_) >= kParallelMinActive) {
-    pool_ = std::make_unique<Pool>(*this, workers - 1);
+    workers_ = std::make_unique<Pool>(*this, workers - 1);
   }
 }
 
@@ -585,9 +585,9 @@ void Engine::park_delayed(const Message& m, Round due) {
   auto it = pending_delayed_.find(due);
   if (it == pending_delayed_.end()) {
     DelayedBatch bucket;
-    if (!delayed_pool_.empty()) {
-      bucket = std::move(delayed_pool_.back());
-      delayed_pool_.pop_back();
+    if (!delayed_spares_.empty()) {
+      bucket = std::move(delayed_spares_.back());
+      delayed_spares_.pop_back();
     }
     it = pending_delayed_.emplace(due, std::move(bucket)).first;
   }
@@ -708,7 +708,7 @@ void Engine::step_active() {
   }
 
   const auto workers = sinks_.size();
-  if (pool_ == nullptr || active_.size() < kParallelMinActive) {
+  if (workers_ == nullptr || active_.size() < kParallelMinActive) {
     shard_begin_[0] = 0;
     for (std::size_t k = 1; k <= workers; ++k) shard_begin_[k] = active_.size();
     step_shard(0);
@@ -719,7 +719,7 @@ void Engine::step_active() {
       shard_begin_[k] = k * active_.size() / workers;
     }
     shard_begin_[workers] = active_.size();
-    pool_->step_round();
+    workers_->step_round();
     // Concatenate in shard order = ascending sender order: the batch is
     // byte-identical to what the serial path appends.
     std::size_t total = 0;
@@ -948,7 +948,7 @@ void Engine::deliver_batch() {
   if (!draining_delayed_.msgs.empty()) {
     draining_delayed_.msgs.clear();
     draining_delayed_.arena.clear();
-    delayed_pool_.push_back(std::move(draining_delayed_));
+    delayed_spares_.push_back(std::move(draining_delayed_));
     draining_delayed_ = DelayedBatch{};  // moved-from arena cursors are stale
   }
 

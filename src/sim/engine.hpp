@@ -462,9 +462,9 @@ class Engine {
   std::int64_t pending_delayed_count_ = 0;  // messages across all buckets
   std::uint64_t total_delayed_ = 0;  // lifetime park_delayed count (telemetry)
   // Bucket injected last round: its arena backs inbox views until the step
-  // that consumes them finishes, then the storage is recycled via the pool.
+  // that consumes them finishes, then the storage is recycled via the spares.
   DelayedBatch draining_delayed_;
-  std::vector<DelayedBatch> delayed_pool_;
+  std::vector<DelayedBatch> delayed_spares_;
 
   // Nodes stepped each round (alive, not halted, not sleeping), ascending
   // id; compacted in place after each round.
@@ -491,7 +491,7 @@ class Engine {
   std::vector<StepSink> sinks_;
   std::vector<std::size_t> shard_begin_;
   struct Pool;
-  std::unique_ptr<Pool> pool_;
+  std::unique_ptr<Pool> workers_;
 
   // Radix-sweep scratch, sized once and cleared via touch lists so per-round
   // cost stays proportional to the batch.

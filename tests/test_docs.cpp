@@ -237,10 +237,11 @@ TEST(DocsService, CoversTheServicePlaneContracts) {
 TEST(DocsService, CoversThePipelinedReactorServicePlane) {
   const auto markdown = read_file(docs_path("service.md"));
   for (const char* needle :
-       {"slot pipeline", "pipeline of depth", "take_head", "There is one readiness backend",
+       {"One slot runs at a time", "Why there is no slot pipeline",
+        "`ReplicaGroup::commit` is that sequence", "There is one readiness backend",
         "EpollLoop", "interleaved pairs", "EPOLLET", "ready list",
         "ByteRing", "writev", "EPOLLOUT", "backpressure", "max_pending",
-        "\"backend\": \"epoll\"", "--pipeline", "--open-loop", "p99",
+        "\"backend\": \"epoll\"", "is a usage error (exit 2)", "--open-loop", "p99",
         "check_service_smoke.py", "service_baseline.json", "bench_service"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/service.md lacks '" << needle << "'";
@@ -250,7 +251,7 @@ TEST(DocsService, CoversThePipelinedReactorServicePlane) {
 TEST(Docs, ArchitectureDocCoversTheServiceSeams) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :
-       {"slot pipeline", "one readiness backend", "the server holds directly", "EpollLoop",
+       {"one slot at a time", "one readiness backend", "the server holds directly", "EpollLoop",
         "10-pair A/B", "edge-triggered", "ByteRing", "FrameParser", "writev"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -605,69 +607,54 @@ TEST(ClientDemux, SplitsAcksAndCommitsAcrossAPipelinedWindow) {
   peer.join();
 }
 
-// ---- the pipelined group across depths --------------------------------------
+// ---- the single-slot group path -------------------------------------------
 
-TEST(ReplicaGroup, PipelineDepthsRetireFifoAndBitIdentical) {
-  // Every slot at every depth must be the engine twin's consensus execution
-  // (equal Report fingerprints), retire in FIFO order (log indices are the
-  // submission order), and leave an identical log digest — depth changes
-  // throughput, never the log. Depths > 1 also exercise pooled SlotContext
-  // reuse: a reset context must execute bit-identically to a fresh one.
+TEST(ReplicaGroup, SequentialCommitsRetireFifoAndBitIdentical) {
+  // Every slot must be the engine twin's consensus execution (equal Report
+  // fingerprints) and log indices must follow commit order. Slots 2..6 run
+  // on the pooled SlotContext reset by the slot before: a reset context must
+  // execute bit-identically to a fresh one.
   constexpr int kBatches = 6;
   constexpr int kPerBatch = 5;
   const std::uint64_t engine_fp = scenarios::fingerprint(
       run_slot_on_engine(kDefaultGroupSize, kDefaultFaultBudget).report);
 
-  std::uint64_t ref_digest = 0;
-  for (const int depth : {1, 2, 4}) {
-    ReplicaGroupOptions options;
-    options.pipeline = depth;
-    ReplicaGroup group(options);
-    std::vector<std::uint64_t> fingerprints;
-    std::vector<Applied> applied;
-    int enqueued = 0;
-    while (applied.size() < static_cast<std::size_t>(kBatches * kPerBatch)) {
-      while (enqueued < kBatches && group.can_enqueue()) {
-        std::vector<Command> batch;
-        for (int j = 0; j < kPerBatch; ++j) {
-          batch.push_back(Command{static_cast<std::uint64_t>(j + 1),
-                                  static_cast<std::uint64_t>(enqueued + 1),
-                                  bytes_of(std::to_string(enqueued) + ":" + std::to_string(j))});
-        }
-        group.enqueue(std::move(batch));
-        ++enqueued;
-      }
-      group.step();
-      while (group.head_ready()) {
-        auto r = group.take_head();
-        fingerprints.push_back(r.slot_fingerprint);
-        applied.insert(applied.end(), r.applied.begin(), r.applied.end());
-      }
+  ReplicaGroup group;
+  std::vector<Applied> applied;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<Command> batch;
+    for (int j = 0; j < kPerBatch; ++j) {
+      batch.push_back(Command{static_cast<std::uint64_t>(j + 1), static_cast<std::uint64_t>(b + 1),
+                              bytes_of(std::to_string(b) + ":" + std::to_string(j))});
     }
-    EXPECT_EQ(group.in_flight(), 0u) << "depth " << depth;
-    ASSERT_EQ(fingerprints.size(), static_cast<std::size_t>(kBatches));
-    for (const auto fp : fingerprints) {
-      EXPECT_EQ(fp, engine_fp) << "depth " << depth << ": slot is not the engine twin";
-    }
-    for (std::size_t i = 0; i < applied.size(); ++i) {
-      EXPECT_EQ(applied[i].index, i) << "depth " << depth << ": not FIFO";
-      EXPECT_FALSE(applied[i].duplicate);
-    }
-    if (depth == 1) {
-      ref_digest = group.machine().digest();
-    } else {
-      EXPECT_EQ(group.machine().digest(), ref_digest)
-          << "depth " << depth << " left a different log than depth 1";
-    }
+    const CommitResult r = group.commit(std::move(batch));
+    EXPECT_EQ(r.slot_fingerprint, engine_fp) << "slot " << b << " is not the engine twin";
+    applied.insert(applied.end(), r.applied.begin(), r.applied.end());
   }
+  EXPECT_EQ(group.slots(), static_cast<std::uint64_t>(kBatches));
+  ASSERT_EQ(applied.size(), static_cast<std::size_t>(kBatches * kPerBatch));
+  for (std::size_t i = 0; i < applied.size(); ++i) {
+    EXPECT_EQ(applied[i].index, i) << "not FIFO";
+    EXPECT_FALSE(applied[i].duplicate);
+  }
+}
+
+TEST(ReplicaGroupDeathTest, SecondEnqueueBeforeTakeHeadAborts) {
+  // One slot at a time: starting another before the running one is taken
+  // is a caller bug, not a queue.
+  EXPECT_DEATH(
+      {
+        ReplicaGroup group;
+        group.enqueue({Command{1, 1, bytes_of("first")}});
+        group.enqueue({Command{1, 2, bytes_of("second")}});
+      },
+      "enqueue\\(\\) while a slot is running");
 }
 
 // ---- the server under a pipelined window -------------------------------------
 
 TEST(ServiceServer, PipelinedWindowAcksInOrder) {
-  ServerOptions options;
-  options.pipeline = 4;
-  RunningServer rs(options);
+  RunningServer rs;
 
   Client client(rs.server.port(), /*client_id=*/1);
   ASSERT_TRUE(client.connected());
@@ -697,11 +684,9 @@ TEST(ServiceServer, PipelinedWindowAcksInOrder) {
 TEST(ServiceServer, EachSlotCostsAboutOneReactorPoll) {
   // The serving loop runs the head slot's consensus rounds to completion
   // before it polls again, so reactor waits per committed slot stay near 1
-  // under a pipelined load. A loop that polled once per consensus round
+  // under a windowed load. A loop that polled once per consensus round
   // (18 rounds at n=7, t=1) would wait several times per slot.
-  ServerOptions options;
-  options.pipeline = 4;
-  RunningServer rs(options);
+  RunningServer rs;
   constexpr int kClients = 2;
   constexpr int kRequests = 300;
   constexpr int kWindow = 32;
@@ -741,10 +726,9 @@ TEST(ServiceServer, EachSlotCostsAboutOneReactorPoll) {
                                  << batches->value << " commit slots";
 }
 
-TEST(ServiceServer, LogDigestIsIdenticalAcrossDepths) {
-  // The same single-session workload must leave a bit-identical log —
-  // equal digest — whatever the pipeline depth, and the digest must match
-  // a direct StateMachine replay of the same commands.
+TEST(ServiceServer, LogDigestMatchesDirectReplay) {
+  // A windowed single-session workload must leave the log a direct
+  // StateMachine replay of the same commands leaves: equal size and digest.
   constexpr int kRequests = 60;
   constexpr int kWindow = 8;
   StateMachine expect;
@@ -753,30 +737,55 @@ TEST(ServiceServer, LogDigestIsIdenticalAcrossDepths) {
                                bytes_of("op " + std::to_string(i))});
   }
 
-  for (const int pipeline : {1, 2, 4}) {
+  RunningServer rs;
+  Client client(rs.server.port(), /*client_id=*/1);
+  ASSERT_TRUE(client.connected());
+  int sent = 0;
+  int acked = 0;
+  while (acked < kRequests) {
+    while (sent < kRequests && sent - acked < kWindow) {
+      ++sent;
+      client.queue_propose(static_cast<std::uint64_t>(sent),
+                           bytes_of("op " + std::to_string(sent)));
+    }
+    ASSERT_TRUE(client.flush());
+    ASSERT_TRUE(client.recv_ack().has_value());
+    ++acked;
+  }
+  const auto state = client.read_state();
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->size, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(state->digest, expect.digest());
+}
+
+TEST(ServiceServer, StatsDumpHoldsTheFinalSnapshot) {
+  // --stats-dump: the server writes its snapshot at shutdown (PATH.tmp
+  // renamed over PATH), and the file then holds the serving counters.
+  const std::string path = ::testing::TempDir() + "lft_serve_stats.json";
+  std::remove(path.c_str());
+  {
     ServerOptions options;
-    options.pipeline = pipeline;
+    options.stats_dump_path = path;
     RunningServer rs(options);
     Client client(rs.server.port(), /*client_id=*/1);
     ASSERT_TRUE(client.connected());
-    int sent = 0;
-    int acked = 0;
-    while (acked < kRequests) {
-      while (sent < kRequests && sent - acked < kWindow) {
-        ++sent;
-        client.queue_propose(static_cast<std::uint64_t>(sent),
-                             bytes_of("op " + std::to_string(sent)));
-      }
-      ASSERT_TRUE(client.flush());
-      ASSERT_TRUE(client.recv_ack().has_value());
-      ++acked;
+    for (std::uint64_t r = 1; r <= 3; ++r) {
+      ASSERT_TRUE(client.propose(r, bytes_of("dumped")).has_value());
     }
-    const auto state = client.read_state();
-    ASSERT_TRUE(state.has_value());
-    EXPECT_EQ(state->size, static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(state->digest, expect.digest())
-        << "depth " << pipeline << " produced a different log";
   }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no stats dump at " << path;
+  std::stringstream dump;
+  dump << in.rdbuf();
+  EXPECT_NE(dump.str().find("\"lft_service_commit_batches_total\""), std::string::npos)
+      << dump.str();
+  EXPECT_NE(dump.str().find(
+                "{\"metric\": \"lft_service_proposals_total\", \"kind\": \"counter\", "
+                "\"value\": 3}"),
+            std::string::npos)
+      << dump.str();
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "temporary dump file left behind";
+  std::remove(path.c_str());
 }
 
 TEST(ServiceServer, LiveServerTraceReplaysUnderTheEngine) {
