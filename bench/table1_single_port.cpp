@@ -23,9 +23,9 @@ void print_table(JsonRows* json) {
            {256, 8}, {256, 32}, {1024, 16}, {1024, 128}, {2048, 256}}) {
     const auto params = core::ConsensusParams::single_port(n, t);
     const auto inputs = random_binary_inputs(n, 41);
-    auto adversary = t == 0 ? nullptr
-                            : std::make_unique<singleport::ScheduledSpAdversary>(
-                                  sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 43));
+    auto adversary =
+        t == 0 ? nullptr
+               : sim::make_scheduled(sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 43));
     const WallTimer timer;
     const auto outcome = singleport::run_linear_consensus(params, inputs, std::move(adversary));
     record_table_row(json, {}, n, t, outcome.report.rounds,

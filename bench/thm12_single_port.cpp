@@ -28,8 +28,7 @@ void print_table() {
            {3200, 600}}) {
     const auto params = core::ConsensusParams::single_port(n, t);
     const auto inputs = random_binary_inputs(n, 83);
-    auto adversary = std::make_unique<singleport::ScheduledSpAdversary>(
-        sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 89));
+    auto adversary = sim::make_scheduled(sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 89));
     const auto outcome = singleport::run_linear_consensus(params, inputs, std::move(adversary));
     const bool star = t * t >= static_cast<std::int64_t>(n);
     const double shape =

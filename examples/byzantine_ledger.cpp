@@ -6,17 +6,26 @@
 //
 //   ./examples/byzantine_ledger [n] [slots]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "byzantine/ab_consensus.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 120;
-  const int slots = argc > 2 ? std::atoi(argv[2]) : 4;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 120;
+  std::int64_t slots_arg = 4;
+  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg) ||
+      !cli::positional_i64(argc, argv, 2, 0, std::numeric_limits<int>::max(), slots_arg)) {
+    std::fprintf(stderr, "usage: %s [n] [slots]   (n >= 1, slots >= 0)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
+  const auto slots = static_cast<int>(slots_arg);
   const std::int64_t t = n / 12;
 
   const auto params = byzantine::AbParams::practical(n, t);

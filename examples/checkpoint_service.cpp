@@ -8,16 +8,24 @@
 //
 //   ./examples/checkpoint_service [n] [epochs]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli.hpp"
 #include "core/checkpointing.hpp"
 #include "sim/adversary.hpp"
 
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 300;
-  const int epochs = argc > 2 ? std::atoi(argv[2]) : 3;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 300;
+  std::int64_t epochs = 3;
+  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg) ||
+      !cli::positional_i64(argc, argv, 2, 0, std::numeric_limits<int>::max(), epochs)) {
+    std::fprintf(stderr, "usage: %s [n] [epochs]   (n >= 2, epochs >= 0)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
   const std::int64_t t = n / 10;
 
   std::printf("cluster of %d workers, checkpoint epoch tolerates t=%lld crashes\n\n", n,

@@ -6,8 +6,9 @@
 //
 //   ./examples/gossip_monitor [n]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli.hpp"
 #include "core/gossip.hpp"
 #include "common/rng.hpp"
 #include "sim/adversary.hpp"
@@ -15,7 +16,13 @@
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 400;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 400;
+  if (argc > 2 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg)) {
+    std::fprintf(stderr, "usage: %s [n]   (n >= 2)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
   const std::int64_t t = n / 10;
 
   // Status word per node: (load percent << 8) | health code.

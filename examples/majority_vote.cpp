@@ -6,8 +6,9 @@
 //
 //   ./examples/majority_vote [n] [yes_fraction_percent]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "core/extensions.hpp"
 #include "sim/adversary.hpp"
@@ -15,8 +16,16 @@
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 200;
-  const int yes_pct = argc > 2 ? std::atoi(argv[2]) : 55;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 200;
+  std::int64_t yes_pct = 55;
+  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg) ||
+      !cli::positional_i64(argc, argv, 2, 0, 100, yes_pct)) {
+    std::fprintf(stderr, "usage: %s [n] [yes_fraction_percent]   (n >= 2, 0..100)\n",
+                 argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
   const std::int64_t t = n / 10;
 
   Rng rng(77);

@@ -7,8 +7,9 @@
 //
 //   ./examples/quickstart [n] [t]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli.hpp"
 #include "core/consensus.hpp"
 #include "core/params.hpp"
 #include "common/rng.hpp"
@@ -17,8 +18,15 @@
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 1000;
-  const std::int64_t t = argc > 2 ? std::atoll(argv[2]) : n / 10;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 1000;
+  const bool n_ok = argc <= 3 && cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg);
+  std::int64_t t = n_arg / 10;
+  if (!n_ok || !cli::positional_i64(argc, argv, 2, 0, (n_arg - 1) / 5, t)) {
+    std::fprintf(stderr, "usage: %s [n] [t]   (n >= 1, 0 <= t < n/5)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
 
   // Every node gets a random binary input.
   Rng rng(2024);

@@ -7,8 +7,9 @@
 //
 //   ./examples/single_port_demo [n] [t]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli.hpp"
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "core/consensus.hpp"
@@ -18,8 +19,15 @@
 int main(int argc, char** argv) {
   using namespace lft;
 
-  const NodeId n = argc > 1 ? std::atoi(argv[1]) : 400;
-  const std::int64_t t = argc > 2 ? std::atoll(argv[2]) : n / 10;
+  constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
+  std::int64_t n_arg = 400;
+  const bool n_ok = argc <= 3 && cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg);
+  std::int64_t t = n_arg / 10;
+  if (!n_ok || !cli::positional_i64(argc, argv, 2, 0, (n_arg - 1) / 5, t)) {
+    std::fprintf(stderr, "usage: %s [n] [t]   (n >= 2, 0 <= t < n/5)\n", argv[0]);
+    return 2;
+  }
+  const auto n = static_cast<NodeId>(n_arg);
 
   Rng rng(11);
   std::vector<int> inputs(static_cast<std::size_t>(n));
@@ -35,8 +43,7 @@ int main(int argc, char** argv) {
   const auto sp_params = core::ConsensusParams::single_port(n, t);
   const auto sp = singleport::run_linear_consensus(
       sp_params, inputs,
-      std::make_unique<singleport::ScheduledSpAdversary>(
-          sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 13)));
+      sim::make_scheduled(sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 13)));
 
   std::printf("consensus, n=%d, t=%lld\n", n, static_cast<long long>(t));
   std::printf("  multi-port : rounds=%-6lld bits=%-8lld decision=%llu ok=%s\n",

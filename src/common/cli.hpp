@@ -1,8 +1,9 @@
 // Shared `--flag` / `--name=value` parsing for the lft_* CLIs
-// (lft_scenarios, lft_fleet, lft_forensics, lft_serve, lft_bench_client).
-// Declare sinks, then parse(): unknown or malformed arguments print to
-// stderr and fail, so every tool keeps the same strict surface. Header-only
-// on purpose — the CLIs are the only consumers.
+// (lft_scenarios, lft_fleet, lft_forensics, lft_serve, lft_bench_client),
+// plus the positional integers of the smaller example programs. Declare
+// sinks, then parse(): unknown or malformed arguments print to stderr and
+// fail, so every tool keeps the same strict surface. Header-only on purpose
+// — the CLIs are the only consumers.
 #pragma once
 
 #include <cctype>
@@ -52,6 +53,18 @@ namespace lft::cli {
   errno = 0;
   const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
   if (errno != 0 || end != v.c_str() + v.size()) return false;
+  out = x;
+  return true;
+}
+
+/// Positional integer argv[index]: true when it is absent (`out` keeps its
+/// default) or a base-10 integer in [lo, hi] (stored in `out`); false when
+/// it is malformed or out of range.
+[[nodiscard]] inline bool positional_i64(int argc, char** argv, int index, std::int64_t lo,
+                                         std::int64_t hi, std::int64_t& out) {
+  if (index >= argc) return true;
+  std::int64_t x = 0;
+  if (!parse_i64(argv[index], x) || x < lo || x > hi) return false;
   out = x;
   return true;
 }

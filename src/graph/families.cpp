@@ -14,6 +14,7 @@ Graph complete_graph(NodeId n) {
   g.n_ = n;
   const auto rows = static_cast<std::size_t>(n);
   const std::size_t row_length = rows == 0 ? 0 : rows - 1;
+  g.max_degree_ = static_cast<int>(row_length);
   g.offsets_.resize(rows + 1);
   g.adjacency_.resize(rows * row_length);
   for (std::size_t v = 0; v <= rows; ++v) {

@@ -61,6 +61,7 @@ Graph Graph::from_edges(NodeId n, std::span<const std::pair<NodeId, NodeId>> edg
       g.adjacency_[static_cast<std::size_t>(write++)] = w;
       previous = w;
     }
+    g.max_degree_ = std::max(g.max_degree_, static_cast<int>(write - g.offsets_[v]));
   }
   g.offsets_[rows] = write;
   g.adjacency_.resize(static_cast<std::size_t>(write));
@@ -76,12 +77,6 @@ int Graph::min_degree() const noexcept {
   if (n_ == 0) return 0;
   int m = degree(0);
   for (NodeId v = 1; v < n_; ++v) m = std::min(m, degree(v));
-  return m;
-}
-
-int Graph::max_degree() const noexcept {
-  int m = 0;
-  for (NodeId v = 0; v < n_; ++v) m = std::max(m, degree(v));
   return m;
 }
 

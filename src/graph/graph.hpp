@@ -44,13 +44,16 @@ class Graph {
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept;
 
   [[nodiscard]] int min_degree() const noexcept;
-  [[nodiscard]] int max_degree() const noexcept;
+  /// O(1): computed once at build time (stage link budgets query it per node
+  /// per round).
+  [[nodiscard]] int max_degree() const noexcept { return max_degree_; }
   [[nodiscard]] bool is_regular() const noexcept { return min_degree() == max_degree(); }
 
  private:
   friend Graph complete_graph(NodeId n);
 
   NodeId n_ = 0;
+  int max_degree_ = 0;
   std::vector<std::int64_t> offsets_;  // n_ + 1 entries
   std::vector<NodeId> adjacency_;
 };

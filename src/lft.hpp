@@ -39,7 +39,7 @@
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/fleet.hpp"
-#include "sim/single_port.hpp"
 #include "singleport/gossip_sp.hpp"
 #include "singleport/linear_consensus.hpp"
 #include "singleport/lower_bound.hpp"
+#include "singleport/port.hpp"

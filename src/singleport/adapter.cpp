@@ -15,17 +15,6 @@ void SinglePortStageProcess::QueueIo::send(NodeId to, std::uint32_t tag, std::ui
   it->second = QueuedSend{tag, value, bits, offset, body.size()};
 }
 
-Round SinglePortStageProcess::total_sp_duration() const {
-  Round total = 0;
-  for (const auto& stage : stages_) {
-    for (Round r = 0; r < stage->duration(); ++r) {
-      const core::LinkBudget b = stage->link_budget(r);
-      total += std::max<Round>(1, static_cast<Round>(b.max_out) + b.max_in);
-    }
-  }
-  return total;
-}
-
 void SinglePortStageProcess::advance_mp_round() {
   ++stage_round_;
   slot_ = 0;
@@ -38,10 +27,10 @@ void SinglePortStageProcess::advance_mp_round() {
   if (stage_index_ >= stages_.size()) done_ = true;
 }
 
-sim::SpAction SinglePortStageProcess::on_round(sim::SpContext& ctx,
-                                               const std::optional<sim::Message>& received) {
+SpAction SinglePortStageProcess::on_round(SpContext& ctx,
+                                          const std::optional<sim::Message>& received) {
   if (received.has_value()) {
-    // The engine-side payload scratch is only valid for this call: pool the
+    // The port-side payload scratch is only valid for this call: pool the
     // bytes and record the offset (acc_bytes_ may still reallocate while the
     // block accumulates, so pointers are rebound at slot 0).
     acc_offsets_.push_back(acc_bytes_.size());
@@ -80,7 +69,7 @@ sim::SpAction SinglePortStageProcess::on_round(sim::SpContext& ctx,
     LFT_ASSERT(static_cast<int>(plan_.in.size()) <= std::max(1, budget_.max_in));
   }
 
-  sim::SpAction action;
+  SpAction action;
   const Round out_slots = budget_.max_out;
   const Round in_slots = budget_.max_in;
   if (slot_ < out_slots) {
@@ -89,8 +78,8 @@ sim::SpAction SinglePortStageProcess::on_round(sim::SpContext& ctx,
       auto it = queued_.find(target);
       if (it != queued_.end()) {
         // The view into queued_bytes_ stays valid until the next block's
-        // slot 0 — past the engine's enqueue step this round.
-        action.send = sim::SpSend{
+        // slot 0 — past the PortProcess send this round.
+        action.send = SpSend{
             target, it->second.tag, it->second.value, it->second.bits,
             sim::PayloadView(queued_bytes_.data() + it->second.body_offset,
                              it->second.body_len)};
@@ -108,10 +97,7 @@ sim::SpAction SinglePortStageProcess::on_round(sim::SpContext& ctx,
   const Round block = std::max<Round>(1, out_slots + in_slots);
   if (slot_ >= block) {
     LFT_ASSERT_MSG(queued_.empty(), "stage sent outside its declared link plan");
-    advance_mp_round();
-    if (done_) {
-      // Halt next round (after the engine processes this action).
-    }
+    advance_mp_round();  // once done_, the next round halts
   }
   return action;
 }

@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "core/io.hpp"
-#include "sim/single_port.hpp"
+#include "singleport/port.hpp"
 
 namespace lft::singleport {
 
-class SinglePortStageProcess final : public sim::SinglePortProcess {
+class SinglePortStageProcess final : public SinglePortProcess {
  public:
   explicit SinglePortStageProcess(NodeId self) : self_(self) {}
 
@@ -27,10 +27,7 @@ class SinglePortStageProcess final : public sim::SinglePortProcess {
   [[nodiscard]] core::BinaryState& state() noexcept { return state_; }
   [[nodiscard]] const core::BinaryState& state() const noexcept { return state_; }
 
-  /// Total sp-rounds the protocol occupies (sum of block lengths).
-  [[nodiscard]] Round total_sp_duration() const;
-
-  sim::SpAction on_round(sim::SpContext& ctx, const std::optional<sim::Message>& received) override;
+  SpAction on_round(SpContext& ctx, const std::optional<sim::Message>& received) override;
 
  private:
   /// Queued payloads live as (offset, length) slices of queued_bytes_, the
@@ -49,7 +46,7 @@ class SinglePortStageProcess final : public sim::SinglePortProcess {
   class QueueIo final : public core::ProtocolIo {
    public:
     QueueIo(std::map<NodeId, QueuedSend>& queue, std::vector<std::byte>& bytes,
-            sim::SpContext& ctx)
+            SpContext& ctx)
         : queue_(&queue), bytes_(&bytes), ctx_(&ctx) {}
     void send(NodeId to, std::uint32_t tag, std::uint64_t value, std::uint64_t bits,
               sim::PayloadView body) override;
@@ -64,7 +61,7 @@ class SinglePortStageProcess final : public sim::SinglePortProcess {
    private:
     std::map<NodeId, QueuedSend>* queue_;
     std::vector<std::byte>* bytes_;
-    sim::SpContext* ctx_;
+    SpContext* ctx_;
   };
 
   void advance_mp_round();
@@ -84,7 +81,7 @@ class SinglePortStageProcess final : public sim::SinglePortProcess {
   std::vector<std::byte> queued_bytes_;  // this block's payload pool
 
   // Polled messages for the next mp-round. Poll payloads are copied into
-  // acc_bytes_ (their engine-side scratch is call-scoped); the messages
+  // acc_bytes_ (their port-side scratch is call-scoped); the messages
   // record offsets and are rebound to pointers once the block is complete
   // and acc_bytes_ stops growing.
   std::vector<sim::Message> inbox_accumulator_;

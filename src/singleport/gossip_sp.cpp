@@ -14,25 +14,23 @@ SinglePortGossipProcess::SinglePortGossipProcess(std::shared_ptr<const core::Gos
                                                                /*enable_pull=*/false));
 }
 
-sim::SpAction SinglePortGossipProcess::on_round(sim::SpContext& ctx,
-                                                const std::optional<sim::Message>& received) {
+SpAction SinglePortGossipProcess::on_round(SpContext& ctx,
+                                           const std::optional<sim::Message>& received) {
   return adapter_.on_round(ctx, received);
 }
 
 core::GossipOutcome run_single_port_gossip(const core::GossipParams& params,
                                            std::span<const std::uint64_t> rumors,
-                                           std::unique_ptr<sim::SpAdversary> adversary) {
+                                           std::unique_ptr<sim::FaultInjector> adversary) {
   LFT_ASSERT(static_cast<NodeId>(rumors.size()) == params.n);
   auto cfg = core::GossipConfig::build(params);
 
-  sim::SinglePortConfig config;
-  config.crash_budget = params.t;
-  sim::SinglePortEngine engine(params.n, config);
+  sim::Engine engine(params.n, sim::EngineConfig{.crash_budget = params.t});
   for (NodeId v = 0; v < params.n; ++v) {
-    engine.set_process(v, std::make_unique<SinglePortGossipProcess>(
-                              cfg, v, rumors[static_cast<std::size_t>(v)]));
+    engine.set_process(v, std::make_unique<PortProcess>(std::make_unique<SinglePortGossipProcess>(
+                              cfg, v, rumors[static_cast<std::size_t>(v)])));
   }
-  if (adversary != nullptr) engine.set_adversary(std::move(adversary));
+  if (adversary != nullptr) engine.add_fault_injector(std::move(adversary));
 
   core::GossipOutcome out;
   out.report = engine.run();
@@ -42,7 +40,8 @@ core::GossipOutcome run_single_port_gossip(const core::GossipParams& params,
   out.rumors_intact = true;
   for (NodeId v = 0; v < params.n; ++v) {
     const auto& status = out.report.nodes[static_cast<std::size_t>(v)];
-    const auto& proc = static_cast<const SinglePortGossipProcess&>(engine.process(v));
+    const auto& proc = static_cast<const SinglePortGossipProcess&>(
+        static_cast<const PortProcess&>(engine.process(v)).inner());
     if (status.crashed) continue;
     if (!proc.state().decided) {
       out.termination = false;

@@ -10,18 +10,17 @@
 #include <span>
 
 #include "core/gossip.hpp"
-#include "sim/single_port.hpp"
+#include "sim/faults.hpp"
 #include "singleport/adapter.hpp"
 
 namespace lft::singleport {
 
-class SinglePortGossipProcess final : public sim::SinglePortProcess {
+class SinglePortGossipProcess final : public SinglePortProcess {
  public:
   SinglePortGossipProcess(std::shared_ptr<const core::GossipConfig> cfg, NodeId self,
                           std::uint64_t rumor);
 
-  sim::SpAction on_round(sim::SpContext& ctx,
-                         const std::optional<sim::Message>& received) override;
+  SpAction on_round(SpContext& ctx, const std::optional<sim::Message>& received) override;
 
   [[nodiscard]] const core::GossipState& state() const noexcept { return state_; }
 
@@ -30,10 +29,11 @@ class SinglePortGossipProcess final : public sim::SinglePortProcess {
   SinglePortStageProcess adapter_;
 };
 
-/// Runs gossip in the single-port model and evaluates the same conditions as
-/// core::run_gossip.
+/// Runs gossip in the single-port model under the given fault injector
+/// (nullptr = no faults; crash budget params.t) and evaluates the same
+/// conditions as core::run_gossip.
 [[nodiscard]] core::GossipOutcome run_single_port_gossip(
     const core::GossipParams& params, std::span<const std::uint64_t> rumors,
-    std::unique_ptr<sim::SpAdversary> adversary);
+    std::unique_ptr<sim::FaultInjector> adversary);
 
 }  // namespace lft::singleport

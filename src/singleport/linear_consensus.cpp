@@ -1,7 +1,5 @@
 #include "singleport/linear_consensus.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "core/stages.hpp"
 
@@ -43,32 +41,16 @@ std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
   return proc;
 }
 
-ScheduledSpAdversary::ScheduledSpAdversary(std::vector<sim::CrashEvent> events)
-    : events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const sim::CrashEvent& a, const sim::CrashEvent& b) {
-                     return a.round < b.round;
-                   });
-}
-
-void ScheduledSpAdversary::on_round(const sim::SpView& view, std::vector<NodeId>& crash_out) {
-  while (next_ < events_.size() && events_[next_].round <= view.round()) {
-    crash_out.push_back(events_[next_++].node);
-  }
-}
-
 core::ConsensusOutcome run_linear_consensus(const core::ConsensusParams& params,
                                             std::span<const int> inputs,
-                                            std::unique_ptr<sim::SpAdversary> adversary) {
+                                            std::unique_ptr<sim::FaultInjector> adversary) {
   LFT_ASSERT(static_cast<NodeId>(inputs.size()) == params.n);
-  sim::SinglePortConfig config;
-  config.crash_budget = params.t;
-  sim::SinglePortEngine engine(params.n, config);
+  sim::Engine engine(params.n, sim::EngineConfig{.crash_budget = params.t});
   for (NodeId v = 0; v < params.n; ++v) {
-    engine.set_process(
-        v, make_linear_consensus_process(params, v, inputs[static_cast<std::size_t>(v)]));
+    engine.set_process(v, std::make_unique<PortProcess>(make_linear_consensus_process(
+                              params, v, inputs[static_cast<std::size_t>(v)])));
   }
-  if (adversary != nullptr) engine.set_adversary(std::move(adversary));
+  if (adversary != nullptr) engine.add_fault_injector(std::move(adversary));
   return core::evaluate_consensus(engine.run(), inputs);
 }
 

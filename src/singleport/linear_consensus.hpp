@@ -12,7 +12,7 @@
 
 #include "core/consensus.hpp"
 #include "core/params.hpp"
-#include "sim/single_port.hpp"
+#include "sim/faults.hpp"
 #include "singleport/adapter.hpp"
 
 namespace lft::singleport {
@@ -22,19 +22,11 @@ namespace lft::singleport {
 [[nodiscard]] std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
     const core::ConsensusParams& params, NodeId self, int input);
 
-/// Scheduled crash adversary for the single-port engine (clean crashes).
-class ScheduledSpAdversary final : public sim::SpAdversary {
- public:
-  explicit ScheduledSpAdversary(std::vector<sim::CrashEvent> events);
-  void on_round(const sim::SpView& view, std::vector<NodeId>& crash_out) override;
-
- private:
-  std::vector<sim::CrashEvent> events_;
-  std::size_t next_ = 0;
-};
-
+/// Runs Linear-Consensus on sim::Engine (one PortProcess per node) under the
+/// given fault injector, e.g. sim::make_scheduled(events); nullptr = no
+/// faults. The crash budget is params.t.
 [[nodiscard]] core::ConsensusOutcome run_linear_consensus(
     const core::ConsensusParams& params, std::span<const int> inputs,
-    std::unique_ptr<sim::SpAdversary> adversary);
+    std::unique_ptr<sim::FaultInjector> adversary);
 
 }  // namespace lft::singleport

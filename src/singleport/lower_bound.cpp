@@ -14,18 +14,17 @@ namespace {
 
 /// Wraps a single-port process and records its observable history: for each
 /// round, a digest of (received message, returned action).
-class RecordingProcess final : public sim::SinglePortProcess {
+class RecordingProcess final : public SinglePortProcess {
  public:
-  explicit RecordingProcess(std::unique_ptr<sim::SinglePortProcess> inner)
+  explicit RecordingProcess(std::unique_ptr<SinglePortProcess> inner)
       : inner_(std::move(inner)) {}
 
-  sim::SpAction on_round(sim::SpContext& ctx,
-                         const std::optional<sim::Message>& received) override {
+  SpAction on_round(SpContext& ctx, const std::optional<sim::Message>& received) override {
     if (received.has_value() && !first_receipt_.has_value()) {
       first_receipt_ = ctx.round();
       first_sender_ = received->from;
     }
-    const sim::SpAction action = inner_->on_round(ctx, received);
+    const SpAction action = inner_->on_round(ctx, received);
     std::uint64_t h = trace_.empty() ? 0x74726163ULL : trace_.back();
     if (received.has_value()) {
       h = hash_combine(h, static_cast<std::uint64_t>(received->from));
@@ -51,7 +50,7 @@ class RecordingProcess final : public sim::SinglePortProcess {
   [[nodiscard]] NodeId first_sender() const noexcept { return first_sender_; }
 
  private:
-  std::unique_ptr<sim::SinglePortProcess> inner_;
+  std::unique_ptr<SinglePortProcess> inner_;
   std::vector<std::uint64_t> trace_;
   std::optional<Round> first_receipt_;
   NodeId first_sender_ = kNoNode;
@@ -66,23 +65,22 @@ struct TracedRun {
 
 TracedRun run_traced(const core::ConsensusParams& params, std::span<const int> inputs,
                      const std::vector<NodeId>& crash_at_zero, NodeId victim) {
-  sim::SinglePortConfig config;
-  config.crash_budget = static_cast<std::int64_t>(crash_at_zero.size());
-  sim::SinglePortEngine engine(params.n, config);
+  const auto budget = static_cast<std::int64_t>(crash_at_zero.size());
+  sim::Engine engine(params.n, sim::EngineConfig{.crash_budget = budget});
   for (NodeId v = 0; v < params.n; ++v) {
-    engine.set_process(v, std::make_unique<RecordingProcess>(make_linear_consensus_process(
-                              params, v, inputs[static_cast<std::size_t>(v)])));
+    engine.set_process(v, std::make_unique<PortProcess>(std::make_unique<RecordingProcess>(
+                              make_linear_consensus_process(
+                                  params, v, inputs[static_cast<std::size_t>(v)]))));
   }
   std::vector<sim::CrashEvent> events;
   for (NodeId v : crash_at_zero) events.push_back(sim::CrashEvent{0, v, 0.0});
-  if (!events.empty()) {
-    engine.set_adversary(std::make_unique<ScheduledSpAdversary>(std::move(events)));
-  }
+  if (!events.empty()) engine.add_fault_injector(sim::make_scheduled(std::move(events)));
   TracedRun run;
   run.report = engine.run();
   run.traces.reserve(static_cast<std::size_t>(params.n));
   for (NodeId v = 0; v < params.n; ++v) {
-    auto& rec = static_cast<RecordingProcess&>(engine.process(v));
+    const auto& rec =
+        static_cast<const RecordingProcess&>(static_cast<PortProcess&>(engine.process(v)).inner());
     run.traces.push_back(rec.trace());
     if (v == victim) {
       run.victim_first_receipt = rec.first_receipt();

@@ -159,7 +159,7 @@ TEST(Docs, ArchitectureDocCoversTheTransportSeam) {
   for (const char* needle :
        {"transport seam", "one round loop", "Engine::step", "SlotContext",
         "SocketTransport", "proxy", "twin property", "service_slot_commit",
-        "docs/service.md"}) {
+        "docs/service.md", "PortProcess"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";
   }

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/math.hpp"
@@ -32,16 +34,13 @@ std::vector<int> make_inputs(NodeId n, const std::string& pattern, std::uint64_t
   return inputs;
 }
 
-std::unique_ptr<sim::SpAdversary> sp_adversary(const std::string& kind, NodeId n,
-                                               std::int64_t t, Round window,
-                                               std::uint64_t seed) {
+std::unique_ptr<sim::FaultInjector> sp_adversary(const std::string& kind, NodeId n,
+                                                 std::int64_t t, Round window,
+                                                 std::uint64_t seed) {
   if (kind == "none" || t == 0) return nullptr;
-  if (kind == "burst0") {
-    return std::make_unique<ScheduledSpAdversary>(sim::burst_crash_schedule(n, t, 0, seed));
-  }
+  if (kind == "burst0") return sim::make_scheduled(sim::burst_crash_schedule(n, t, 0, seed));
   if (kind == "random") {
-    return std::make_unique<ScheduledSpAdversary>(
-        sim::random_crash_schedule(n, t, 0, window, 0.0, seed));
+    return sim::make_scheduled(sim::random_crash_schedule(n, t, 0, window, 0.0, seed));
   }
   ADD_FAILURE() << "unknown adversary " << kind;
   return nullptr;
@@ -95,13 +94,9 @@ TEST(LinearConsensus, DeterministicAcrossRuns) {
   const auto params = core::ConsensusParams::single_port(100, 10);
   const auto inputs = make_inputs(100, "random", 3);
   const auto a = run_linear_consensus(
-      params, inputs,
-      std::make_unique<ScheduledSpAdversary>(
-          sim::random_crash_schedule(100, 10, 0, 200, 0.0, 5)));
+      params, inputs, sim::make_scheduled(sim::random_crash_schedule(100, 10, 0, 200, 0.0, 5)));
   const auto b = run_linear_consensus(
-      params, inputs,
-      std::make_unique<ScheduledSpAdversary>(
-          sim::random_crash_schedule(100, 10, 0, 200, 0.0, 5)));
+      params, inputs, sim::make_scheduled(sim::random_crash_schedule(100, 10, 0, 200, 0.0, 5)));
   EXPECT_EQ(a.report.rounds, b.report.rounds);
   EXPECT_EQ(a.report.metrics.messages_total, b.report.metrics.messages_total);
   EXPECT_EQ(a.decision, b.decision);
@@ -230,8 +225,7 @@ TEST(SinglePortGossip, ConditionsHoldUnderCrashes) {
   const NodeId n = 150;
   const std::int64_t t = 15;
   const auto params = core::GossipParams::practical(n, t);
-  auto adversary = std::make_unique<ScheduledSpAdversary>(
-      sim::random_crash_schedule(n, t, 0, 60 * t, 0.0, 19));
+  auto adversary = sim::make_scheduled(sim::random_crash_schedule(n, t, 0, 60 * t, 0.0, 19));
   const auto outcome = run_single_port_gossip(params, sp_rumors(n), std::move(adversary));
   EXPECT_TRUE(outcome.termination);
   EXPECT_TRUE(outcome.condition1);
@@ -250,6 +244,108 @@ TEST(SinglePortGossip, RoundExpansionStaysConstantFactor) {
   EXPECT_TRUE(sp.all_good());
   EXPECT_LT(sp.report.rounds, 80 * mp.report.rounds)
       << "slot expansion should be bounded by ~2x the largest overlay degree";
+}
+
+}  // namespace
+}  // namespace lft::singleport
+
+// ---- Pinned single-port Reports --------------------------------------------------
+
+namespace lft::singleport {
+namespace {
+
+// Reference values for the single-port model's semantics: when a poll sees a
+// message, that a halting node's send is dropped unaccounted, how crashed
+// senders and dead receivers are charged, and which sends count as honest.
+struct SpPin {
+  Round rounds;
+  bool completed;
+  std::int64_t messages_total;
+  std::int64_t bits_total;
+  std::int64_t messages_honest;
+  std::int64_t bits_honest;
+  std::int64_t max_sends_per_node;
+  std::int64_t peak_round_messages;
+  std::int64_t fallback_pulls;
+  std::int64_t crashed;
+  std::optional<std::uint64_t> decision;
+};
+
+void expect_pinned(const sim::Report& r, const SpPin& pin) {
+  EXPECT_EQ(r.rounds, pin.rounds);
+  EXPECT_EQ(r.completed, pin.completed);
+  EXPECT_EQ(r.metrics.messages_total, pin.messages_total);
+  EXPECT_EQ(r.metrics.bits_total, pin.bits_total);
+  EXPECT_EQ(r.metrics.messages_honest, pin.messages_honest);
+  EXPECT_EQ(r.metrics.bits_honest, pin.bits_honest);
+  EXPECT_EQ(r.metrics.max_sends_per_node, pin.max_sends_per_node);
+  EXPECT_EQ(r.metrics.peak_round_messages, pin.peak_round_messages);
+  EXPECT_EQ(r.metrics.fallback_pulls, pin.fallback_pulls);
+  EXPECT_EQ(r.crashed_count(), pin.crashed);
+  EXPECT_EQ(r.agreed_value(), pin.decision);
+}
+
+TEST(SinglePortPins, ReportsMatchReferenceValues) {
+  // Linear-Consensus on both sides of t = sqrt(n), under random crashes.
+  const std::vector<std::pair<std::pair<NodeId, std::int64_t>, SpPin>> linear = {
+      {{100, 12}, {3311, true, 8695, 8695, 8695, 8695, 157, 79, 0, 12, 1}},
+      {{256, 9}, {2755, true, 9184, 9184, 9184, 9184, 156, 180, 0, 9, 1}},
+  };
+  for (const auto& [nt, pin] : linear) {
+    const auto [n, t] = nt;
+    SCOPED_TRACE(test::case_name("linear n", n, " t", t));
+    const auto outcome = run_linear_consensus(
+        core::ConsensusParams::single_port(n, t), make_inputs(n, "random", 47),
+        sim::make_scheduled(sim::random_crash_schedule(n, t, 0, 40 * t, 0.0, 53)));
+    EXPECT_TRUE(outcome.all_good());
+    expect_pinned(outcome.report, pin);
+  }
+
+  {
+    SCOPED_TRACE("gossip n150 t15");
+    const auto outcome = run_single_port_gossip(
+        core::GossipParams::practical(150, 15), sp_rumors(150),
+        sim::make_scheduled(sim::random_crash_schedule(150, 15, 0, 60 * 15, 0.0, 19)));
+    EXPECT_TRUE(outcome.all_good());
+    expect_pinned(outcome.report, {12202, true, 162439, 30791916, 162439, 30791916, 2365, 149, 0,
+                                   15, 6931334996739848386ULL});
+  }
+
+  {
+    SCOPED_TRACE("marked Byzantine sender");
+    sim::Engine engine(3, {});
+    auto sender = [](NodeId to) {
+      return test::sp_lambda([to](SpContext& ctx, const std::optional<sim::Message>&) {
+        SpAction a;
+        if (ctx.round() >= 4) {
+          ctx.halt();
+          return a;
+        }
+        a.send = SpSend{to, 0, 1, 8, {}};
+        return a;
+      });
+    };
+    engine.set_process(0, sender(2));
+    engine.set_process(1, sender(2));
+    engine.set_process(2, test::sp_lambda([](SpContext& ctx, const std::optional<sim::Message>&) {
+                         if (ctx.round() >= 5) ctx.halt();
+                         SpAction a;
+                         a.poll = ctx.round() % 2 == 0 ? 0 : 1;
+                         return a;
+                       }));
+    engine.mark_byzantine(1);
+    expect_pinned(engine.run(), {6, true, 8, 64, 4, 32, 4, 2, 0, 0, std::nullopt});
+  }
+
+  {
+    SCOPED_TRACE("port isolation");
+    const IsolationResult iso = run_port_isolation(64, 12, 63);
+    EXPECT_EQ(iso.isolation_rounds, 2204);
+    EXPECT_EQ(iso.baseline_receipt, 2179);
+    EXPECT_EQ(iso.crashes_used, 12);
+    EXPECT_FALSE(iso.victim_starved);
+    EXPECT_EQ(iso.protocol_rounds, 3263);
+  }
 }
 
 }  // namespace

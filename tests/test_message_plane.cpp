@@ -23,7 +23,6 @@
 #include "sim/adversary.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
-#include "sim/single_port.hpp"
 #include "sim/trace.hpp"
 #include "test_util.hpp"
 
@@ -250,15 +249,17 @@ TEST(MessagePlane, SinglePortQueuePoolsPayloads) {
   // Node 0 pushes a payload every round; node 1 polls only every other
   // round, building a backlog that crosses the queue-compaction threshold.
   // Every dequeued payload must match its message's value-encoded pattern.
-  SinglePortConfig config;
-  SinglePortEngine engine(2, config);
+  using singleport::SpAction;
+  using singleport::SpContext;
+  using singleport::SpSend;
+  Engine engine(2, {});
   std::int64_t received = 0;
   engine.set_process(
       0, test::sp_lambda([scratch = std::vector<std::byte>()](
                              SpContext& ctx, const std::optional<Message>&) mutable {
         SpAction action;
         if (ctx.round() < 24) {
-          // Process-owned scratch: valid until the engine enqueues the send.
+          // Process-owned scratch: valid until the PortProcess emits the send.
           scratch.assign(static_cast<std::size_t>(ctx.round()) + 1,
                          static_cast<std::byte>(ctx.round() + 1));
           action.send = SpSend{1, 2, static_cast<std::uint64_t>(ctx.round()), 1,

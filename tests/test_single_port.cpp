@@ -1,34 +1,27 @@
-// Tests for the single-port engine (Section 8 model): one send and one poll
-// per round, FIFO port queues, no delivery signals, crash semantics.
+// Tests for the single-port model (Section 8) hosted on sim::Engine: one
+// send and one poll per round, FIFO port queues, no delivery signals, crash
+// semantics.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "sim/single_port.hpp"
+#include "sim/engine.hpp"
+#include "sim/faults.hpp"
+#include "singleport/port.hpp"
+#include "test_util.hpp"
 
-namespace lft::sim {
+namespace lft::singleport {
 namespace {
 
-class SpLambdaProcess final : public SinglePortProcess {
- public:
-  using Fn = std::function<SpAction(SpContext&, const std::optional<Message>&)>;
-  explicit SpLambdaProcess(Fn fn) : fn_(std::move(fn)) {}
-  SpAction on_round(SpContext& ctx, const std::optional<Message>& received) override {
-    return fn_(ctx, received);
-  }
+using sim::Engine;
+using sim::EngineConfig;
+using sim::Message;
+using sim::Report;
+using test::sp_lambda;
 
- private:
-  Fn fn_;
-};
-
-std::unique_ptr<SinglePortProcess> sp_lambda(SpLambdaProcess::Fn fn) {
-  return std::make_unique<SpLambdaProcess>(std::move(fn));
-}
-
-std::unique_ptr<SinglePortProcess> sp_idle() {
+std::unique_ptr<sim::Process> sp_idle() {
   return sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
     ctx.halt();
     return SpAction{};
@@ -48,7 +41,7 @@ SpAction poll_from(NodeId src) {
 }
 
 TEST(SinglePort, SameRoundPickupAndFifoOrder) {
-  SinglePortEngine engine(2, {});
+  Engine engine(2, {});
   std::vector<std::uint64_t> got;
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
                        if (ctx.round() <= 2) return send_to(1, 10 + ctx.round());
@@ -71,7 +64,7 @@ TEST(SinglePort, SameRoundPickupAndFifoOrder) {
 }
 
 TEST(SinglePort, OneMessagePerPollEvenIfMoreQueued) {
-  SinglePortEngine engine(3, {});
+  Engine engine(3, {});
   // Nodes 0 and 1 each send once to node 2 in round 0; node 2 polls port 0
   // twice: gets one message the first time, nothing new from port 0 after.
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
@@ -97,7 +90,7 @@ TEST(SinglePort, OneMessagePerPollEvenIfMoreQueued) {
 }
 
 TEST(SinglePort, PollWrongPortGetsNothing) {
-  SinglePortEngine engine(3, {});
+  Engine engine(3, {});
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
                        if (ctx.round() == 0) return send_to(2, 1);
                        ctx.halt();
@@ -118,9 +111,7 @@ TEST(SinglePort, PollWrongPortGetsNothing) {
 }
 
 TEST(SinglePort, CrashedSenderSendIsDropped) {
-  SinglePortConfig config;
-  config.crash_budget = 1;
-  SinglePortEngine engine(2, config);
+  Engine engine(2, EngineConfig{.crash_budget = 1});
   engine.set_process(0, sp_lambda([](SpContext&, const std::optional<Message>&) {
                        return send_to(1, 7);
                      }));
@@ -133,14 +124,7 @@ TEST(SinglePort, CrashedSenderSendIsDropped) {
                        }
                        return poll_from(0);
                      }));
-
-  class CrashZeroAtRoundZero final : public SpAdversary {
-   public:
-    void on_round(const SpView& view, std::vector<NodeId>& crash_out) override {
-      if (view.round() == 0) crash_out.push_back(0);
-    }
-  };
-  engine.set_adversary(std::make_unique<CrashZeroAtRoundZero>());
+  engine.add_fault_injector(sim::make_scheduled({sim::CrashEvent{0, 0, 0.0}}));
   const Report report = engine.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(report.metrics.messages_total, 0);
@@ -151,9 +135,7 @@ TEST(SinglePort, QueuedMessagesSurviveSenderCrash) {
   // A message already enqueued (sent in an earlier round) remains
   // retrievable after the sender crashes: it was already "delivered to the
   // port" in the paper's model.
-  SinglePortConfig config;
-  config.crash_budget = 1;
-  SinglePortEngine engine(2, config);
+  Engine engine(2, EngineConfig{.crash_budget = 1});
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
                        if (ctx.round() == 0) return send_to(1, 9);
                        return SpAction{};  // stays alive doing nothing
@@ -168,23 +150,15 @@ TEST(SinglePort, QueuedMessagesSurviveSenderCrash) {
                        if (ctx.round() >= 2) return poll_from(0);  // poll after the crash
                        return SpAction{};
                      }));
-
-  class CrashZeroAtRoundOne final : public SpAdversary {
-   public:
-    void on_round(const SpView& view, std::vector<NodeId>& crash_out) override {
-      if (view.round() == 1) crash_out.push_back(0);
-    }
-  };
-  engine.set_adversary(std::make_unique<CrashZeroAtRoundOne>());
+  engine.add_fault_injector(sim::make_scheduled({sim::CrashEvent{1, 0, 0.0}}));
   engine.run();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{9}));
 }
 
 TEST(SinglePort, AdversarySeesActions) {
-  // The Theorem 13 adversary must observe where the victim polls/sends.
-  SinglePortConfig config;
-  config.crash_budget = 2;
-  SinglePortEngine engine(3, config);
+  // The Theorem 13 adversary must observe where the victim polls/sends: the
+  // engine's post-step phase reads it off the node's PortProcess.
+  Engine engine(3, EngineConfig{.crash_budget = 2});
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
                        if (ctx.round() == 0) {
                          SpAction a = send_to(1, 5);
@@ -197,12 +171,12 @@ TEST(SinglePort, AdversarySeesActions) {
   engine.set_process(1, sp_idle());
   engine.set_process(2, sp_idle());
 
-  class Observer final : public SpAdversary {
+  class Observer final : public sim::FaultInjector {
    public:
     explicit Observer(std::vector<NodeId>& log) : log_(&log) {}
-    void on_round(const SpView& view, std::vector<NodeId>&) override {
+    void on_round(const sim::EngineView& view, sim::FaultController&) override {
       if (view.round() == 0) {
-        const SpAction& a = view.action(0);
+        const SpAction& a = static_cast<const PortProcess*>(view.process(0))->action();
         if (a.send) log_->push_back(a.send->to);
         log_->push_back(a.poll);
       }
@@ -210,13 +184,13 @@ TEST(SinglePort, AdversarySeesActions) {
     std::vector<NodeId>* log_;
   };
   std::vector<NodeId> log;
-  engine.set_adversary(std::make_unique<Observer>(log));
+  engine.add_fault_injector(std::make_unique<Observer>(log));
   engine.run();
   EXPECT_EQ(log, (std::vector<NodeId>{1, 2}));
 }
 
 TEST(SinglePort, MetricsAndDecisions) {
-  SinglePortEngine engine(2, {});
+  Engine engine(2, {});
   engine.set_process(0, sp_lambda([](SpContext& ctx, const std::optional<Message>&) {
                        if (ctx.round() == 0) {
                          SpAction a;
@@ -244,9 +218,7 @@ TEST(SinglePort, MetricsAndDecisions) {
 }
 
 TEST(SinglePort, MaxRoundsCap) {
-  SinglePortConfig config;
-  config.max_rounds = 4;
-  SinglePortEngine engine(1, config);
+  Engine engine(1, EngineConfig{.max_rounds = 4});
   engine.set_process(0, sp_lambda([](SpContext&, const std::optional<Message>&) {
                        return SpAction{};  // never halts
                      }));
@@ -256,10 +228,10 @@ TEST(SinglePort, MaxRoundsCap) {
 }
 
 TEST(SinglePort, ByzantineSendsExcludedFromHonestCounters) {
-  // mark_byzantine must affect the honest counters exactly as in the
-  // multi-port engine: total counts everything, honest excludes the marked
-  // node (the Theorem 11 measure must agree between both engine paths).
-  SinglePortEngine engine(3, {});
+  // mark_byzantine must affect single-port sends exactly as multi-port ones:
+  // total counts everything, honest excludes the marked node (the Theorem 11
+  // measure).
+  Engine engine(3, {});
   auto sender = [](NodeId to) {
     return sp_lambda([to](SpContext& ctx, const std::optional<Message>&) {
       if (ctx.round() >= 4) {
@@ -287,4 +259,4 @@ TEST(SinglePort, ByzantineSendsExcludedFromHonestCounters) {
 }
 
 }  // namespace
-}  // namespace lft::sim
+}  // namespace lft::singleport

@@ -14,7 +14,7 @@
 #include <optional>
 
 #include "sim/engine.hpp"
-#include "sim/single_port.hpp"
+#include "singleport/port.hpp"
 
 namespace lft::test {
 
@@ -39,13 +39,13 @@ inline std::unique_ptr<sim::Process> idle_process() {
 }
 
 /// Scriptable single-port process: runs a user lambda each round.
-class SpLambdaProcess final : public sim::SinglePortProcess {
+class SpLambdaProcess final : public singleport::SinglePortProcess {
  public:
-  using Fn =
-      std::function<sim::SpAction(sim::SpContext&, const std::optional<sim::Message>&)>;
+  using Fn = std::function<singleport::SpAction(singleport::SpContext&,
+                                                const std::optional<sim::Message>&)>;
   explicit SpLambdaProcess(Fn fn) : fn_(std::move(fn)) {}
-  sim::SpAction on_round(sim::SpContext& ctx,
-                         const std::optional<sim::Message>& received) override {
+  singleport::SpAction on_round(singleport::SpContext& ctx,
+                                const std::optional<sim::Message>& received) override {
     return fn_(ctx, received);
   }
 
@@ -53,8 +53,10 @@ class SpLambdaProcess final : public sim::SinglePortProcess {
   Fn fn_;
 };
 
-inline std::unique_ptr<sim::SinglePortProcess> sp_lambda(SpLambdaProcess::Fn fn) {
-  return std::make_unique<SpLambdaProcess>(std::move(fn));
+/// An engine node running `fn` in the single-port model.
+inline std::unique_ptr<sim::Process> sp_lambda(SpLambdaProcess::Fn fn) {
+  return std::make_unique<singleport::PortProcess>(
+      std::make_unique<SpLambdaProcess>(std::move(fn)));
 }
 
 namespace detail {
