@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
   std::int64_t n_arg = 300;
   std::int64_t epochs = 3;
-  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg) ||
+  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg) ||
       !cli::positional_i64(argc, argv, 2, 0, std::numeric_limits<int>::max(), epochs)) {
-    std::fprintf(stderr, "usage: %s [n] [epochs]   (n >= 2, epochs >= 0)\n", argv[0]);
+    std::fprintf(stderr, "usage: %s [n] [epochs]   (n >= 1, epochs >= 0)\n", argv[0]);
     return 2;
   }
   const auto n = static_cast<NodeId>(n_arg);

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
 
   constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
   std::int64_t n_arg = 400;
-  if (argc > 2 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg)) {
-    std::fprintf(stderr, "usage: %s [n]   (n >= 2)\n", argv[0]);
+  if (argc > 2 || !cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg)) {
+    std::fprintf(stderr, "usage: %s [n]   (n >= 1)\n", argv[0]);
     return 2;
   }
   const auto n = static_cast<NodeId>(n_arg);

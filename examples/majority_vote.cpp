@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
   std::int64_t n_arg = 200;
   std::int64_t yes_pct = 55;
-  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg) ||
+  if (argc > 3 || !cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg) ||
       !cli::positional_i64(argc, argv, 2, 0, 100, yes_pct)) {
-    std::fprintf(stderr, "usage: %s [n] [yes_fraction_percent]   (n >= 2, 0..100)\n",
+    std::fprintf(stderr, "usage: %s [n] [yes_fraction_percent]   (n >= 1, 0..100)\n",
                  argv[0]);
     return 2;
   }

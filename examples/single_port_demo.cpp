@@ -6,6 +6,7 @@
 // expansion and the matching lower bound.
 //
 //   ./examples/single_port_demo [n] [t]
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 
@@ -21,10 +22,10 @@ int main(int argc, char** argv) {
 
   constexpr std::int64_t kMaxNodes = std::numeric_limits<NodeId>::max();
   std::int64_t n_arg = 400;
-  const bool n_ok = argc <= 3 && cli::positional_i64(argc, argv, 1, 2, kMaxNodes, n_arg);
+  const bool n_ok = argc <= 3 && cli::positional_i64(argc, argv, 1, 1, kMaxNodes, n_arg);
   std::int64_t t = n_arg / 10;
   if (!n_ok || !cli::positional_i64(argc, argv, 2, 0, (n_arg - 1) / 5, t)) {
-    std::fprintf(stderr, "usage: %s [n] [t]   (n >= 2, 0 <= t < n/5)\n", argv[0]);
+    std::fprintf(stderr, "usage: %s [n] [t]   (n >= 1, 0 <= t < n/5)\n", argv[0]);
     return 2;
   }
   const auto n = static_cast<NodeId>(n_arg);
@@ -56,8 +57,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(sp.report.metrics.bits_total),
               static_cast<unsigned long long>(sp.decision.value_or(99)),
               sp.all_good() ? "yes" : "NO");
+  // At least 1: t + lg n is 0 for a one-node system.
   const double shape =
-      static_cast<double>(t) + ceil_log2(static_cast<std::uint64_t>(n));
+      std::max(1.0, static_cast<double>(t) + ceil_log2(static_cast<std::uint64_t>(n)));
   std::printf("  sp rounds / (t + lg n) = %.2f   (Theorem 12: O(t + log n))\n",
               static_cast<double>(sp.report.rounds) / shape);
 

@@ -20,8 +20,9 @@ constexpr std::int64_t kMaterializedEntryBudget = std::int64_t{1} << 22;
 
 int inquiry_degree(const ConsensusParams& p, int phase) {
   const std::int64_t wanted = static_cast<std::int64_t>(p.inquiry_base) << (phase + 1);
-  return static_cast<int>(
-      std::clamp<std::int64_t>(wanted, 1, std::min<std::int64_t>(p.inquiry_cap, p.n - 1)));
+  // Not std::clamp: its upper bound is 0 when n = 1 (the complete graph).
+  const std::int64_t cap = std::min<std::int64_t>(p.inquiry_cap, p.n - 1);
+  return static_cast<int>(std::min(std::max<std::int64_t>(wanted, 1), cap));
 }
 
 bool materialized(const ConsensusParams& p, int degree) {

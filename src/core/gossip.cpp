@@ -36,7 +36,10 @@ std::shared_ptr<const GossipConfig> GossipConfig::build(const GossipParams& para
   specs.reserve(static_cast<std::size_t>(params.phases) + 1);
   for (int i = 0; i < params.phases; ++i) {
     const std::int64_t wanted = static_cast<std::int64_t>(params.inquiry_base) << (i + 1);
-    specs.push_back({params.n, static_cast<int>(std::clamp<std::int64_t>(wanted, 1, params.n - 1)),
+    // At least 1, at most n - 1 (the complete graph; degree 0 when n = 1).
+    const std::int64_t degree =
+        std::min<std::int64_t>(std::max<std::int64_t>(wanted, 1), params.n - 1);
+    specs.push_back({params.n, static_cast<int>(degree),
                      params.overlay_tag ^ (kOverlayGossipBase + static_cast<std::uint64_t>(i))});
   }
   specs.push_back({params.little_count,

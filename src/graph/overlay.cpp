@@ -37,6 +37,8 @@ constexpr int kMaxAttempts = 32;
 // least this many CSR entries (n * d; tens of milliseconds to build). A
 // batch of smaller ones — every scenario-size overlay, built inside fleet
 // workers — builds inline on the caller, like the engine's serial fallback.
+// An overlay this large also shares its power iteration's sweeps with the
+// batch's threads that have run out of builds.
 constexpr std::int64_t kConcurrentMinEntries = std::int64_t{1} << 20;
 
 using Key = std::tuple<NodeId, int, std::uint64_t>;
@@ -77,9 +79,11 @@ std::map<std::vector<OverlaySpec>, std::vector<PhaseGraph>, ListLess>& implicit_
 /// the parity bump, and one complete graph per n whatever the tag.
 OverlaySpec canonical(const OverlaySpec& spec) {
   LFT_ASSERT(spec.n >= 1);
+  // Checked first, so a one-node system's degree 0 is its complete graph.
+  if (spec.degree >= spec.n - 1) return {spec.n, spec.n - 1, 0};
   LFT_ASSERT(spec.degree >= 1);
   int d = spec.degree;
-  if (d < spec.n - 1 && (static_cast<std::int64_t>(spec.n) * d) % 2 != 0) ++d;
+  if ((static_cast<std::int64_t>(spec.n) * d) % 2 != 0) ++d;
   if (d >= spec.n - 1) return {spec.n, spec.n - 1, 0};
   return {spec.n, d, spec.tag};
 }
@@ -90,7 +94,9 @@ std::int64_t entries(const OverlaySpec& spec) {
   return static_cast<std::int64_t>(spec.n) * spec.degree;
 }
 
-Graph build(const OverlaySpec& spec) {
+/// `share`, when given, splits the power iteration of an overlay of at
+/// least kConcurrentMinEntries entries among the batch's idle threads.
+Graph build(const OverlaySpec& spec, RowShare* share = nullptr) {
   const NodeId n = spec.n;
   const int d = spec.degree;
   if (d >= n - 1) return complete_graph(n);
@@ -108,6 +114,7 @@ Graph build(const OverlaySpec& spec) {
   // slack tolerates a coarser estimate (which converges from below), so
   // large overlays use fewer iterations.
   const int spectral_iters = n >= 20000 ? 60 : 150;
+  RowShare* const split = entries(spec) >= kConcurrentMinEntries ? share : nullptr;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const std::uint64_t seed =
         make_seed(kOverlayPurpose, static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(d),
@@ -115,7 +122,8 @@ Graph build(const OverlaySpec& spec) {
     Graph g = random_regular_graph(n, d, seed);
     if (!is_connected(g)) continue;
     if (n >= kSpectralMinVertices && d >= 3 &&
-        second_eigenvalue_estimate(g, spectral_iters) > ramanujan_bound(d) * kSpectralSlack) {
+        second_eigenvalue_estimate(g, spectral_iters, 0x5eed, split) >
+            ramanujan_bound(d) * kSpectralSlack) {
       continue;
     }
     return g;
@@ -129,9 +137,9 @@ struct Job {
   std::promise<std::shared_ptr<const Graph>> done;
 };
 
-void run(Job& job) {
+void run(Job& job, RowShare* share) {
   try {
-    job.done.set_value(std::make_shared<const Graph>(build(job.spec)));
+    job.done.set_value(std::make_shared<const Graph>(build(job.spec, share)));
   } catch (...) {
     // A failed build (bad_alloc) leaves no entry behind, so a later request
     // retries it; the requests already waiting get the exception.
@@ -145,7 +153,9 @@ void run(Job& job) {
 
 /// Builds every job before returning: largest first, off one shared index,
 /// on the caller plus one short-lived thread per further large job (at most
-/// hardware_concurrency() in all).
+/// hardware_concurrency() in all). A thread that finds the index exhausted
+/// serves row blocks of the power iterations still running until the last
+/// build is done.
 void run_all(std::vector<Job>& jobs) {
   std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
     return entries(a.spec) > entries(b.spec);
@@ -156,11 +166,16 @@ void run_all(std::vector<Job>& jobs) {
   const std::size_t workers =
       std::min<std::size_t>(large, std::max(1U, std::thread::hardware_concurrency()));
 
+  RowShare rows;
+  RowShare* const share = workers > 1 ? &rows : nullptr;
   std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> finished{0};
   auto drain = [&] {
     for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < jobs.size();) {
-      run(jobs[i]);
+      run(jobs[i], share);
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == jobs.size()) rows.close();
     }
+    rows.serve();
   };
   std::vector<std::thread> helpers;
   try {

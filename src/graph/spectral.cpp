@@ -1,5 +1,7 @@
 #include "graph/spectral.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -9,6 +11,10 @@
 namespace lft::graph {
 
 namespace {
+
+// A shared sweep is cut into this many row blocks: enough for a few
+// threads to even out, few enough that each block is thousands of entries.
+constexpr NodeId kSweepBlocks = 64;
 
 // Removes the component along the all-ones direction and normalizes.
 void deflate_and_normalize(std::vector<double>& x) {
@@ -27,9 +33,90 @@ void deflate_and_normalize(std::vector<double>& x) {
   }
 }
 
+/// y[v] = sum of x over v's neighbors, in row order, for v in [begin, end).
+void multiply_rows(const Graph& g, const double* x, double* y, NodeId begin, NodeId end) {
+  for (NodeId v = begin; v < end; ++v) {
+    double acc = 0;
+    for (NodeId w : g.neighbors(v)) acc += x[static_cast<std::size_t>(w)];
+    y[static_cast<std::size_t>(v)] = acc;
+  }
+}
+
 }  // namespace
 
-double second_eigenvalue_estimate(const Graph& g, int iters, std::uint64_t seed) {
+struct RowShare::Sweep {
+  const Graph* g;
+  const double* x;
+  double* y;
+  NodeId rows_per_block;
+  std::atomic<NodeId> next_block{0};
+  int servers = 0;  // under mutex_: threads that may still take a block
+  Sweep* next_open = nullptr;
+
+  [[nodiscard]] bool exhausted() const noexcept {
+    return next_block.load(std::memory_order_relaxed) >= kSweepBlocks;
+  }
+
+  /// Takes and computes blocks until none is left.
+  void work() {
+    const NodeId n = g->num_vertices();
+    for (NodeId b; (b = next_block.fetch_add(1, std::memory_order_relaxed)) < kSweepBlocks;) {
+      const NodeId begin = std::min(n, b * rows_per_block);
+      multiply_rows(*g, x, y, begin, std::min(n, begin + rows_per_block));
+    }
+  }
+};
+
+RowShare::Sweep* RowShare::open_sweep() const noexcept {
+  for (Sweep* s = open_; s != nullptr; s = s->next_open) {
+    if (!s->exhausted()) return s;
+  }
+  return nullptr;
+}
+
+void RowShare::multiply(const Graph& g, std::span<const double> x, std::span<double> y) {
+  const NodeId n = g.num_vertices();
+  Sweep sweep{&g, x.data(), y.data(), (n + kSweepBlocks - 1) / kSweepBlocks};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sweep.next_open = open_;
+    open_ = &sweep;
+  }
+  work_.notify_all();
+  sweep.work();
+  // Unpublish, then wait for every server that joined to finish its block:
+  // their writes to y happen before they let go under the mutex.
+  std::unique_lock<std::mutex> lock(mutex_);
+  Sweep** link = &open_;
+  while (*link != &sweep) link = &(*link)->next_open;
+  *link = sweep.next_open;
+  idle_.wait(lock, [&] { return sweep.servers == 0; });
+}
+
+void RowShare::serve() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    Sweep* sweep = nullptr;
+    work_.wait(lock, [&] { return (sweep = open_sweep()) != nullptr || closed_; });
+    if (sweep == nullptr) return;
+    ++sweep->servers;
+    lock.unlock();
+    sweep->work();
+    lock.lock();
+    if (--sweep->servers == 0) idle_.notify_all();
+  }
+}
+
+void RowShare::close() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+  }
+  work_.notify_all();
+}
+
+double second_eigenvalue_estimate(const Graph& g, int iters, std::uint64_t seed,
+                                  RowShare* share) {
   const NodeId n = g.num_vertices();
   LFT_ASSERT(n >= 2);
   Rng rng(seed);
@@ -40,10 +127,10 @@ double second_eigenvalue_estimate(const Graph& g, int iters, std::uint64_t seed)
   std::vector<double> y(static_cast<std::size_t>(n));
   double lambda = 0;
   for (int it = 0; it < iters; ++it) {
-    for (NodeId v = 0; v < n; ++v) {
-      double acc = 0;
-      for (NodeId w : g.neighbors(v)) acc += x[static_cast<std::size_t>(w)];
-      y[static_cast<std::size_t>(v)] = acc;
+    if (share != nullptr) {
+      share->multiply(g, x, y);
+    } else {
+      multiply_rows(g, x.data(), y.data(), 0, n);
     }
     double norm = 0;
     for (double v : y) norm += v * v;

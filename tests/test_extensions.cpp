@@ -46,6 +46,15 @@ TEST(MajorityConsensus, MajorityOneWhenOnesDominate) {
   EXPECT_EQ(outcome.majority, 1);
 }
 
+TEST(MajorityConsensus, OneNodeCountsItself) {
+  const std::vector<int> inputs = {1};
+  const auto outcome = run_majority_consensus(CheckpointParams::practical(1, 0), inputs, nullptr);
+  EXPECT_TRUE(outcome.all_good());
+  EXPECT_EQ(outcome.members, 1);
+  EXPECT_EQ(outcome.ones, 1);
+  EXPECT_EQ(outcome.majority, 1);
+}
+
 struct AggCase {
   NodeId n;
   std::int64_t t;

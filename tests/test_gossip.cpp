@@ -221,6 +221,13 @@ TEST(Gossip, DeterministicAcrossRuns) {
   EXPECT_EQ(a.report.metrics.bits_total, b.report.metrics.bits_total);
 }
 
+TEST(Gossip, OneNodeCompletesTrivially) {
+  // n = 1: every phase overlay and little G is the one-vertex complete graph.
+  const auto outcome = run_gossip(GossipParams::practical(1, 0), make_rumors(1), nullptr);
+  EXPECT_TRUE(outcome.all_good());
+  EXPECT_EQ(outcome.report.metrics.messages_total, 0);
+}
+
 // ---- Checkpointing --------------------------------------------------------------------
 
 class CheckpointSweep : public ::testing::TestWithParam<GossipCase> {};
@@ -246,6 +253,12 @@ INSTANTIATE_TEST_SUITE_P(
       const auto& c = info.param;
       return test::case_name("n", c.n, "t", c.t, "_", c.adversary);
     });
+
+TEST(Checkpointing, OneNodeCompletesTrivially) {
+  const auto outcome = run_checkpointing(CheckpointParams::practical(1, 0), nullptr);
+  EXPECT_TRUE(outcome.all_good());
+  EXPECT_EQ(outcome.report.metrics.messages_total, 0);
+}
 
 TEST(Checkpointing, RoundsLinearPlusPolylog) {
   // Theorem 10: O(t + log n log t) rounds.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -478,6 +479,50 @@ TEST(Overlay, BitIdenticalToPinnedDigests) {
         << "n=" << pins[i].spec.n << " degree=" << pins[i].spec.degree << " tag=" << std::hex
         << pins[i].spec.tag;
   }
+  clear_overlay_cache();
+}
+
+TEST(Overlay, SplitPowerIterationBitIdenticalToPinnedLambdas) {
+  // Estimates recorded bit for bit from the serial power iteration, before
+  // its sweeps could be split: a dense overlay (gossip_2k's largest, bitmap
+  // edge set) and a sparse one (consensus_1e5's, hash edge set), both above
+  // the 2^20-entry split threshold. The batch adds a complete graph, which
+  // is built first and fast, so its thread serves the others' sweeps. The
+  // pins are then checked with every sweep split among three threads.
+  struct Pin {
+    OverlaySpec spec;
+    int iters;
+    std::uint64_t digest;
+    std::uint64_t lambda_bits;
+  };
+  const std::vector<Pin> pins = {
+      {{2048, 1280, 0xbbe}, 150, 0xdc489d41bd5403b2ULL, 0x4045f33c114530daULL},
+      {{100000, 12, 0x67}, 60, 0xc1cbb5b8c6bedf5bULL, 0x401a330d02add415ULL},
+  };
+  clear_overlay_cache();
+  const auto graphs = shared_overlays(std::vector<OverlaySpec>{
+      pins[0].spec, pins[1].spec, {2048, 2047, 0}});
+  RowShare share;
+  std::vector<std::thread> servers;
+  for (int i = 0; i < 2; ++i) servers.emplace_back([&share] { share.serve(); });
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const Graph& g = *graphs[i];
+    EXPECT_EQ(digest(g), pins[i].digest) << "pin " << i;
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(second_eigenvalue_estimate(g, pins[i].iters, 0x5eed, &share)),
+        pins[i].lambda_bits)
+        << "pin " << i;
+  }
+  // Each y[v] must be summed in row order whichever thread writes it: a
+  // reordered sum moves λ by an ulp or none, so compare short runs too.
+  for (int iters = 1; iters <= 8; ++iters) {
+    const double split = second_eigenvalue_estimate(*graphs[0], iters, 0x5eed, &share);
+    const double serial = second_eigenvalue_estimate(*graphs[0], iters);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(split), std::bit_cast<std::uint64_t>(serial))
+        << "iters " << iters;
+  }
+  share.close();
+  for (auto& t : servers) t.join();
   clear_overlay_cache();
 }
 

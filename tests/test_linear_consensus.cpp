@@ -102,6 +102,14 @@ TEST(LinearConsensus, DeterministicAcrossRuns) {
   EXPECT_EQ(a.decision, b.decision);
 }
 
+TEST(LinearConsensus, OneNodeDecidesItsInput) {
+  const std::vector<int> inputs = {1};
+  const auto outcome =
+      run_linear_consensus(core::ConsensusParams::single_port(1, 0), inputs, nullptr);
+  EXPECT_TRUE(outcome.all_good());
+  EXPECT_EQ(outcome.decision, std::optional<std::uint64_t>{1});
+}
+
 TEST(LinearConsensus, SinglePortConstraintRespected) {
   // The engine enforces one send + one poll per node per round by
   // construction; verify the expansion factors: sp rounds >= mp rounds and
