@@ -2,8 +2,10 @@
 // throughput with and without payload bodies, at batch sizes m spanning
 // 10^5..10^7 messages. This isolates the per-message constant factor the
 // paper's O(n) communication bounds make the whole ballgame — protocol logic
-// is a trivial fan-out so the measured time is arena append + crash filter +
-// delivery sweep into (receiver, tag) normal form.
+// is a trivial fan-out so the measured time is arena append plus the one
+// delivery pass every round takes: the compaction pass (accounting, with
+// nothing to drop in these fault-free rounds) and the stable sort into
+// (receiver, tag) normal form.
 //
 // Extra flag (stripped before Google Benchmark sees the command line):
 //   --json=PATH   write one flat JSON row per benchmark run (bench, simd,

@@ -88,21 +88,9 @@ std::uint64_t Context::decision() const noexcept {
   return engine_->status_[static_cast<std::size_t>(self_)].decision;
 }
 
-void Context::halt() {
-  auto& s = engine_->status_[static_cast<std::size_t>(self_)];
-  if (!s.halted) {
-    s.halted = true;
-    ++sink_->halts;  // folded into Engine::dead_count_ after the step barrier
-  }
-}
+void Context::halt() { engine_->status_[static_cast<std::size_t>(self_)].halted = true; }
 
-void Context::sleep_until(Round wake_round) {
-  // A node parking itself past the next round disables the clean-round
-  // delivery fast path for this round (a message to it must wake it before
-  // the end-of-round compaction parks it). Worker-local flag, folded later.
-  if (wake_round > engine_->round_ + 1) sink_->slept = true;
-  engine_->do_sleep(self_, wake_round);
-}
+void Context::sleep_until(Round wake_round) { engine_->do_sleep(self_, wake_round); }
 
 void Context::count_fallback() { ++sink_->fallback_pulls; }
 
@@ -265,7 +253,6 @@ Engine::Engine(NodeId n, EngineConfig config)
       wake_at_(static_cast<std::size_t>(n), 0),
       sleeping_(static_cast<std::size_t>(n), 0),
       recv_count_(static_cast<std::size_t>(n), 0),
-      round_sends_(static_cast<std::size_t>(n), 0),
       crash_filter_(static_cast<std::size_t>(n), kNotCrashedThisRound) {
   LFT_ASSERT(n > 0);
   if (config_.telemetry != nullptr) {
@@ -346,13 +333,6 @@ void Engine::do_send(StepSink& sink, NodeId from, NodeId to, std::uint32_t tag,
   // bodyless case inlines at the call site — see engine.hpp).
   LFT_ASSERT(to >= 0 && to < n_);
   LFT_ASSERT(bits >= 1);
-  sink.bits_sum += static_cast<std::int64_t>(bits);
-  if (!status_[static_cast<std::size_t>(from)].byzantine) {
-    ++sink.honest_msgs;
-    sink.honest_bits += static_cast<std::int64_t>(bits);
-  }
-  sink.keys.push_back((static_cast<std::uint32_t>(to) << tag_bits_) | tag);
-  if (tag > sink.max_tag) sink.max_tag = tag;
   Message m;
   m.from = from;
   m.to = to;
@@ -409,7 +389,6 @@ void Engine::do_crash(NodeId v, std::function<bool(const Message&)> keep) {
   ++crashes_used_;
   LFT_ASSERT_MSG(crashes_used_ <= config_.crash_budget, "crash budget exceeded");
   s.crashed = true;
-  ++dead_count_;  // halted nodes returned above are already counted
   s.crash_round = round_;
   crashed_this_round_.push_back(v);
   if (config_.trace != nullptr) ++digest_.crashes;
@@ -509,7 +488,6 @@ void Engine::do_takeover(NodeId v, std::unique_ptr<Process> behavior) {
       sleeping_[vi] = 0;
       --sleeping_count_;
     }
-    if (s.halted) --dead_count_;  // un-halt: the node can receive again
     s.halted = false;
     reactivated_.push_back(v);
   }
@@ -656,13 +634,9 @@ void Engine::step_shard(std::size_t k) {
       const NodeId v = active_[i];
       const std::size_t lo = recv_bounds_[static_cast<std::size_t>(v)];
       const std::size_t hi = recv_bounds_[static_cast<std::size_t>(v) + 1];
-      Context ctx(*this, v, sink, !status_[static_cast<std::size_t>(v)].byzantine, tag_bits_,
-                  config_.trace != nullptr);
+      Context ctx(*this, v, sink, config_.trace != nullptr);
       const Inbox inbox(std::span<const Message>(inbox_.data() + lo, hi - lo));
-      const std::size_t before = sink.msgs.size();
       processes_[static_cast<std::size_t>(v)]->on_round(ctx, inbox);
-      round_sends_[static_cast<std::size_t>(v)] =
-          static_cast<std::uint32_t>(sink.msgs.size() - before);
     }
     return;
   }
@@ -680,13 +654,9 @@ void Engine::step_shard(std::size_t k) {
     std::size_t hi = lo;
     while (hi < inbox_.size() && inbox_[hi].to == v) ++hi;
     cursor = hi;
-    Context ctx(*this, v, sink, !status_[static_cast<std::size_t>(v)].byzantine, tag_bits_,
-                config_.trace != nullptr);
+    Context ctx(*this, v, sink, config_.trace != nullptr);
     const Inbox inbox(std::span<const Message>(inbox_.data() + lo, hi - lo));
-    const std::size_t before = sink.msgs.size();
     processes_[static_cast<std::size_t>(v)]->on_round(ctx, inbox);
-    round_sends_[static_cast<std::size_t>(v)] =
-        static_cast<std::uint32_t>(sink.msgs.size() - before);
   }
 }
 
@@ -697,14 +667,8 @@ void Engine::step_active() {
   for (auto& sink : sinks_) {
     sink.arena[parity].clear();
     sink.msgs.clear();
-    sink.keys.clear();
-    sink.max_tag = 0;
     sink.body_hash = 0;
     sink.header_sum = 0;
-    sink.bits_sum = 0;
-    sink.honest_msgs = 0;
-    sink.honest_bits = 0;
-    sink.slept = false;
   }
 
   const auto workers = sinks_.size();
@@ -713,7 +677,6 @@ void Engine::step_active() {
     for (std::size_t k = 1; k <= workers; ++k) shard_begin_[k] = active_.size();
     step_shard(0);
     outbox_.swap(sinks_[0].msgs);
-    keys_.swap(sinks_[0].keys);
   } else {
     for (std::size_t k = 0; k < workers; ++k) {
       shard_begin_[k] = k * active_.size() / workers;
@@ -728,34 +691,17 @@ void Engine::step_active() {
     for (auto& sink : sinks_) {
       outbox_.insert(outbox_.end(), sink.msgs.begin(), sink.msgs.end());
     }
-    keys_.clear();
-    keys_.reserve(total);
-    for (auto& sink : sinks_) {
-      keys_.insert(keys_.end(), sink.keys.begin(), sink.keys.end());
-    }
   }
 
-  std::uint32_t max_tag = 0;
   for (auto& sink : sinks_) {
     metrics_.fallback_pulls += sink.fallback_pulls;
     sink.fallback_pulls = 0;
-    dead_count_ += sink.halts;  // worker halts, folded after the barrier
-    sink.halts = 0;
-    max_tag = std::max(max_tag, sink.max_tag);
   }
-  // keys_ now mirrors outbox_ 1:1; the sort consumes (and re-validates) it.
-  sent_max_tag_ = max_tag;
-  sent_keys_valid_ = true;
 }
 
 void Engine::sort_batch_normal_form() {
   const std::size_t m = outbox_.size();
   recv_bounds_valid_ = false;
-  // Send-path-built keys are usable only when the batch reached us intact
-  // (compaction rounds cleared the flag; the size check guards adapters that
-  // sort a hand-built batch). One-shot: consumed here either way.
-  const bool sent_keys = sent_keys_valid_ && keys_.size() == m;
-  sent_keys_valid_ = false;
   if (m <= 1) return;
 
   // Fused single-pass counting sort on the combined key
@@ -768,21 +714,19 @@ void Engine::sort_batch_normal_form() {
   // sorts by (to, tag) — and every gate below depends only on
   // (n, tag_bits, m, max_tag).
   const auto n64 = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_));
-  std::uint32_t max_tag = sent_keys ? sent_max_tag_ : 0;
-  bool have_max_tag = sent_keys;
+  std::uint32_t max_tag = 0;
+  bool have_max_tag = false;
   if (m < static_cast<std::size_t>(UINT32_MAX) && (n64 << tag_bits_) <= kMaxFusedDomain) {
     const auto* bytes = reinterpret_cast<const std::byte*>(outbox_.data());
-    if (!sent_keys) {
-      // Stale contents are cleared before growing so the reallocation
-      // copies nothing; every key is rewritten below.
-      if (keys_.capacity() < m) {
-        keys_.clear();
-        keys_.reserve(m);
-      }
-      keys_.resize(m);
-      max_tag = simd::build_keys40(bytes, m, tag_bits_, keys_.data());
-      have_max_tag = true;
+    // Stale contents are cleared before growing so the reallocation copies
+    // nothing; every key is rewritten below.
+    if (keys_.capacity() < m) {
+      keys_.clear();
+      keys_.reserve(m);
     }
+    keys_.resize(m);
+    max_tag = simd::build_keys40(bytes, m, tag_bits_, keys_.data());
+    have_max_tag = true;
     if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
       // Tag outgrew the high-water key width: widen and rebuild once.
       tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
@@ -952,59 +896,11 @@ void Engine::deliver_batch() {
     draining_delayed_ = DelayedBatch{};  // moved-from arena cursors are stale
   }
 
-  // Clean-round fast path: when nobody crashed this round, no fault filter
-  // is armed, no node is crashed/halted, nobody is (going) sleeping, and no
-  // timing fault is armed or in flight, no message can drop, delay, or need
-  // waking — the entire per-message filter pass collapses to O(active)
-  // accounting: the send path already accumulated bits, honest counts, and
-  // (when traced) header digests per sink, and step_shard recorded each
-  // stepped node's send count. The header sum is commutative, so folding the
-  // worker-local accumulators equals what any per-message order would give.
-  // The condition is a pure function of the execution, so taking this path
-  // never changes a Report or RoundDigest bit.
-  bool slept = false;
-  for (const auto& sink : sinks_) slept = slept || sink.slept;
-  if (crashed_this_round_.empty() && !fault_filters_armed_ && dead_count_ == 0 &&
-      sleeping_count_ == 0 && !slept && !delays_armed_) {
-    const std::size_t m = outbox_.size();
-    if (traced) {
-      digest_.sent = m;
-      std::uint64_t header_sum = 0;
-      for (const auto& sink : sinks_) header_sum += sink.header_sum;
-      digest_.payload_hash = digest_messages_final(header_sum, m);
-    }
-    std::int64_t bits_sum = 0;
-    std::int64_t honest_msgs = 0;
-    std::int64_t honest_bits = 0;
-    for (const auto& sink : sinks_) {
-      bits_sum += sink.bits_sum;
-      honest_msgs += sink.honest_msgs;
-      honest_bits += sink.honest_bits;
-    }
-    metrics_.messages_total += static_cast<std::int64_t>(m);
-    metrics_.bits_total += bits_sum;
-    metrics_.messages_honest += honest_msgs;
-    metrics_.bits_honest += honest_bits;
-    // active_ is exactly the stepped set here (compaction happens after
-    // delivery, and a round that halted or crashed anyone took the slow
-    // path), so every entry's round_sends_ slot is fresh.
-    for (const NodeId v : active_) {
-      status_[static_cast<std::size_t>(v)].sends += round_sends_[static_cast<std::size_t>(v)];
-    }
-    metrics_.peak_round_messages =
-        std::max(metrics_.peak_round_messages, static_cast<std::int64_t>(m));
-    sort_batch_normal_form();
-    inbox_.swap(outbox_);
-    outbox_.clear();
-    return;
-  }
-
   // One compaction pass over the arena: drop crashed senders' messages (minus
   // the ones their keep-filter saves), account the survivors, and drop
   // messages whose receiver can no longer accept them. Survivors shift left
   // in place, so the steady state allocates nothing.
   std::size_t kept = 0;
-  sent_keys_valid_ = false;  // compaction breaks the keys_/outbox_ alignment
   const bool fault_filters = fault_filters_armed_;
   // Trace accounting rides the existing drop branches: the sent-batch header
   // sum was accumulated at send time (fields in registers, no extra DRAM
@@ -1117,10 +1013,10 @@ void Engine::deliver_batch() {
   metrics_.peak_round_messages =
       std::max(metrics_.peak_round_messages, static_cast<std::int64_t>(kept_total));
 
-  // Two-pass counting/radix sweep into delivery normal form: group by
-  // (receiver, tag). The arena is appended in ascending sender order and
-  // both passes are stable, so each (receiver, tag) run stays sorted by
-  // sender with per-sender send order preserved.
+  // Stable sort into delivery normal form: group by (receiver, tag). The
+  // arena is appended in ascending sender order and every strategy of the
+  // sort is stable, so each (receiver, tag) run stays sorted by sender with
+  // per-sender send order preserved.
   sort_batch_normal_form();
   inbox_.swap(outbox_);
   outbox_.clear();

@@ -10,12 +10,16 @@
 // sim::Message is a trivially-copyable POD whose body is a view into a
 // round-scoped, double-buffered PayloadArena, so each round's sends append
 // PODs to a contiguous arena (reused across rounds — the steady state
-// performs no per-message allocation), delivery is a two-pass counting/radix
-// sweep that groups the batch by (receiver, tag) in O(m + min(n, d log d))
-// for d distinct receivers, and each receiver gets a zero-copy Inbox view
-// into its slice. Only nodes that are alive and not halted are stepped (the
-// active set shrinks as the execution winds down), so per-round cost is
-// O(active + messages), not O(n).
+// performs no per-message allocation). Delivery is one compaction pass (drop,
+// delay, account) followed by one stable sort by (receiver, tag), whose
+// strategy is picked from the batch size m, n and the tag width: a fused
+// one-pass counting sort on the combined key, the same sort with a two-level
+// cache-blocked scatter for large batches over a large key domain, two LSD
+// counting passes (tag, then receiver) when the dense key domain is too
+// large, or a comparison sort for degenerate tags. Each receiver gets a
+// zero-copy Inbox view into its slice. Only nodes that are alive and not
+// halted are stepped (the active set shrinks as the execution winds down),
+// so per-round cost is O(active + messages), not O(n).
 //
 // Opt-in deterministic parallel stepping (EngineConfig::threads > 1): the
 // active set is sharded across a small persistent worker pool; each worker
@@ -57,14 +61,6 @@ class Engine;
 /// concatenates in shard (= ascending sender) order.
 struct StepSink {
   std::vector<Message> msgs;
-  /// Delivery sort keys built on the send path, 1:1 with msgs: the fused
-  /// counting-sort key (to << tag_bits) | tag under the tag width latched
-  /// when the step began. Shipping the key next to the record saves the
-  /// delivery sweep a full gather pass over the batch (clean rounds consume
-  /// these directly); rounds that compact the batch or outgrow the latched
-  /// tag width rebuild from the records instead.
-  std::vector<std::uint32_t> keys;
-  std::uint32_t max_tag = 0;
   PayloadArena arena[2];  // indexed by round parity
   std::int64_t fallback_pulls = 0;
   /// Trace-hook accumulators for the current round (both stay 0 when
@@ -76,21 +72,6 @@ struct StepSink {
   /// is identical across serial and parallel stepping.
   std::uint64_t body_hash = 0;
   std::uint64_t header_sum = 0;
-  /// Per-round communication accounting, accumulated on the send path and
-  /// consumed by the clean-round delivery fast path (which then never has to
-  /// re-stream the batch): total accounted bits, and the honest (non-
-  /// Byzantine sender) message/bit counts. Rounds that take the compaction
-  /// path ignore these — dropped messages make per-message accounting
-  /// authoritative there.
-  std::int64_t bits_sum = 0;
-  std::int64_t honest_msgs = 0;
-  std::int64_t honest_bits = 0;
-  /// Worker-local per-round flags folded by the coordinator after the step
-  /// barrier (workers may not touch shared engine counters): nodes that
-  /// halted this round, and whether any node parked itself past the next
-  /// round. Both feed the clean-round delivery fast path.
-  std::int64_t halts = 0;
-  bool slept = false;
 };
 
 /// Zero-copy view of one node's delivered batch for the current round.
@@ -168,16 +149,12 @@ class Context {
 
  private:
   friend class Engine;
-  Context(Engine& engine, NodeId self, StepSink& sink, bool honest, unsigned tag_bits,
-          bool traced)
-      : engine_(&engine), self_(self), sink_(&sink), honest_(honest), tag_bits_(tag_bits),
-        traced_(traced) {}
+  Context(Engine& engine, NodeId self, StepSink& sink, bool traced)
+      : engine_(&engine), self_(self), sink_(&sink), traced_(traced) {}
   Engine* engine_;
   NodeId self_;
   StepSink* sink_;
-  bool honest_;        // !byzantine, latched at step time for the send fast path
-  unsigned tag_bits_;  // engine sort-key tag width, latched at step time
-  bool traced_;        // a TraceSink is installed: send accumulates digests
+  bool traced_;  // a TraceSink is installed: send accumulates digests
 };
 
 /// Protocol logic for one node. Implementations are installed per node and
@@ -402,10 +379,11 @@ class Engine {
   /// Filters crashed senders / dead receivers out of the arena, accounts
   /// metrics, and sorts the survivors into delivery normal form.
   void deliver_batch();
-  /// Two-pass counting/radix sort of outbox_ by (receiver, tag): stable by
-  /// construction, O(m + tag_domain + min(n, d log d)) with inbox_ as the
-  /// intermediate buffer. Falls back to a comparison sort for degenerate
-  /// (huge) tag values.
+  /// Stable sort of outbox_ by (receiver, tag), with inbox_ as the scratch
+  /// buffer: a fused one-pass counting sort (direct or two-level scatter)
+  /// when the dense key domain n << tag_bits is affordable, else two LSD
+  /// counting passes in O(m + tag_domain + min(n, d log d)) for d distinct
+  /// receivers, else — for degenerate (huge) tags — a comparison sort.
   void sort_batch_normal_form();
 
   NodeId n_;
@@ -493,16 +471,16 @@ class Engine {
   struct Pool;
   std::unique_ptr<Pool> workers_;
 
-  // Radix-sweep scratch, sized once and cleared via touch lists so per-round
+  // LSD-pass scratch, sized once and cleared via touch lists so per-round
   // cost stays proportional to the batch.
   std::vector<std::uint32_t> tag_count_;
   std::vector<std::uint32_t> recv_count_;  // n entries, all zero between rounds
   std::vector<NodeId> touched_receivers_;
 
-  // Fused single-pass sweep scratch (the fast path of
-  // sort_batch_normal_form): per-message sort keys (to << tag_bits_) | tag,
-  // the dense key histogram, and per-receiver inbox bounds derived from the
-  // scattered histogram. recv_bounds_ is valid only for rounds the fused
+  // Fused single-pass sweep scratch (sort_batch_normal_form's first
+  // choice): per-message sort keys (to << tag_bits_) | tag, the dense key
+  // histogram, and per-receiver inbox bounds derived from the scattered
+  // histogram. recv_bounds_ is valid only for rounds the fused
   // sweep sorted (recv_bounds_valid_); step_shard then slices inboxes by
   // lookup instead of scanning inbox_ for receiver boundaries. tag_bits_ is
   // a high-water mark: it grows when a round's max tag outgrows it and the
@@ -513,28 +491,6 @@ class Engine {
   std::vector<std::uint32_t> recv_bounds_;  // n + 1 entries when valid
   bool recv_bounds_valid_ = false;
   unsigned tag_bits_ = 4;
-  // Set by step_active when keys_ holds send-path-built keys aligned 1:1
-  // with outbox_ (and sent_max_tag_ the batch's max tag); consumed — and
-  // cleared — by the next sort_batch_normal_form. Compaction rounds clear it
-  // before sorting: dropped records break the 1:1 alignment.
-  bool sent_keys_valid_ = false;
-  std::uint32_t sent_max_tag_ = 0;
-
-  // Per-node send counts for the round being stepped, recorded as vector-
-  // length deltas around each on_round call. The clean-round delivery fast
-  // path charges NodeStatus::sends from these in O(active) instead of
-  // re-streaming the batch; compaction rounds count per surviving message
-  // and ignore them. Entries of nodes not stepped this round are stale by
-  // design — consumers only read the stepped set.
-  std::vector<std::uint32_t> round_sends_;
-
-  // Nodes currently crashed or halted. When zero (and no crash / fault
-  // filter / sleep activity this round), no delivered message can drop and
-  // deliver_batch takes the clean-round fast path: run-length sender
-  // accounting over the ascending-sender outbox instead of per-message
-  // status checks and compaction. Maintained by the coordinator only
-  // (worker halts are folded from StepSink::halts after the step barrier).
-  std::int64_t dead_count_ = 0;
 
   // Per-round crash bookkeeping. `crash_filter_` maps a node crashed this
   // round to its keep-filter slot (or -1 for a clean crash); only the entries
@@ -571,12 +527,11 @@ inline Round Context::round() const noexcept { return engine_->round_; }
 // ---- Inline send fast path -------------------------------------------------
 // The bodyless send — the overwhelmingly common case across the shipped
 // protocols and the engine's single hottest operation — inlines into the
-// caller's round loop: two asserts, the per-sink accounting adds, and one
-// 40-byte vector append. Traced runs add one header word to the sink's
-// commutative sum while the fields are in registers, which is how the
-// traced and untraced send paths stay within the recorder-overhead gate of
-// each other. Sends with bodies take the out-of-line Engine::do_send (arena
-// store + store-time body digest).
+// caller's round loop: two asserts and one 40-byte vector append. Traced
+// runs add one header word to the sink's commutative sum while the fields
+// are in registers, which is how the traced and untraced send paths stay
+// within the recorder-overhead gate of each other. Sends with bodies take
+// the out-of-line Engine::do_send (arena store + store-time body digest).
 inline void Context::send(NodeId to, std::uint32_t tag, std::uint64_t value,
                           std::uint64_t bits, PayloadView body) {
   if (!body.empty()) [[unlikely]] {
@@ -586,13 +541,6 @@ inline void Context::send(NodeId to, std::uint32_t tag, std::uint64_t value,
   LFT_ASSERT(to >= 0 && to < engine_->n_);
   LFT_ASSERT(bits >= 1);
   StepSink& sink = *sink_;
-  sink.bits_sum += static_cast<std::int64_t>(bits);
-  if (honest_) [[likely]] {
-    ++sink.honest_msgs;
-    sink.honest_bits += static_cast<std::int64_t>(bits);
-  }
-  sink.keys.push_back((static_cast<std::uint32_t>(to) << tag_bits_) | tag);
-  if (tag > sink.max_tag) sink.max_tag = tag;
   Message m;
   m.from = self_;
   m.to = to;

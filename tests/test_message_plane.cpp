@@ -3,9 +3,10 @@
 // boundary cases, the radix delivery sweep's normal form under duplicate
 // (receiver, tag, sender) triples, pooled single-port payloads, the
 // bit-identity of serial vs parallel stepping on the crash-consensus and
-// gossip workloads, and the stepper x scratch identity matrix (Report
+// gossip workloads, the stepper x scratch identity matrix (Report
 // fingerprint plus every RoundDigest) over fanout, crash consensus, gossip,
-// Byzantine, delay/GST and the two-level scatter.
+// Byzantine, delay/GST and the two-level scatter, and a cross-build pin of
+// a fan-out's accounting and digest stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -494,10 +495,71 @@ TEST(MessagePlaneIdentity, FanoutSteppersScratch) {
   });
 }
 
+TEST(MessagePlanePins, FanoutAccountingMatchesReferenceValues) {
+  // An engine_hotpath-shaped fan-out (8 sends per node per round to pseudo-
+  // random receivers, 7 tags, every third send bodied) whose first four
+  // rounds are clean: nobody crashed, halted or asleep and no fault armed.
+  // Node 7 is Byzantine from the start, so the honest counters exclude its
+  // sends. In round 4 node 11 halts early (later sends to it are lost_dead)
+  // and node 13 sleeps past the next round while the fan-out keeps
+  // addressing it (delivery wakes it). The literals were recorded from the
+  // engine that delivered clean rounds through a separate fast path with
+  // send-time accounting; the single compaction pass must reproduce every
+  // one, serial and parallel.
+  static constexpr NodeId kN = 300;
+  static constexpr Round kRounds = 6;
+  static constexpr int kFan = 8;
+  for (const int threads : {1, 4}) {
+    DigestLog log;
+    EngineConfig config;
+    config.threads = threads;
+    config.trace = &log;
+    Engine engine(kN, config);
+    engine.mark_byzantine(7);
+    const std::vector<std::byte> body(32, std::byte{0x5A});
+    for (NodeId v = 0; v < kN; ++v) {
+      engine.set_process(v, lambda_process([&body, v](Context& ctx, const Inbox&) {
+                           if (ctx.round() >= kRounds || (v == 11 && ctx.round() == 4)) {
+                             ctx.halt();
+                             return;
+                           }
+                           for (int i = 0; i < kFan; ++i) {
+                             const auto to = static_cast<NodeId>(
+                                 (static_cast<std::int64_t>(v) * 31 + i * 17 + ctx.round()) %
+                                 kN);
+                             const auto tag = static_cast<std::uint32_t>(i % 7);
+                             const auto value = static_cast<std::uint64_t>(i);
+                             if (i % 3 == 0) {
+                               ctx.send(to, tag, value, 1 + body.size() * 8, body);
+                             } else {
+                               ctx.send(to, tag, value, 1 + static_cast<std::uint64_t>(i % 2));
+                             }
+                           }
+                           if (v == 13 && ctx.round() == 4) ctx.sleep_until(ctx.round() + 3);
+                         }));
+    }
+    const Report report = engine.run();
+    const std::string label = test::case_name("threads ", threads);
+    EXPECT_TRUE(report.completed) << label;
+    std::int64_t sends = 0;
+    for (const NodeStatus& s : report.nodes) sends += s.sends;
+    EXPECT_EQ(report.metrics.messages_total, 14384) << label;
+    EXPECT_EQ(report.metrics.bits_total, 1400642) << label;
+    EXPECT_EQ(report.metrics.messages_honest, 14336) << label;
+    EXPECT_EQ(report.metrics.bits_honest, 1395968) << label;
+    EXPECT_EQ(report.metrics.max_sends_per_node, 48) << label;
+    EXPECT_EQ(sends, 14384) << label;
+    EXPECT_EQ(test::digest_stream_hash(log.rounds), 0xfcf2933f683ab783ULL) << label;
+    std::uint64_t lost_dead = 0;
+    for (const RoundDigest& d : log.rounds) lost_dead += d.lost_dead;
+    EXPECT_GT(lost_dead, 0u) << label << ": the early halt lost nothing — dead workload";
+  }
+}
+
 TEST(MessagePlaneIdentity, ConsensusWithCrashesSteppersScratch) {
-  // Planned crashes exercise the delivery slow path (compaction invalidates
-  // the send-time sort keys; the traced header sum subtracts dropped
-  // messages).
+  // Planned crashes make the compaction pass drop messages: the crashed
+  // senders' batches shrink before the sort, and the traced header sum
+  // subtracts what was dropped.
   check_identity("consensus", [](const Combo& c) {
     constexpr NodeId kN = 48;
     constexpr std::int64_t kT = 6;

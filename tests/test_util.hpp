@@ -2,18 +2,24 @@
 // names by appending pieces with += — gcc 12 at -O3 flags the equivalent
 // std::string operator+ chains with a spurious -Wrestrict (GCC PR105329),
 // which -Werror turns fatal. `LambdaProcess` scripts an engine node with a
-// per-round lambda.
+// per-round lambda. `digest_stream_hash` folds a RoundDigest stream into
+// one word for cross-build pins.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include <optional>
 
+#include "common/hash.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "singleport/port.hpp"
 
 namespace lft::test {
@@ -57,6 +63,23 @@ class SpLambdaProcess final : public singleport::SinglePortProcess {
 inline std::unique_ptr<sim::Process> sp_lambda(SpLambdaProcess::Fn fn) {
   return std::make_unique<singleport::PortProcess>(
       std::make_unique<SpLambdaProcess>(std::move(fn)));
+}
+
+/// Order-sensitive hash over every field of every RoundDigest in `rounds`.
+/// Pinned as a literal next to a Report fingerprint, it catches a change
+/// that moves every engine configuration alike — which the identity tests,
+/// comparing configurations of one build, cannot see.
+[[nodiscard]] inline std::uint64_t digest_stream_hash(std::span<const sim::RoundDigest> rounds) {
+  std::vector<std::uint64_t> words;
+  words.reserve(rounds.size() * 16);
+  for (const sim::RoundDigest& d : rounds) {
+    words.insert(words.end(),
+                 {static_cast<std::uint64_t>(d.round), d.sent, d.delivered, d.lost_crash,
+                  d.lost_fault, d.lost_dead, d.delayed, d.crashes, d.omissions, d.links,
+                  d.partitions, d.takeovers, d.delays, d.active_hash, d.payload_hash,
+                  d.body_hash});
+  }
+  return hash_words(words);
 }
 
 namespace detail {
