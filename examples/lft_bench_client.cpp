@@ -10,15 +10,15 @@
 // traffic, lose nothing" gate CI runs as service-smoke.
 //
 //   lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]
-//                    [--open-loop=RATE] [--sockets] [--trace=PATH]
+//                    [--open-loop=RATE] [--trace=PATH]
 //                    [--json=PATH] [--server-stats] [--stats-json=PATH]
 //
 // Without --port (or with --port=0) an in-process server is spawned and
-// shut down at the end; --sockets/--trace configure that spawned server, so
-// giving either with --port=N exits 2 rather than being ignored. A port
-// above 65535, like any malformed number, exits 2, and so does --requests
-// below --clients. The first --requests % --clients clients run one request
-// more than the rest, so exactly --requests run.
+// shut down at the end; --trace configures that spawned server, so giving
+// it with --port=N exits 2 rather than being ignored. A port above 65535,
+// like any malformed number or unknown flag, exits 2, and so does
+// --requests below --clients. The first --requests % --clients clients run
+// one request more than the rest, so exactly --requests run.
 // --json writes the run's metrics (req/s, p50/p95/p99 ack latency) in the
 // BENCH_*.json artifact schema. --server-stats fetches the server's
 // telemetry snapshot over the wire (kStatsRequest) after the audit and
@@ -209,7 +209,7 @@ void print_server_histogram(const lft::obs::Snapshot& snapshot) {
 void print_usage() {
   std::printf(
       "usage: lft_bench_client [--port=N] [--requests=N] [--clients=C] [--window=W]\n"
-      "                        [--open-loop=RATE] [--sockets] [--trace=PATH]\n"
+      "                        [--open-loop=RATE] [--trace=PATH]\n"
       "                        [--json=PATH] [--server-stats] [--stats-json=PATH]\n");
 }
 
@@ -221,7 +221,6 @@ int main(int argc, char** argv) {
   int clients = 4;
   std::int64_t window = 4;
   std::int64_t open_rate = 0;
-  bool sockets = false;
   std::string trace_path;
   std::string json_path;
   bool server_stats = false;
@@ -232,7 +231,6 @@ int main(int argc, char** argv) {
                           .on_int("--clients", clients, 1)
                           .on_i64("--window", window, 1)
                           .on_i64("--open-loop", open_rate, 0)
-                          .on_flag("--sockets", sockets)
                           .on_str("--trace", trace_path)
                           .on_str("--json", json_path)
                           .on_flag("--server-stats", server_stats)
@@ -250,10 +248,9 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
-  if (port != 0 && (sockets || !trace_path.empty())) {
-    // Both configure the in-process server; an external one ignores them.
-    std::fprintf(stderr, "bad argument: --sockets and --trace need the in-process server, "
-                         "not --port=%u\n",
+  if (port != 0 && !trace_path.empty()) {
+    // It configures the in-process server; an external one would ignore it.
+    std::fprintf(stderr, "bad argument: --trace needs the in-process server, not --port=%u\n",
                  port);
     print_usage();
     return 2;
@@ -266,7 +263,6 @@ int main(int argc, char** argv) {
   std::uint16_t target_port = port;
   if (port == 0) {
     lft::service::ServerOptions options;
-    options.use_sockets = sockets;
     options.trace_path = trace_path;
     server.emplace(options);
     target_port = server->port();

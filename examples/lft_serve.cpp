@@ -5,13 +5,11 @@
 // the simulator's own round loop (sim::Engine). One slot runs at a time,
 // its rounds to completion between two reactor polls.
 //
-//   lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]
+//   lft_serve [--port=N] [--n=N] [--t=N] [--no-shutdown]
 //             [--trace=PATH] [--stats-dump=PATH] [--stats-interval-ms=MS]
 //
 // --port=0 (default) picks a free port and prints it; a port above 65535,
-// like any malformed number, exits 2. --sockets runs each replica on its
-// own thread behind an AF_UNIX socketpair instead of inline; the engine
-// then steps one socket proxy per replica.
+// like any malformed number or unknown flag, exits 2.
 // --trace=PATH records the first commit slot as an LFTTRACE file that
 // `lft_forensics replay --trace=PATH` re-executes under the sim engine.
 // --no-shutdown ignores client kShutdown frames (run until killed).
@@ -32,7 +30,7 @@ namespace {
 
 void print_usage() {
   std::printf(
-      "usage: lft_serve [--port=N] [--n=N] [--t=N] [--sockets] [--no-shutdown]\n"
+      "usage: lft_serve [--port=N] [--n=N] [--t=N] [--no-shutdown]\n"
       "                 [--trace=PATH] [--stats-dump=PATH] [--stats-interval-ms=MS]\n");
 }
 
@@ -42,7 +40,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   int n = lft::service::kDefaultGroupSize;
   std::int64_t t = lft::service::kDefaultFaultBudget;
-  bool sockets = false;
   bool no_shutdown = false;
   std::string trace_path;
   std::string stats_dump;
@@ -51,7 +48,6 @@ int main(int argc, char** argv) {
                           .on_port("--port", port)
                           .on_int("--n", n, 1)
                           .on_i64("--t", t, 0)
-                          .on_flag("--sockets", sockets)
                           .on_flag("--no-shutdown", no_shutdown)
                           .on_str("--trace", trace_path)
                           .on_str("--stats-dump", stats_dump)
@@ -71,16 +67,14 @@ int main(int argc, char** argv) {
   options.port = port;
   options.n = static_cast<lft::NodeId>(n);
   options.t = t;
-  options.use_sockets = sockets;
   options.allow_shutdown = !no_shutdown;
   options.trace_path = trace_path;
   options.stats_dump_path = stats_dump;
   options.stats_dump_interval_ms = stats_interval_ms;
 
   lft::service::Server server(options);
-  std::printf(
-      "lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld replicas=%s)\n", server.port(), n,
-      static_cast<long long>(t), sockets ? "socketpair threads" : "inline");
+  std::printf("lft_serve: listening on 127.0.0.1:%u (n=%d t=%lld)\n", server.port(), n,
+              static_cast<long long>(t));
   if (!trace_path.empty()) {
     std::printf("lft_serve: first commit slot will be traced to %s\n", trace_path.c_str());
   }

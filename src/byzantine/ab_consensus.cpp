@@ -92,8 +92,10 @@ void AbConsensusProcess::forward_certified(core::ProtocolIo& io) {
   }
 }
 
-void AbConsensusProcess::run_round(Round r, std::span<const sim::Message> inbox,
-                                   core::ProtocolIo& io) {
+void AbConsensusProcess::on_round(sim::Context& ctx, const sim::Inbox& delivered) {
+  const Round r = ctx.round();
+  const std::span<const sim::Message> inbox = delivered.all();
+  core::ContextIo io(ctx);
   const auto& p = cfg_->params;
   const Round ds_end = p.t + 2;              // rounds [0, ds_end): DS
   const Round cert_sign = ds_end;            // sign + broadcast digest sig
@@ -229,10 +231,6 @@ void AbConsensusProcess::run_round(Round r, std::span<const sim::Message> inbox,
     }
     io.halt();
   }
-}
-
-void AbConsensusProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
-  core::drive_on_engine(*this, ctx, inbox);
 }
 
 // ---- Byzantine behaviors -------------------------------------------------------

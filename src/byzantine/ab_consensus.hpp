@@ -49,12 +49,11 @@ struct AbConfig {
   [[nodiscard]] Round duration() const;
 };
 
-/// Honest protocol logic at one node (a core::Program: engine- and
-/// transport-agnostic, driven through ProtocolIo).
-class AbConsensusProcess final : public sim::Process, public core::Program {
+/// Honest protocol logic at one node; its round logic speaks to the engine
+/// through core::ProtocolIo.
+class AbConsensusProcess final : public sim::Process {
  public:
   AbConsensusProcess(std::shared_ptr<const AbConfig> cfg, NodeId self, std::uint64_t input);
-  void run_round(Round r, std::span<const sim::Message> inbox, core::ProtocolIo& io) override;
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
 
   [[nodiscard]] bool has_certified() const noexcept { return certified_.has_value(); }

@@ -31,13 +31,9 @@ CheckpointProcess::CheckpointProcess(std::shared_ptr<const GossipConfig> gossip_
                               [this]() { return gossip_state_.extant.known(); });
 }
 
-void CheckpointProcess::run_round(Round round, std::span<const sim::Message> inbox,
-                                  ProtocolIo& io) {
-  if (driver_.drive(round, inbox, io)) io.halt();
-}
-
 void CheckpointProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
-  drive_on_engine(*this, ctx, inbox);
+  ContextIo io(ctx);
+  if (driver_.drive(ctx.round(), inbox.all(), io)) io.halt();
 }
 
 const DynamicBitset& CheckpointProcess::decided_set() const {

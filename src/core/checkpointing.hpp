@@ -19,12 +19,11 @@ struct CheckpointParams {
   [[nodiscard]] static CheckpointParams practical(NodeId n, std::int64_t t);
 };
 
-class CheckpointProcess final : public sim::Process, public Program {
+class CheckpointProcess final : public sim::Process {
  public:
   CheckpointProcess(std::shared_ptr<const GossipConfig> gossip_cfg,
                     std::shared_ptr<const VectorConsensusConfig> vec_cfg, NodeId self);
 
-  void run_round(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) override;
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
 
   [[nodiscard]] const GossipState& gossip_state() const noexcept { return gossip_state_; }

@@ -8,7 +8,7 @@ namespace {
 
 /// Gossip the inputs as rumors, then vectorized consensus over 2n instances:
 /// [0, n) membership, [n, 2n) membership-with-input-1.
-class AggregateProcess final : public sim::Process, public Program {
+class AggregateProcess final : public sim::Process {
  public:
   AggregateProcess(std::shared_ptr<const GossipConfig> gossip_cfg,
                    std::shared_ptr<const VectorConsensusConfig> vec_cfg, NodeId self,
@@ -32,12 +32,9 @@ class AggregateProcess final : public sim::Process, public Program {
     });
   }
 
-  void run_round(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) override {
-    if (driver_.drive(round, inbox, io)) io.halt();
-  }
-
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override {
-    drive_on_engine(*this, ctx, inbox);
+    ContextIo io(ctx);
+    if (driver_.drive(ctx.round(), inbox.all(), io)) io.halt();
   }
 
   [[nodiscard]] const VectorState& vector_state() const noexcept { return vector_state_; }

@@ -336,13 +336,9 @@ GossipProcess::GossipProcess(std::shared_ptr<const GossipConfig> cfg, NodeId sel
   driver_.add(std::make_unique<GossipFinishStage>(cfg, self, state_, /*decide_at_end=*/true));
 }
 
-void GossipProcess::run_round(Round round, std::span<const sim::Message> inbox,
-                              ProtocolIo& io) {
-  if (driver_.drive(round, inbox, io)) io.halt();
-}
-
 void GossipProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
-  drive_on_engine(*this, ctx, inbox);
+  ContextIo io(ctx);
+  if (driver_.drive(ctx.round(), inbox.all(), io)) io.halt();
 }
 
 // ---- runner -------------------------------------------------------------------------

@@ -124,12 +124,10 @@ class GossipFinishStage final : public Stage {
   bool enable_pull_;
 };
 
-/// Full gossip protocol at one node (a Program: runs under the engine and
-/// on a socket replica unchanged).
-class GossipProcess final : public sim::Process, public Program {
+/// Full gossip protocol at one node.
+class GossipProcess final : public sim::Process {
  public:
   GossipProcess(std::shared_ptr<const GossipConfig> cfg, NodeId self, std::uint64_t rumor);
-  void run_round(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) override;
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
   [[nodiscard]] const GossipState& state() const noexcept { return state_; }
   [[nodiscard]] Round duration() const { return driver_.total_duration(); }

@@ -31,14 +31,10 @@ bool StageDriver::drive(Round round, std::span<const sim::Message> inbox, Protoc
          round - stage_start_ + 1 >= stages_[current_]->duration();
 }
 
-void drive_on_engine(Program& program, sim::Context& ctx, const sim::Inbox& inbox) {
+void StageProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
   ContextIo io(ctx);
-  program.run_round(ctx.round(), inbox.all(), io);
-}
-
-void StageProcess::run_round(Round round, std::span<const sim::Message> inbox,
-                             ProtocolIo& io) {
-  if (driver_.drive(round, inbox, io)) {
+  const Round round = ctx.round();
+  if (driver_.drive(round, inbox.all(), io)) {
     io.halt();
     return;
   }

@@ -6,15 +6,12 @@
 // stage round into send/poll slots using the stage's declared link plans —
 // the Section 8 construction.
 //
-// ProtocolIo is the transport seam: it carries the complete per-round
-// surface a protocol participant needs (send, decide, halt, sleep,
-// fallback accounting), so protocol code never touches sim::Context
-// directly. A Program is one participant driven round by round through
-// that seam; the same Program object runs in-process under the sim::Engine
-// (via the ContextIo adapter) and on a replica thread behind a socket (see
-// net/transport.hpp), whose engine-side proxy replays its effects through
-// sim::Context — which is what lets the service plane serve real traffic
-// with the identical, unforked protocol implementations.
+// ProtocolIo is the per-round seam: it carries the complete surface a
+// protocol participant needs (send, decide, halt, sleep, fallback
+// accounting), so protocol code never touches sim::Context directly. Its two
+// implementations are ContextIo (a node stepped by sim::Engine, in a
+// simulation or a live service slot alike) and the single-port adapter's
+// QueueIo.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +27,8 @@ namespace lft::core {
 
 /// What a protocol participant can do to the outside world during a round.
 /// This is the full per-node surface: the engine's Context (via ContextIo)
-/// and the socket replica's buffering io both implement it, so protocol code
-/// written against ProtocolIo is transport-agnostic.
+/// and the single-port adapter's QueueIo both implement it, so protocol code
+/// written against ProtocolIo runs under either model unchanged.
 class ProtocolIo {
  public:
   virtual ~ProtocolIo() = default;
@@ -52,22 +49,6 @@ class ProtocolIo {
   /// Marks one activation of a certified-pull epilogue (see DESIGN.md).
   virtual void count_fallback() = 0;
 };
-
-/// One protocol participant, driven round by round through ProtocolIo. The
-/// inbox span is the node's delivered batch in the delivery normal form
-/// (grouped by tag ascending, sorted by sender within each tag group).
-/// Implementations signal completion via io.halt() and may request
-/// event-driven parking via io.sleep_until(); they must not retain the
-/// inbox span or any payload view beyond the call.
-class Program {
- public:
-  virtual ~Program() = default;
-  virtual void run_round(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) = 0;
-};
-
-/// Bridges a Program to the engine: the one place protocol code meets
-/// sim::Context. Every protocol Process::on_round forwards here.
-void drive_on_engine(Program& program, sim::Context& ctx, const sim::Inbox& inbox);
 
 /// Static per-round link bounds (identical at every node), used by the
 /// single-port adapter to size its send/poll slots.
@@ -171,9 +152,8 @@ class StageDriver {
 };
 
 /// Multi-port driver process for protocols whose shared state is a
-/// BinaryState (AEA, SCV, both consensus algorithms). Implements Program,
-/// so the same object runs under the engine and on a socket replica.
-class StageProcess final : public sim::Process, public Program {
+/// BinaryState (AEA, SCV, both consensus algorithms).
+class StageProcess final : public sim::Process {
  public:
   explicit StageProcess(NodeId self) : self_(self) {}
 
@@ -183,10 +163,7 @@ class StageProcess final : public sim::Process, public Program {
   [[nodiscard]] Round total_duration() const { return driver_.total_duration(); }
   [[nodiscard]] StageDriver& driver() noexcept { return driver_; }
 
-  void run_round(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) override;
-  void on_round(sim::Context& ctx, const sim::Inbox& inbox) override {
-    drive_on_engine(*this, ctx, inbox);
-  }
+  void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
 
   /// Post-run inspection.
   [[nodiscard]] const BinaryState& state() const noexcept { return state_; }
@@ -208,11 +185,10 @@ class StageProcess final : public sim::Process, public Program {
   BinaryState state_;
 };
 
-/// Adapts the engine context to ProtocolIo: one of the two transport-seam
-/// implementations (the other is the socket replica's buffering io in
-/// net/transport.cpp). A zero-cost forwarding shim — every method inlines to
-/// the corresponding Context call, so driving protocols through the seam
-/// costs nothing on the engine hot path.
+/// Adapts the engine context to ProtocolIo: every protocol Process's
+/// on_round drives its stages through one. A zero-cost forwarding shim —
+/// every method inlines to the corresponding Context call, so driving
+/// protocols through the seam costs nothing on the engine hot path.
 class ContextIo final : public ProtocolIo {
  public:
   explicit ContextIo(sim::Context& ctx) : ctx_(&ctx) {}

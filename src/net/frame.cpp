@@ -24,14 +24,6 @@ void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payloa
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-bool send_frame(const Fd& fd, std::span<const std::byte> payload) {
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  std::byte prefix[sizeof(len)];
-  std::memcpy(prefix, &len, sizeof(len));
-  return send_all(fd, std::span<const std::byte>(prefix, sizeof(len))) &&
-         send_all(fd, payload);
-}
-
 bool recv_frame(const Fd& fd, std::vector<std::byte>& payload) {
   std::byte prefix[sizeof(std::uint32_t)];
   if (!recv_all(fd, std::span<std::byte>(prefix, sizeof(prefix)))) return false;

@@ -1,8 +1,8 @@
 // Length-prefixed framing over stream sockets: every frame is a u32
-// little-endian payload length followed by the payload bytes. Lock-step
-// endpoints (the socket replicas) use the blocking send_frame/recv_frame;
-// the service server (nonblocking sessions) and its clients read into a
-// FrameParser and drain whatever complete frames have arrived.
+// little-endian payload length followed by the payload bytes. The service
+// server (nonblocking sessions) and its clients read into a FrameParser and
+// drain whatever complete frames have arrived; a blocking reader can take
+// one whole frame with recv_frame.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +21,8 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 26;  // 64 MiB
 /// Appends [u32 len][payload] to `out`.
 void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payload);
 
-/// Blocking whole-frame send/receive for lock-step endpoints. recv_frame
-/// returns false on EOF, error, or an oversized length prefix.
-[[nodiscard]] bool send_frame(const Fd& fd, std::span<const std::byte> payload);
+/// Blocking whole-frame receive; false on EOF, error, or an oversized
+/// length prefix.
 [[nodiscard]] bool recv_frame(const Fd& fd, std::vector<std::byte>& payload);
 
 /// Incremental frame parser: writable()/commit() exposes the buffer tail

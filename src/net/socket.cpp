@@ -60,12 +60,6 @@ Fd accept_one(const Fd& listener) {
   return accepted;
 }
 
-std::pair<Fd, Fd> socket_pair() {
-  int fds[2] = {-1, -1};
-  LFT_ASSERT_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0, "socketpair() failed");
-  return {Fd(fds[0]), Fd(fds[1])};
-}
-
 void set_nonblocking(const Fd& fd, bool nonblocking) {
   const int flags = ::fcntl(fd.get(), F_GETFL, 0);
   LFT_ASSERT(flags >= 0);
@@ -75,7 +69,7 @@ void set_nonblocking(const Fd& fd, bool nonblocking) {
 
 void set_nodelay(const Fd& fd) {
   const int one = 1;
-  // Fails harmlessly on non-TCP sockets (AF_UNIX pairs).
+  // Fails harmlessly on non-TCP sockets.
   (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 

@@ -1,7 +1,7 @@
-// Thin POSIX socket layer for the live transport and the service plane:
-// RAII fds, localhost TCP helpers, socketpair endpoints, and whole-buffer
-// send/recv loops. Everything here is Linux-flavored (epoll lives next door
-// in net/epoll.hpp); SIGPIPE is suppressed per send with MSG_NOSIGNAL.
+// Thin POSIX socket layer for the service plane: RAII fds, localhost TCP
+// helpers, and whole-buffer send/recv loops. Everything here is
+// Linux-flavored (epoll lives next door in net/epoll.hpp); SIGPIPE is
+// suppressed per send with MSG_NOSIGNAL.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +47,9 @@ class Fd {
 /// Accepts one pending connection; invalid Fd if none is pending.
 [[nodiscard]] Fd accept_one(const Fd& listener);
 
-/// A connected AF_UNIX stream pair (hub end, replica end).
-[[nodiscard]] std::pair<Fd, Fd> socket_pair();
-
 void set_nonblocking(const Fd& fd, bool nonblocking);
-/// Disables Nagle on TCP sockets (no-op on AF_UNIX): round-trip latency
-/// dominates the lock-step protocol, not throughput.
+/// Disables Nagle on TCP sockets: a small proposal or ack must leave at
+/// once, not wait to coalesce.
 void set_nodelay(const Fd& fd);
 
 /// Blocking whole-buffer send; returns false when the peer is gone.

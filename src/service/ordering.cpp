@@ -5,7 +5,6 @@
 #include "common/assert.hpp"
 #include "core/consensus.hpp"
 #include "core/params.hpp"
-#include "net/transport.hpp"
 
 namespace lft::service {
 
@@ -25,16 +24,6 @@ class Borrowed final : public sim::Process {
 
 }  // namespace
 
-std::vector<std::unique_ptr<core::Program>> make_slot_programs(NodeId n, std::int64_t t) {
-  const auto params = core::ConsensusParams::practical(n, t);
-  std::vector<std::unique_ptr<core::Program>> programs;
-  programs.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    programs.push_back(core::make_few_crashes_process(params, v, /*input=*/1));
-  }
-  return programs;
-}
-
 SlotOutcome evaluate_slot(sim::Report report) {
   SlotOutcome out;
   out.committed = report.completed;
@@ -53,25 +42,14 @@ SlotOutcome run_slot_on_engine(NodeId n, std::int64_t t, const core::RunOptions&
   return evaluate_slot(core::run_system(n, t, factory, /*adversary=*/nullptr, options));
 }
 
-SlotContext::SlotContext(NodeId n, std::int64_t t, bool use_sockets)
-    : n_(n), t_(t), use_sockets_(use_sockets) {}
-
-SlotContext::~SlotContext() = default;
-
 void SlotContext::begin(sim::TraceSink* trace) {
-  // The last slot's engine goes first: it borrows the processes (or socket
-  // proxies) and hands its buffers back to scratch_ for the next one.
+  // The last slot's engine goes first: it borrows the processes and hands
+  // its buffers back to scratch_ for the next one.
   engine_.reset();
   sim::EngineConfig config;
   config.scratch = &scratch_;
   config.trace = trace;
   engine_.emplace(n_, config);
-  if (use_sockets_) {
-    sockets_.reset();  // joins the last slot's replica threads
-    sockets_ = std::make_unique<net::SocketTransport>(make_slot_programs(n_, t_));
-    for (NodeId v = 0; v < n_; ++v) engine_->set_process(v, sockets_->proxy());
-    return;
-  }
   const auto params = core::ConsensusParams::practical(n_, t_);
   processes_.resize(static_cast<std::size_t>(n_));
   for (NodeId v = 0; v < n_; ++v) {

@@ -1,8 +1,8 @@
 // The service's ordering engine: each commit slot is one fault-free
 // Few-Crashes-Consensus execution (Figure 3) over the replica group, every
 // input 1 ("commit the pending batch"). The slot is seed-independent by
-// construction, and a live slot is stepped by sim::Engine itself — over
-// in-process Processes or over socket proxies — so a trace recorded from a
+// construction, and a live slot is stepped by sim::Engine itself over the
+// same in-process Processes a simulation runs, so a trace recorded from a
 // live slot replays bit-for-bit against the registered
 // "service_slot_commit" scenario: the bridge that puts live service bugs in
 // reach of the forensics plane (lft_forensics replay / shrink).
@@ -16,10 +16,6 @@
 #include "core/run_options.hpp"
 #include "sim/engine.hpp"
 
-namespace lft::net {
-class SocketTransport;
-}  // namespace lft::net
-
 namespace lft::service {
 
 /// Default replica group shape: 7 replicas tolerating 1 crash.
@@ -30,11 +26,6 @@ inline constexpr std::int64_t kDefaultFaultBudget = 1;
 /// what lets `lft_forensics replay` re-execute them under the engine.
 inline constexpr const char* kSlotScenarioName = "service_slot_commit";
 
-/// Builds the consensus Programs for one commit slot: Few-Crashes-Consensus
-/// at ConsensusParams::practical(n, t), every node's input 1.
-[[nodiscard]] std::vector<std::unique_ptr<core::Program>> make_slot_programs(NodeId n,
-                                                                             std::int64_t t);
-
 /// Verdict of one slot.
 struct SlotOutcome {
   sim::Report report;
@@ -44,9 +35,10 @@ struct SlotOutcome {
 [[nodiscard]] SlotOutcome evaluate_slot(sim::Report report);
 
 /// The reference execution: the same slot as a fresh run_system call,
-/// fault-free. SlotContext's pooled and socket-backed slots must match it
-/// bit for bit (Report and trace digests) — the equivalence the twin tests
-/// pin down and the forensics replay path depends on.
+/// fault-free: Few-Crashes-Consensus at ConsensusParams::practical(n, t),
+/// every node's input 1. SlotContext's pooled slots must match it bit for
+/// bit (Report and trace digests) — the equivalence the twin tests pin down
+/// and the forensics replay path depends on.
 [[nodiscard]] SlotOutcome run_slot_on_engine(NodeId n, std::int64_t t,
                                              const core::RunOptions& options = {});
 
@@ -54,15 +46,12 @@ struct SlotOutcome {
 /// buffers for one slot, reusable across slots. begin() *resets* the pooled
 /// StageProcesses instead of reconstructing them and builds a fresh
 /// sim::Engine over them that adopts this context's EngineScratch, so every
-/// slot reuses the last one's message buffers. In sockets mode the engine
-/// steps one proxy per replica thread instead (net::SocketTransport); those
-/// threads own their Programs, so that path builds fresh replicas per slot.
-/// A reset context executes bit-identically to a freshly built one — the
-/// pooled-slot twin tests pin this down.
+/// slot reuses the last one's message buffers. A reset context executes
+/// bit-identically to a freshly built one — the pooled-slot twin tests pin
+/// this down.
 class SlotContext {
  public:
-  SlotContext(NodeId n, std::int64_t t, bool use_sockets);
-  ~SlotContext();
+  SlotContext(NodeId n, std::int64_t t) : n_(n), t_(t) {}
   SlotContext(const SlotContext&) = delete;
   SlotContext& operator=(const SlotContext&) = delete;
 
@@ -79,11 +68,8 @@ class SlotContext {
  private:
   NodeId n_;
   std::int64_t t_;
-  bool use_sockets_;
-  /// Loopback: the pooled Processes, built on the first begin().
+  /// The pooled Processes, built on the first begin().
   std::vector<std::unique_ptr<core::StageProcess>> processes_;
-  /// Sockets: this slot's replica threads.
-  std::unique_ptr<net::SocketTransport> sockets_;
   sim::EngineScratch scratch_;
   /// Declared last so it is destroyed first: it borrows everything above.
   std::optional<sim::Engine> engine_;

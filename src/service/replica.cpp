@@ -8,7 +8,7 @@
 namespace lft::service {
 
 ReplicaGroup::ReplicaGroup(ReplicaGroupOptions options)
-    : options_(std::move(options)), ctx_(options_.n, options_.t, options_.use_sockets) {
+    : options_(std::move(options)), ctx_(options_.n, options_.t) {
   LFT_ASSERT_MSG(options_.n >= 1 && options_.t >= 0 && options_.t < options_.n,
                  "replica group needs 0 <= t < n");
   machines_.resize(static_cast<std::size_t>(options_.n));

@@ -1,8 +1,8 @@
 // ReplicaGroup: the service's replication core. Each committed batch runs
-// one consensus slot (service/ordering.hpp) on sim::Engine — over in-process
-// Processes, or over proxies of net::SocketTransport's replica threads —
-// and is then applied to every replica's StateMachine; the group asserts all
-// replicas applied identically (equal log digests) before acknowledging.
+// one consensus slot (service/ordering.hpp) on sim::Engine over in-process
+// Processes, and is then applied to every replica's StateMachine; the group
+// asserts all replicas applied identically (equal log digests) before
+// acknowledging.
 //
 // One slot runs at a time: enqueue() starts a batch's slot, step() advances
 // it one lock-step round until head_ready(), and take_head() applies the
@@ -35,10 +35,6 @@ namespace lft::service {
 struct ReplicaGroupOptions {
   NodeId n = kDefaultGroupSize;
   std::int64_t t = kDefaultFaultBudget;
-  /// false: slot Processes run inline on the engine; true: each replica
-  /// runs on its own thread behind a socketpair (net::SocketTransport) and
-  /// the engine steps a proxy per replica.
-  bool use_sockets = false;
   /// When non-empty, the first slot's execution is recorded and saved here
   /// as an LFTTRACE frame replayable by `lft_forensics replay`.
   std::string trace_path;

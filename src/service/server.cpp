@@ -45,8 +45,7 @@ Server::Instruments::Instruments(obs::Registry& registry)
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      group_(ReplicaGroupOptions{options_.n, options_.t, options_.use_sockets,
-                                 options_.trace_path}),
+      group_(ReplicaGroupOptions{options_.n, options_.t, options_.trace_path}),
       obs_(registry_) {
   port_ = options_.port;
   listener_ = net::listen_tcp(port_);

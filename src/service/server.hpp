@@ -31,9 +31,6 @@ struct ServerOptions {
   std::uint16_t port = 0;  ///< 0 picks a free port; see Server::port()
   NodeId n = kDefaultGroupSize;
   std::int64_t t = kDefaultFaultBudget;
-  /// Replica Programs behind socketpair threads (net::SocketTransport)
-  /// instead of inline on the slot's engine.
-  bool use_sockets = false;
   /// Honor kShutdown frames (tests and benches stop the server this way).
   bool allow_shutdown = true;
   /// When set, the first commit slot is recorded as an LFTTRACE file.

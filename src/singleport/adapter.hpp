@@ -52,8 +52,8 @@ class SinglePortStageProcess final : public SinglePortProcess {
               sim::PayloadView body) override;
     void decide(std::uint64_t value) override { ctx_->decide(value); }
     // Lifecycle control stays with the adapter: stages only send/decide
-    // (halting and parking are Program-wrapper concerns), so these are
-    // unreachable from the wrapped stage and deliberately inert.
+    // (halting and parking belong to the Process driving the stages), so
+    // these are unreachable from the wrapped stage and deliberately inert.
     void halt() override {}
     void sleep_until(Round /*wake_round*/) override {}
     void count_fallback() override { ctx_->count_fallback(); }

@@ -158,8 +158,8 @@ TEST(Docs, ArchitectureDocCoversTheTransportSeam) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :
        {"transport seam", "one round loop", "Engine::step", "SlotContext",
-        "SocketTransport", "proxy", "twin property", "service_slot_commit",
-        "docs/service.md", "PortProcess"}) {
+        "pooled slot == fresh `run_system`", "one replica placement", "twin property",
+        "service_slot_commit", "docs/service.md", "PortProcess"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";
   }
@@ -226,7 +226,7 @@ TEST(DocsService, CoversTheServicePlaneContracts) {
   const auto markdown = read_file(docs_path("service.md"));
   for (const char* needle :
        {"StateMachine", "dedup", "chained digest", "ReplicaGroup", "consensus slot",
-        "sim::Engine", "SlotContext", "SocketTransport", "service_slot_commit",
+        "sim::Engine", "SlotContext", "Why there is no sockets mode", "service_slot_commit",
         "LFTTRACE", "lft_forensics replay", "lft_serve", "lft_bench_client",
         "5t < n", "BENCH_service"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)

@@ -1,7 +1,7 @@
 // The service plane: replicated state machine semantics (dedup, digests),
 // the twin property (a pooled live slot, stepped by sim::Engine over
-// in-process Processes or over SocketTransport proxies, produces Reports and
-// trace digests bit-identical to a fresh run_system execution), live-trace
+// in-process Processes, produces Reports and trace digests bit-identical to
+// a fresh run_system execution), live-trace
 // forensics replay, and the lft_serve server / client loop over real TCP
 // sockets.
 #include <gtest/gtest.h>
@@ -149,9 +149,9 @@ TwinRun run_on_engine(NodeId n, std::int64_t t) {
   return r;
 }
 
-TwinRun run_on_transport(NodeId n, std::int64_t t, bool sockets) {
+TwinRun run_on_transport(NodeId n, std::int64_t t) {
   forensics::TraceRecorder recorder;
-  SlotContext slot(n, t, sockets);
+  SlotContext slot(n, t);
   slot.begin(&recorder);
   while (slot.step()) {
   }
@@ -176,26 +176,17 @@ void expect_twin(const TwinRun& engine, const TwinRun& live, const char* label) 
 
 TEST(TransportSeam, LoopbackDriverIsBitIdenticalToEngine) {
   const auto engine = run_on_engine(7, 1);
-  const auto live = run_on_transport(7, 1, /*sockets=*/false);
+  const auto live = run_on_transport(7, 1);
   expect_twin(engine, live, "loopback n=7");
   EXPECT_EQ(engine.outcome.report.rounds, live.outcome.report.rounds);
-}
-
-TEST(TransportSeam, SocketTransportIsBitIdenticalToEngine) {
-  const auto engine = run_on_engine(7, 1);
-  const auto live = run_on_transport(7, 1, /*sockets=*/true);
-  expect_twin(engine, live, "sockets n=7");
 }
 
 TEST(TransportSeam, TwinHoldsAcrossShapes) {
   // Shapes honoring Few-Crashes-Consensus's 5t < n requirement.
   for (const auto& [n, t] : {std::pair<NodeId, std::int64_t>{6, 1}, {12, 2}, {25, 4}}) {
     const auto engine = run_on_engine(n, t);
-    for (const bool sockets : {false, true}) {
-      const auto live = run_on_transport(n, t, sockets);
-      expect_twin(engine, live,
-                  ((sockets ? "sockets n=" : "loopback n=") + std::to_string(n)).c_str());
-    }
+    const auto live = run_on_transport(n, t);
+    expect_twin(engine, live, ("loopback n=" + std::to_string(n)).c_str());
   }
 }
 
@@ -416,20 +407,6 @@ TEST(ServiceServer, LinearizabilitySmokeAcrossConcurrentClients) {
   const auto state = reader.read_state();
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->size, static_cast<std::uint64_t>(kClients * kPerClient));
-}
-
-TEST(ServiceServer, ServesOverSocketTransportReplicas) {
-  ServerOptions options;
-  options.use_sockets = true;
-  RunningServer rs(options);
-  Client client(rs.server.port(), /*client_id=*/5);
-  ASSERT_TRUE(client.connected());
-  const auto a = client.propose(1, bytes_of("over sockets"));
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->index, 0u);
-  const auto state = client.read_state();
-  ASSERT_TRUE(state.has_value());
-  EXPECT_EQ(state->size, 1u);
 }
 
 // ---- frame delivery at adversarial granularity ------------------------------
