@@ -6,10 +6,10 @@
 // isolates the scratch-recycling gain from multiplexing proper). --json=PATH
 // captures the rows in the BENCH_*.json artifact schema.
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/cpus.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/fleet.hpp"
 #include "table_main.hpp"
@@ -54,11 +54,10 @@ double run_fleet_ms(const std::vector<SweepItem>& items, int threads) {
 }
 
 void print_fleet_table(JsonRows* json) {
-  const unsigned cores = std::thread::hardware_concurrency();
   banner("fleet throughput",
          "aggregate instances/sec over a mixed scenario batch: serial loop vs. "
          "instance-multiplexed FleetRunner (>= 2x expected at 8 workers on >= 8 cores)");
-  std::printf("hardware threads: %u\n\n", cores);
+  std::printf("usable CPUs: %d\n\n", usable_cpus());
 
   const auto items = fleet_batch(/*seeds_per_cell=*/16);  // 4 scenarios x 16 seeds x 2 sizes
   const auto count = static_cast<std::int64_t>(items.size());

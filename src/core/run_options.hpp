@@ -22,13 +22,15 @@ class TraceSink;
 
 namespace lft::core {
 
-/// Per-execution knobs, defaulting to a cold serial untraced run.
+/// Per-execution knobs, defaulting to a cold untraced run whose stepper is
+/// sized by the machine.
 struct RunOptions {
   /// Safety cap on executed rounds; Report::completed is false when hit.
   Round max_rounds = Round{1} << 22;
   /// Worker threads for the engine's deterministic parallel stepper;
-  /// 1 = serial. Reports are bit-identical for every value.
-  int threads = 1;
+  /// 1 = serial, 0 (the default) = derived from the usable CPUs (see
+  /// sim::EngineConfig::threads). Reports are bit-identical for every value.
+  int threads = 0;
   /// Optional recycled engine buffers (fleet mode); non-owning, may back at
   /// most one live engine at a time. nullptr = allocate fresh.
   sim::EngineScratch* scratch = nullptr;

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/cpus.hpp"
 #include "common/rng.hpp"
 #include "graph/families.hpp"
 #include "graph/properties.hpp"
@@ -153,7 +154,7 @@ void run(Job& job, RowShare* share) {
 
 /// Builds every job before returning: largest first, off one shared index,
 /// on the caller plus one short-lived thread per further large job (at most
-/// hardware_concurrency() in all). A thread that finds the index exhausted
+/// usable_cpus() in all). A thread that finds the index exhausted
 /// serves row blocks of the power iterations still running until the last
 /// build is done.
 void run_all(std::vector<Job>& jobs) {
@@ -164,7 +165,7 @@ void run_all(std::vector<Job>& jobs) {
       std::count_if(jobs.begin(), jobs.end(),
                     [](const Job& j) { return entries(j.spec) >= kConcurrentMinEntries; }));
   const std::size_t workers =
-      std::min<std::size_t>(large, std::max(1U, std::thread::hardware_concurrency()));
+      std::min<std::size_t>(large, static_cast<std::size_t>(usable_cpus()));
 
   RowShare rows;
   RowShare* const share = workers > 1 ? &rows : nullptr;

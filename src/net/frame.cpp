@@ -24,15 +24,6 @@ void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payloa
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-bool recv_frame(const Fd& fd, std::vector<std::byte>& payload) {
-  std::byte prefix[sizeof(std::uint32_t)];
-  if (!recv_all(fd, std::span<std::byte>(prefix, sizeof(prefix)))) return false;
-  const std::uint32_t len = read_len(prefix);
-  if (len > kMaxFrameBytes) return false;
-  payload.resize(len);
-  return len == 0 || recv_all(fd, std::span<std::byte>(payload.data(), len));
-}
-
 void FrameParser::compact_or_grow(std::size_t tail_needed) {
   // Compact once the consumed prefix dominates, keeping fills amortized
   // linear without re-copying on every frame.

@@ -1,8 +1,7 @@
 // Length-prefixed framing over stream sockets: every frame is a u32
 // little-endian payload length followed by the payload bytes. The service
 // server (nonblocking sessions) and its clients read into a FrameParser and
-// drain whatever complete frames have arrived; a blocking reader can take
-// one whole frame with recv_frame.
+// drain whatever complete frames have arrived.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +19,6 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 26;  // 64 MiB
 
 /// Appends [u32 len][payload] to `out`.
 void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payload);
-
-/// Blocking whole-frame receive; false on EOF, error, or an oversized
-/// length prefix.
-[[nodiscard]] bool recv_frame(const Fd& fd, std::vector<std::byte>& payload);
 
 /// Incremental frame parser: writable()/commit() exposes the buffer tail
 /// so the socket read lands directly in the parser, and next_view() hands

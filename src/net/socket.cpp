@@ -126,18 +126,4 @@ IoResult writev_some(const Fd& fd, std::span<const std::byte> a,
   }
 }
 
-bool recv_all(const Fd& fd, std::span<std::byte> bytes) {
-  std::size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t k = ::recv(fd.get(), bytes.data() + got, bytes.size() - got, 0);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (k == 0) return false;
-    got += static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
 }  // namespace lft::net

@@ -1,5 +1,5 @@
 // Thin POSIX socket layer for the service plane: RAII fds, localhost TCP
-// helpers, and whole-buffer send/recv loops. Everything here is
+// helpers, and a whole-buffer send loop. Everything here is
 // Linux-flavored (epoll lives next door in net/epoll.hpp); SIGPIPE is
 // suppressed per send with MSG_NOSIGNAL.
 #pragma once
@@ -54,8 +54,6 @@ void set_nodelay(const Fd& fd);
 
 /// Blocking whole-buffer send; returns false when the peer is gone.
 [[nodiscard]] bool send_all(const Fd& fd, std::span<const std::byte> bytes);
-/// Blocking whole-buffer receive; returns false on EOF or error.
-[[nodiscard]] bool recv_all(const Fd& fd, std::span<std::byte> bytes);
 
 /// Result of one nonblocking I/O attempt: `n` bytes moved (0 when the
 /// socket would block) or closed/error.

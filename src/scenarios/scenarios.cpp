@@ -269,7 +269,7 @@ std::vector<Scenario> build_registry() {
   list.push_back(make_planned(
       "crash_burst_flood", "few_crashes", "crash", 600, 100,
       "all t crash in one burst at flood start; n=600 is sized for the parallel stepper, "
-      "which only threads > 1 engages (default runs step serially)",
+      "which the default threads derive from the usable CPUs (fleet workers step serially)",
       [](std::uint64_t seed, NodeId n, std::int64_t t) {
         sim::FaultPlan plan;
         plan.burst_crashes(n, t, 1, seed * 31 + 1);
@@ -754,9 +754,9 @@ std::vector<Scenario> build_registry() {
 
   list.push_back(make_min_flood(
       "delay_parallel_flood", "delay", 600, 75,
-      "n=600, sized for the parallel stepper (engaged only at threads > 1; default runs "
-      "step serially), with every message jittered in [1, 2]; the delay queue must stay "
-      "bit-identical across thread counts",
+      "n=600, sized for the parallel stepper (the default threads derive its width from "
+      "the usable CPUs; fleet workers step serially), with every message jittered in "
+      "[1, 2]; the delay queue must stay bit-identical across thread counts",
       [](std::uint64_t seed, NodeId, std::int64_t) {
         sim::FaultPlan plan;
         plan.with_seed(seed * 31 + 21).delay_all(0, sim::kRoundForever, 1, 2);

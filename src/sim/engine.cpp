@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/cpus.hpp"
 #include "common/simd.hpp"
 #include "obs/obs.hpp"
 
@@ -23,6 +24,13 @@ constexpr std::uint32_t kMaxCountingTag = 1u << 16;
 // worker pool: the barrier handshake would dominate. Purely a latency knob —
 // results are bit-identical either way.
 constexpr std::size_t kParallelMinActive = 256;
+// Cap on a derived worker count: past 4 the serial rest of a round
+// dominates (measured in docs/architecture.md, The parallel stepper).
+constexpr int kMaxDerivedThreads = 4;
+thread_local bool t_step_serially = false;
+// Delay buckets a scratch keeps: one execution's in-flight due rounds at
+// lags up to 2 (the pending two plus the one draining).
+constexpr std::size_t kRecycledBuckets = 3;
 // Cap on the fused delivery sweep's key domain (n << tag_bits): bounds the
 // dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
 constexpr std::uint64_t kMaxFusedDomain = 1u << 22;
@@ -107,37 +115,10 @@ bool EngineView::halted(NodeId v) const noexcept {
   return engine_->status_[static_cast<std::size_t>(v)].halted;
 }
 
-bool EngineView::decided(NodeId v) const noexcept {
-  return engine_->status_[static_cast<std::size_t>(v)].decided;
-}
-
-bool EngineView::byzantine(NodeId v) const noexcept {
-  return engine_->status_[static_cast<std::size_t>(v)].byzantine;
-}
-
-bool EngineView::send_omission(NodeId v) const noexcept {
-  const auto& omit = engine_->omit_state_;
-  return !omit.empty() && (omit[static_cast<std::size_t>(v)] & Engine::kOmitSend) != 0;
-}
-
-bool EngineView::recv_omission(NodeId v) const noexcept {
-  const auto& omit = engine_->omit_state_;
-  return !omit.empty() && (omit[static_cast<std::size_t>(v)] & Engine::kOmitRecv) != 0;
-}
-
-std::int64_t EngineView::crashes_used() const noexcept { return engine_->crashes_used_; }
-std::int64_t EngineView::crash_budget() const noexcept { return engine_->config_.crash_budget; }
 std::int64_t EngineView::omissions_used() const noexcept { return engine_->omissions_used_; }
-std::int64_t EngineView::omission_budget() const noexcept {
-  return engine_->config_.omission_budget;
-}
-std::int64_t EngineView::takeovers_used() const noexcept { return engine_->takeovers_used_; }
-std::int64_t EngineView::byzantine_budget() const noexcept {
-  return engine_->config_.byzantine_budget;
-}
 
 std::span<const Message> EngineView::pending_sends() const noexcept {
-  return engine_->outbox_;
+  return engine_->sinks_[0].msgs;
 }
 
 const Process* EngineView::process(NodeId v) const noexcept {
@@ -245,6 +226,8 @@ struct Engine::Pool {
 
 // ---- Engine ----------------------------------------------------------------
 
+void step_serially_on_this_thread() noexcept { t_step_serially = true; }
+
 Engine::Engine(NodeId n, EngineConfig config)
     : n_(n),
       config_(config),
@@ -260,8 +243,12 @@ Engine::Engine(NodeId n, EngineConfig config)
   }
   active_.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) active_.push_back(v);
-  const int workers = std::clamp(config_.threads, 1, 64);
-  config_.threads = workers;
+  int workers = 1;
+  if (static_cast<std::size_t>(n_) >= kParallelMinActive) {
+    workers = config_.threads >= 1 ? std::min(config_.threads, 64)
+              : t_step_serially    ? 1
+                                   : std::min(usable_cpus(), kMaxDerivedThreads);
+  }
   sinks_.resize(static_cast<std::size_t>(workers));
   shard_begin_.assign(static_cast<std::size_t>(workers) + 1, 0);
   if (config_.scratch != nullptr) {
@@ -269,8 +256,7 @@ Engine::Engine(NodeId n, EngineConfig config)
     // and arena chunks carry over from the previous execution in this slot.
     EngineScratch& scratch = *config_.scratch;
     ++scratch.adoptions;
-    if (scratch.outbox.capacity() != 0 || scratch.inbox.capacity() != 0 ||
-        scratch.sink.msgs.capacity() != 0) {
+    if (scratch.inbox.capacity() != 0 || scratch.sink.msgs.capacity() != 0) {
       ++scratch.recycles;  // warm buffers left by a previous execution
     }
     sinks_[0] = std::move(scratch.sink);
@@ -278,16 +264,11 @@ Engine::Engine(NodeId n, EngineConfig config)
     sinks_[0].arena[0].clear();
     sinks_[0].arena[1].clear();
     sinks_[0].fallback_pulls = 0;
-    outbox_ = std::move(scratch.outbox);
-    outbox_.clear();
     inbox_ = std::move(scratch.inbox);
     inbox_.clear();
+    delayed_spares_ = std::move(scratch.delayed);
   }
-  // The active set never exceeds n, so a small engine can never engage the
-  // pool — skip creating threads it would only park and join.
-  if (workers > 1 && static_cast<std::size_t>(n_) >= kParallelMinActive) {
-    workers_ = std::make_unique<Pool>(*this, workers - 1);
-  }
+  if (workers > 1) workers_ = std::make_unique<Pool>(*this, workers - 1);
 }
 
 Engine::~Engine() {
@@ -296,8 +277,16 @@ Engine::~Engine() {
     // scratch so the next execution in this slot can adopt them.
     EngineScratch& scratch = *config_.scratch;
     scratch.sink = std::move(sinks_[0]);
-    scratch.outbox = std::move(outbox_);
     scratch.inbox = std::move(inbox_);
+    if (draining_delayed_.msgs.capacity() != 0) recycle_drained();
+    // Only the largest few buckets go back: a later execution may grow any
+    // spare it takes, so an unbounded pool would all grow to the largest.
+    std::sort(delayed_spares_.begin(), delayed_spares_.end(),
+              [](const DelayedBatch& a, const DelayedBatch& b) {
+                return a.msgs.capacity() > b.msgs.capacity();
+              });
+    if (delayed_spares_.size() > kRecycledBuckets) delayed_spares_.resize(kRecycledBuckets);
+    scratch.delayed = std::move(delayed_spares_);
   }
 }
 
@@ -578,6 +567,13 @@ void Engine::park_delayed(const Message& m, Round due) {
   delays_armed_ = true;  // a nonempty queue keeps the delay plane engaged
 }
 
+void Engine::recycle_drained() {
+  draining_delayed_.msgs.clear();
+  draining_delayed_.arena.clear();
+  delayed_spares_.push_back(std::move(draining_delayed_));
+  draining_delayed_ = DelayedBatch{};  // moved-from arena cursors are stale
+}
+
 void Engine::rearm_fault_filters() noexcept {
   fault_filters_armed_ =
       omit_active_count_ > 0 || partition_active_ || !link_cuts_.empty();
@@ -673,23 +669,25 @@ void Engine::step_active() {
 
   const auto workers = sinks_.size();
   if (workers_ == nullptr || active_.size() < kParallelMinActive) {
-    shard_begin_[0] = 0;
-    for (std::size_t k = 1; k <= workers; ++k) shard_begin_[k] = active_.size();
+    shard_begin_[1] = active_.size();  // shard_begin_[0] is always 0
     step_shard(0);
-    outbox_.swap(sinks_[0].msgs);
   } else {
-    for (std::size_t k = 0; k < workers; ++k) {
+    for (std::size_t k = 1; k <= workers; ++k) {
       shard_begin_[k] = k * active_.size() / workers;
     }
-    shard_begin_[workers] = active_.size();
+    // Room for the largest round so far in every sink, allocated here: a
+    // sink grown on its worker would strand the outgrown buffers in that
+    // thread's malloc arena, and capacity no round writes costs no memory.
+    std::vector<Message>& outbox = sinks_[0].msgs;
+    for (std::size_t k = 1; k < workers; ++k) sinks_[k].msgs.reserve(outbox.capacity());
     workers_->step_round();
-    // Concatenate in shard order = ascending sender order: the batch is
-    // byte-identical to what the serial path appends.
+    // Append shards 1.. to shard 0's sends in shard order = ascending sender
+    // order: the batch is byte-identical to what the serial path appends.
     std::size_t total = 0;
     for (const auto& sink : sinks_) total += sink.msgs.size();
-    outbox_.reserve(total);
-    for (auto& sink : sinks_) {
-      outbox_.insert(outbox_.end(), sink.msgs.begin(), sink.msgs.end());
+    outbox.reserve(total);
+    for (std::size_t k = 1; k < workers; ++k) {
+      outbox.insert(outbox.end(), sinks_[k].msgs.begin(), sinks_[k].msgs.end());
     }
   }
 
@@ -700,7 +698,8 @@ void Engine::step_active() {
 }
 
 void Engine::sort_batch_normal_form() {
-  const std::size_t m = outbox_.size();
+  std::vector<Message>& outbox = sinks_[0].msgs;
+  const std::size_t m = outbox.size();
   recv_bounds_valid_ = false;
   if (m <= 1) return;
 
@@ -717,7 +716,7 @@ void Engine::sort_batch_normal_form() {
   std::uint32_t max_tag = 0;
   bool have_max_tag = false;
   if (m < static_cast<std::size_t>(UINT32_MAX) && (n64 << tag_bits_) <= kMaxFusedDomain) {
-    const auto* bytes = reinterpret_cast<const std::byte*>(outbox_.data());
+    const auto* bytes = reinterpret_cast<const std::byte*>(outbox.data());
     // Stale contents are cleared before growing so the reallocation copies
     // nothing; every key is rewritten below.
     if (keys_.capacity() < m) {
@@ -792,10 +791,10 @@ void Engine::sort_batch_normal_form() {
         // Level 2: per bucket, rebuild the full keys from the (L2-hot)
         // partitioned slice and scatter into the final positions — the
         // global cursors in counts_ already point at each key's run. The
-        // destination is outbox_ itself: its records were just copied out,
+        // destination is outbox itself: its records were just copied out,
         // so the sorted batch lands where the direct path's swap would put
         // it.
-        auto* outbox_bytes = reinterpret_cast<std::byte*>(outbox_.data());
+        auto* outbox_bytes = reinterpret_cast<std::byte*>(outbox.data());
         std::uint32_t start = 0;
         for (std::uint32_t k = 0; k < nbuckets; ++k) {
           const std::uint32_t end = bcur[k];  // post-scatter: end of bucket k
@@ -818,26 +817,26 @@ void Engine::sort_batch_normal_form() {
       }
       recv_bounds_valid_ = true;
       // Leave the result where the caller expects it (it swaps the arenas);
-      // the two-level path already sorted back into outbox_.
-      if (!two_level) outbox_.swap(inbox_);
+      // the two-level path already sorted back into outbox.
+      if (!two_level) outbox.swap(inbox_);
       return;
     }
   }
 
   if (!have_max_tag) {
-    for (const Message& msg : outbox_) max_tag = std::max(max_tag, msg.tag);
+    for (const Message& msg : outbox) max_tag = std::max(max_tag, msg.tag);
   }
   if (max_tag >= kMaxCountingTag || m >= static_cast<std::size_t>(UINT32_MAX)) {
-    std::stable_sort(outbox_.begin(), outbox_.end(), [](const Message& a, const Message& b) {
+    std::stable_sort(outbox.begin(), outbox.end(), [](const Message& a, const Message& b) {
       return a.to != b.to ? a.to < b.to : a.tag < b.tag;
     });
     return;
   }
 
-  // Pass 1 (LSD): stable counting sort by tag, outbox_ -> inbox_. The tag
+  // Pass 1 (LSD): stable counting sort by tag, outbox -> inbox_. The tag
   // domain is tiny (protocol enumerators), so a dense count array is cheap.
   tag_count_.assign(static_cast<std::size_t>(max_tag) + 1, 0);
-  for (const Message& msg : outbox_) ++tag_count_[msg.tag];
+  for (const Message& msg : outbox) ++tag_count_[msg.tag];
   std::uint32_t sum = 0;
   for (auto& c : tag_count_) {
     const std::uint32_t count = c;
@@ -845,9 +844,9 @@ void Engine::sort_batch_normal_form() {
     sum += count;
   }
   inbox_.resize(m);
-  for (const Message& msg : outbox_) inbox_[tag_count_[msg.tag]++] = msg;
+  for (const Message& msg : outbox) inbox_[tag_count_[msg.tag]++] = msg;
 
-  // Pass 2: stable counting sort by receiver, inbox_ -> outbox_. Counts are
+  // Pass 2: stable counting sort by receiver, inbox_ -> outbox. Counts are
   // kept in an n-sized array that is all-zero between rounds; only the
   // entries actually touched are visited for the prefix sum (sorted distinct
   // receivers) when the batch is sparse, and only they are re-zeroed.
@@ -877,24 +876,20 @@ void Engine::sort_batch_normal_form() {
     }
   }
   for (const Message& msg : inbox_) {
-    outbox_[recv_count_[static_cast<std::size_t>(msg.to)]++] = msg;
+    outbox[recv_count_[static_cast<std::size_t>(msg.to)]++] = msg;
   }
   // Restore the all-zero invariant by visiting only touched entries.
   for (const NodeId r : touched_receivers_) recv_count_[static_cast<std::size_t>(r)] = 0;
 }
 
 void Engine::deliver_batch() {
+  std::vector<Message>& outbox = sinks_[0].msgs;
   const bool traced = config_.trace != nullptr;
 
   // Recycle the delayed bucket injected last round: its arena backed inbox
   // views through the step that just consumed them. One predictable
   // empty-check on delay-free runs.
-  if (!draining_delayed_.msgs.empty()) {
-    draining_delayed_.msgs.clear();
-    draining_delayed_.arena.clear();
-    delayed_spares_.push_back(std::move(draining_delayed_));
-    draining_delayed_ = DelayedBatch{};  // moved-from arena cursors are stale
-  }
+  if (!draining_delayed_.msgs.empty()) recycle_drained();
 
   // One compaction pass over the arena: drop crashed senders' messages (minus
   // the ones their keep-filter saves), account the survivors, and drop
@@ -909,11 +904,11 @@ void Engine::deliver_batch() {
   std::uint64_t dropped_sum = 0;
   std::uint64_t sent_sum = 0;
   if (traced) {
-    digest_.sent = outbox_.size();
+    digest_.sent = outbox.size();
     for (const auto& sink : sinks_) sent_sum += sink.header_sum;
   }
-  for (std::size_t i = 0; i < outbox_.size(); ++i) {
-    const Message& m = outbox_[i];
+  for (std::size_t i = 0; i < outbox.size(); ++i) {
+    const Message& m = outbox[i];
     const auto from = static_cast<std::size_t>(m.from);
     const std::int32_t filter = crash_filter_[from];
     if (filter != kNotCrashedThisRound) {
@@ -969,10 +964,10 @@ void Engine::deliver_batch() {
       continue;
     }
     wake_by(m.to, round_ + 1);  // delivery always wakes the recipient
-    if (kept != i) outbox_[kept] = m;
+    if (kept != i) outbox[kept] = m;
     ++kept;
   }
-  outbox_.resize(kept);
+  outbox.resize(kept);
   // Inject the messages whose due round is now: they join the batch after
   // this round's own survivors (the stable sort below groups them by
   // (receiver, tag), late arrivals after on-time ones within a group) and
@@ -992,7 +987,7 @@ void Engine::deliver_batch() {
         }
         wake_by(m.to, round_ + 1);
         if (traced) injected_sum += digest_header(m);
-        outbox_.push_back(m);
+        outbox.push_back(m);
       }
       // The bucket's arena backs the injected bodies until next round's step
       // has read them; recycled one round from now (see the top).
@@ -1001,7 +996,7 @@ void Engine::deliver_batch() {
       rearm_delays();
     }
   }
-  const std::size_t kept_total = outbox_.size();
+  const std::size_t kept_total = outbox.size();
   if (traced) {
     // Delivered-header digest = (sum of sent headers) - (sum of dropped and
     // parked headers) + (sum of injected due headers): equal to
@@ -1018,8 +1013,8 @@ void Engine::deliver_batch() {
   // sort is stable, so each (receiver, tag) run stays sorted by sender with
   // per-sender send order preserved.
   sort_batch_normal_form();
-  inbox_.swap(outbox_);
-  outbox_.clear();
+  inbox_.swap(outbox);
+  outbox.clear();
 }
 
 Report Engine::run() {
@@ -1067,7 +1062,7 @@ bool Engine::step() {
   }
 
   // 1. Step every active node in id order (serially or sharded across the
-  //    worker pool — bit-identical either way), filling outbox_ with the
+  //    worker pool — bit-identical either way), filling the outbox with the
   //    round's sends in ascending sender order.
   const std::uint64_t step_start = tele_ != nullptr ? obs::now_ns() : 0;
   step_active();
@@ -1087,7 +1082,7 @@ bool Engine::step() {
   //    delivered, still-delayed, or lost (crash/fault/dead).
   const std::int64_t tele_pending_before = pending_delayed_count_;
   const std::uint64_t tele_delayed_before = total_delayed_;
-  const std::uint64_t tele_sent = tele_ != nullptr ? outbox_.size() : 0;
+  const std::uint64_t tele_sent = tele_ != nullptr ? sinks_[0].msgs.size() : 0;
   deliver_batch();
   if (tele_ != nullptr) {
     const auto delivered = static_cast<std::uint64_t>(inbox_.size());

@@ -21,11 +21,11 @@
 // halted are stepped (the active set shrinks as the execution winds down),
 // so per-round cost is O(active + messages), not O(n).
 //
-// Opt-in deterministic parallel stepping (EngineConfig::threads > 1): the
-// active set is sharded across a small persistent worker pool; each worker
-// appends sends to its own outbox arena, and the shards are concatenated in
-// ascending sender order after the barrier, so the delivered batch — and
-// with it every Report field — is bit-identical to the serial engine.
+// Deterministic parallel stepping, sized by the machine (EngineConfig::
+// threads): the active set is sharded across a small persistent worker
+// pool; shard 0 appends to the outbox, every other shard to its own sink,
+// appended in ascending sender order after the barrier, so the delivered
+// batch — and every Report field — is bit-identical to the serial engine.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,9 @@ namespace lft::sim {
 class Engine;
 
 /// Per-shard send collector (engine internal): a message vector plus the
-/// double-buffered payload arenas its bodies point into. The serial engine
-/// uses sink 0; the parallel stepper gives each worker its own, then
-/// concatenates in shard (= ascending sender) order.
+/// double-buffered payload arenas its bodies point into. Sink 0's vector is
+/// the round's outbox; each further parallel worker fills its own sink,
+/// appended to sink 0 in shard (= ascending sender) order.
 struct StepSink {
   std::vector<Message> msgs;
   PayloadArena arena[2];  // indexed by round parity
@@ -158,8 +158,8 @@ class Context {
 };
 
 /// Protocol logic for one node. Implementations are installed per node and
-/// driven once per round while the node is alive and not halted. With
-/// parallel stepping enabled, on_round may run on a worker thread; a process
+/// driven once per round while the node is alive and not halted. The
+/// parallel stepper may run on_round on a worker thread; a process
 /// must only touch its own state and shared *read-only* configuration
 /// (which every shipped protocol already satisfies).
 class Process {
@@ -182,23 +182,8 @@ class EngineView {
   [[nodiscard]] bool alive(NodeId v) const noexcept;
   /// True iff v voluntarily halted.
   [[nodiscard]] bool halted(NodeId v) const noexcept;
-  /// True iff v has decided.
-  [[nodiscard]] bool decided(NodeId v) const noexcept;
-  /// True iff v is marked Byzantine (setup or takeover).
-  [[nodiscard]] bool byzantine(NodeId v) const noexcept;
-  /// True iff v currently has a send-omission fault.
-  [[nodiscard]] bool send_omission(NodeId v) const noexcept;
-  /// True iff v currently has a receive-omission fault.
-  [[nodiscard]] bool recv_omission(NodeId v) const noexcept;
-  /// Crashes charged so far / the crash budget t.
-  [[nodiscard]] std::int64_t crashes_used() const noexcept;
-  [[nodiscard]] std::int64_t crash_budget() const noexcept;
-  /// Distinct omission-faulty nodes charged so far / the omission budget.
+  /// Distinct omission-faulty nodes charged so far.
   [[nodiscard]] std::int64_t omissions_used() const noexcept;
-  [[nodiscard]] std::int64_t omission_budget() const noexcept;
-  /// Byzantine takeovers charged so far / the Byzantine budget.
-  [[nodiscard]] std::int64_t takeovers_used() const noexcept;
-  [[nodiscard]] std::int64_t byzantine_budget() const noexcept;
   /// All messages produced this round, before crash filtering (arena order:
   /// ascending sender id, per-sender send order preserved). Empty in the
   /// pre-round phase.
@@ -241,18 +226,26 @@ struct Report {
   [[nodiscard]] bool all_nonfaulty_decided() const noexcept;
 };
 
-/// Recyclable engine buffers for back-to-back executions (fleet mode): the
-/// message outbox/inbox vectors and the serial send sink with its two
-/// payload arenas — the storage whose capacity dominates an execution's
-/// allocation profile. An Engine constructed with EngineConfig::scratch
-/// adopts these buffers (contents cleared, capacity and arena chunks
-/// retained) and releases them back on destruction, so the k-th execution in
-/// a fleet slot reaches steady state without re-growing them. Purely a
-/// capacity cache: adopting scratch never changes any Report bit.
+/// One due round's delayed messages (engine internal): the parked records
+/// and the arena holding copies of their bodies.
+struct DelayedBatch {
+  std::vector<Message> msgs;
+  PayloadArena arena;
+};
+
+/// Recyclable engine buffers for back-to-back executions (fleet mode): sink
+/// 0 (the outbox and its two payload arenas), the inbox vector and the
+/// largest emptied delay buckets — the storage whose capacity dominates an
+/// execution's allocation profile. An Engine constructed with
+/// EngineConfig::scratch adopts these buffers (contents cleared, capacity
+/// and arena chunks retained) and releases them back on destruction, so the
+/// k-th execution in a fleet slot reaches steady state without re-growing
+/// them. Purely a capacity cache: adopting scratch never changes any Report
+/// bit.
 struct EngineScratch {
-  StepSink sink;               ///< serial sink 0: message vector + arenas
-  std::vector<Message> outbox; ///< round send arena
+  StepSink sink;               ///< sink 0: the outbox + arenas
   std::vector<Message> inbox;  ///< delivered-batch arena
+  std::vector<DelayedBatch> delayed;  ///< spare delay-queue buckets
   /// Observability counters (surfaced as FleetRunner stats): engines that
   /// adopted this scratch, and adoptions that found warm buffers left by a
   /// previous execution in the slot. Maintained by the engine at adoption
@@ -272,9 +265,11 @@ struct EngineConfig {
   /// Nodes the fault plane may take over as Byzantine mid-run. Pre-run
   /// mark_byzantine is setup, not an adversary move, and is not charged.
   std::int64_t byzantine_budget = 0;
-  /// Worker threads for the deterministic parallel stepper; 1 = serial.
-  /// Results are bit-identical for every value (see the file comment).
-  int threads = 1;
+  /// Worker threads for the deterministic parallel stepper; 1 = serial, 0 =
+  /// derived at construction: usable_cpus() (common/cpus.hpp) capped at 4,
+  /// or 1 after step_serially_on_this_thread(). Fewer than 256 nodes always
+  /// step serially. Results are bit-identical for every value.
+  int threads = 0;
   /// Optional recycled buffers (see EngineScratch). Non-owning: the scratch
   /// must outlive the engine, and one scratch may back at most one live
   /// engine at a time. nullptr = allocate fresh.
@@ -292,6 +287,10 @@ struct EngineConfig {
   /// Non-owning; single-writer (the thread calling run()).
   obs::Registry* telemetry = nullptr;
 };
+
+/// Resolves EngineConfig::threads == 0 to 1 for engines later built on the
+/// calling thread: FleetRunner workers, each already running an execution.
+void step_serially_on_this_thread() noexcept;
 
 /// One execution: n nodes driven in lock-step rounds under the fault plane.
 /// Construct, install a Process per node (plus injectors), then run() once
@@ -328,6 +327,8 @@ class Engine {
   /// The execution's Report; call after step() returned false.
   [[nodiscard]] Report finish() const;
 
+  /// Worker count the stepper resolved to (see EngineConfig::threads).
+  [[nodiscard]] int threads() const noexcept { return static_cast<int>(sinks_.size()); }
   /// Post-run (or mid-run, from adversaries) introspection.
   [[nodiscard]] Process& process(NodeId v);
   [[nodiscard]] const Process& process(NodeId v) const;
@@ -365,6 +366,8 @@ class Engine {
   /// Moves m into the bucket injected at `due` (body bytes copied — the
   /// send-time round arenas recycle too soon) and counts it as in transit.
   void park_delayed(const Message& m, Round due);
+  /// Empties the bucket injected last round into the spares.
+  void recycle_drained();
   /// Recomputes fault_filters_armed_ after a fault-state change.
   void rearm_fault_filters() noexcept;
   /// True iff the armed fault filters (omission / partition / link cuts)
@@ -374,12 +377,12 @@ class Engine {
   void run_fault_phase(bool pre_round);
   /// Steps active_[k-th shard] (bounds in shard_begin_) into sinks_[k].
   void step_shard(std::size_t k);
-  /// Steps every active node (serial or sharded) and fills outbox_.
+  /// Steps every active node (serial or sharded) and fills the outbox.
   void step_active();
   /// Filters crashed senders / dead receivers out of the arena, accounts
   /// metrics, and sorts the survivors into delivery normal form.
   void deliver_batch();
-  /// Stable sort of outbox_ by (receiver, tag), with inbox_ as the scratch
+  /// Stable sort of the outbox by (receiver, tag), with inbox_ as the scratch
   /// buffer: a fused one-pass counting sort (direct or two-level scatter)
   /// when the dense key domain n << tag_bits is affordable, else two LSD
   /// counting passes in O(m + tag_domain + min(n, d log d)) for d distinct
@@ -425,10 +428,6 @@ class Engine {
     std::uint64_t salt;  // seeds the per-message lag coins
     bool active;
   };
-  struct DelayedBatch {
-    std::vector<Message> msgs;
-    PayloadArena arena;
-  };
   std::vector<DelayRule> delay_rules_;      // slot index = rule id
   std::int64_t delay_rules_active_ = 0;
   bool gst_armed_ = false;
@@ -459,13 +458,13 @@ class Engine {
       sleep_heap_;
   std::vector<NodeId> woken_;  // per-round scratch
 
-  // Double-buffered contiguous message arenas, reused across rounds.
-  std::vector<Message> outbox_;  // current round's sends, arena order
-  std::vector<Message> inbox_;   // delivered batch, sorted by (receiver, tag)
+  // The delivered batch, sorted by (receiver, tag); with the outbox
+  // (sinks_[0].msgs) the engine's two message arenas, reused across rounds.
+  std::vector<Message> inbox_;
 
-  // Send collection: sinks_[0] serves the serial path; sinks_[1..] belong to
-  // the worker pool. shard_begin_ holds the active_-index bounds of each
-  // shard for the current round.
+  // Send collection: sinks_[0] is the outbox; sinks_[1..] belong to the
+  // worker pool. shard_begin_ holds the active_-index bounds of each shard
+  // for the current round.
   std::vector<StepSink> sinks_;
   std::vector<std::size_t> shard_begin_;
   struct Pool;

@@ -169,6 +169,7 @@ bool FleetRunner::pop_task(std::size_t slot, Task& out) {
 }
 
 void FleetRunner::worker_loop(std::size_t slot) {
+  step_serially_on_this_thread();  // the fleet's parallelism is its workers
   EngineScratch* scratch = config_.reuse_scratch ? &workers_[slot]->scratch : nullptr;
   obs::Registry* registry = config_.telemetry ? &workers_[slot]->registry : nullptr;
   std::unique_lock<std::mutex> lock(mu_);

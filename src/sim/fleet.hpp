@@ -19,11 +19,11 @@
 //     private Engine (nodes, arenas, fault plane, metrics), so nothing an
 //     instance does can alias another instance's messages or state.
 //
-// Determinism: each instance runs its engine serially on whichever worker
-// picks it up, so its Report is bit-identical to running the same
-// (scenario, plan, seed) alone in a plain loop — regardless of fleet
-// concurrency, submission order, or which worker executed it. Only the
-// *completion order* of handles is nondeterministic. Scratch adoption is a
+// Determinism: each instance runs its engine serially (a worker resolves the
+// default EngineConfig::threads to 1), so its Report is bit-identical to
+// running the same (scenario, plan, seed) alone in a plain loop — regardless
+// of fleet concurrency, submission order, or which worker executed it. Only
+// the *completion order* of handles is nondeterministic. Scratch adoption is a
 // capacity cache and never changes a Report bit (asserted in
 // tests/test_fleet.cpp).
 #pragma once

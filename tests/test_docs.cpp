@@ -142,12 +142,22 @@ TEST(Docs, ArchitectureDocCoversTheSimdMessagePlane) {
   }
 }
 
+TEST(Docs, ArchitectureDocCoversTheParallelStepper) {
+  const auto markdown = read_file(docs_path("architecture.md"));
+  for (const char* needle :
+       {"### The parallel stepper", "sched_getaffinity", "step_serially_on_this_thread",
+        "One outbox buffer", "two message buffers", "Why the cap is 4"}) {
+    EXPECT_NE(markdown.find(needle), std::string::npos)
+        << "docs/architecture.md lacks '" << needle << "'";
+  }
+}
+
 TEST(Docs, ArchitectureDocCoversTheOverlays) {
   const auto markdown = read_file(docs_path("architecture.md"));
   for (const char* needle :
        {"## Overlays", "`graph::shared_overlays`", "Configuration model plus repair",
         "1.25 × the Ramanujan bound", "not a certificate", "in-flight build",
-        "`hardware_concurrency()`", "A batch of smaller overlays builds", "`malloc_trim(0)`",
+        "`usable_cpus()`", "A batch of smaller overlays builds", "`malloc_trim(0)`",
         "BitIdenticalToPinnedDigests", "0006-1-batched-overlays.json"}) {
     EXPECT_NE(markdown.find(needle), std::string::npos)
         << "docs/architecture.md lacks '" << needle << "'";

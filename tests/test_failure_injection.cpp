@@ -729,11 +729,11 @@ TEST(TimingFaults, DelayedMessagesConserveAcrossSteppersAndScratch) {
 }
 
 TEST(TimingFaults, ZeroLagRuleIsBitIdenticalToNoRule) {
-  // A [0, 0] delay rule arms the delay plane (disabling the synchronous
-  // fast path) but every coin comes up lag 0, so nothing is ever parked and
-  // the execution must match the unarmed run bit for bit — same fingerprint,
-  // same digests. The only permitted difference is the `delays` action
-  // counter recording the rule install.
+  // A [0, 0] delay rule arms the delay plane (every message then draws a
+  // lag in the delivery pass) but every coin comes up lag 0, so nothing is
+  // ever parked and the execution must match the unarmed run bit for bit —
+  // same fingerprint, same digests. The only permitted difference is the
+  // `delays` action counter recording the rule install.
   sim::FaultPlan armed;
   armed.delay_all(0, sim::kRoundForever, 0, 0);
   const forensics::Trace with_rule = traced_delay_fanout(std::move(armed), 1);

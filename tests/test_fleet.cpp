@@ -147,6 +147,24 @@ TEST(EngineScratch, RecyclesThroughProtocolRunners) {
   }
 }
 
+TEST(EngineScratch, RecyclesDelayBucketsAcrossExecutions) {
+  // Timing faults park messages in delay-queue buckets. A slot's scratch
+  // keeps the emptied buckets for the next execution, which must still
+  // reproduce its cold run.
+  EngineScratch scratch;
+  for (const char* name : {"delay_uniform_jitter", "gst_early_stabilize", "delay_uniform_jitter"}) {
+    const auto* scenario = scenarios::find_scenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    core::RunOptions warm_options;
+    warm_options.scratch = &scratch;
+    const auto cold = scenario->run_at(7, scenario->n, scenario->t, {});
+    const auto warm = scenario->run_at(7, scenario->n, scenario->t, warm_options);
+    EXPECT_TRUE(warm.ok) << name << ": " << warm.detail;
+    EXPECT_EQ(scenarios::fingerprint(cold.report), scenarios::fingerprint(warm.report)) << name;
+    EXPECT_FALSE(scratch.delayed.empty()) << name << ": no bucket came back to the scratch";
+  }
+}
+
 TEST(EngineScratch, CountsAdoptionsAndRecycles) {
   EngineScratch scratch;
   EXPECT_EQ(scratch.adoptions, 0);

@@ -5,25 +5,36 @@
 // bit-identity of serial vs parallel stepping on the crash-consensus and
 // gossip workloads, the stepper x scratch identity matrix (Report
 // fingerprint plus every RoundDigest) over fanout, crash consensus, gossip,
-// Byzantine, delay/GST and the two-level scatter, and a cross-build pin of
-// a fan-out's accounting and digest stream.
+// Byzantine, delay/GST and the two-level scatter, a cross-build pin of
+// a fan-out's accounting and digest stream, and the stepper's derived
+// worker count (EngineThreads).
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "byzantine/ab_consensus.hpp"
+#include "common/cpus.hpp"
 #include "core/consensus.hpp"
 #include "core/gossip.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/adversary.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
+#include "sim/fleet.hpp"
 #include "sim/trace.hpp"
 #include "test_util.hpp"
 
@@ -711,5 +722,147 @@ TEST(MessagePlaneIdentity, TwoLevelScatterDeliversNormalForm) {
   expect_capture_eq(ref, workload(Combo{4, true}), combo_label("twolevel", {4, true}));
 }
 
+// ---- the stepper's derived worker count ------------------------------------
+//
+// EngineConfig::threads = 0 (the default) sizes the stepper by the CPUs the
+// constructing thread may run on, capped at 4; a FleetRunner worker and an
+// engine too small to fill a shard step serially; an explicit count wins.
+
+int expected_default_threads() { return std::min(usable_cpus(), 4); }
+
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(EngineThreads, DefaultResolvesToTheAffinityCountCapped) {
+  const Engine engine(1024, EngineConfig{});
+  EXPECT_EQ(engine.threads(), expected_default_threads());
+  const Engine explicit_two(1024, EngineConfig{.threads = 2});
+  EXPECT_EQ(explicit_two.threads(), 2);
+
+  // A thread confined to one CPU derives 1, whatever the machine's size.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  int confined = -1;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+    EXPECT_EQ(usable_cpus(), 1);
+    confined = Engine(1024, EngineConfig{}).threads();
+  }).join();
+  EXPECT_EQ(confined, 1);
+}
+
+TEST(EngineThreads, FleetWorkerResolvesToOne) {
+  // reuse_scratch off: the worker, not the scratch, keeps the engine serial.
+  int derived = -1;
+  int explicit_four = -1;
+  {
+    FleetRunner fleet(FleetConfig{.threads = 1, .reuse_scratch = false});
+    (void)fleet.submit(FleetJob([&](EngineScratch* scratch) {
+      EXPECT_EQ(scratch, nullptr);
+      derived = Engine(1024, EngineConfig{}).threads();
+      explicit_four = Engine(1024, EngineConfig{.threads = 4}).threads();
+      return Report{};
+    }));
+    fleet.wait_all();
+  }
+  EXPECT_EQ(derived, 1);
+  EXPECT_EQ(explicit_four, 4);
+}
+
+TEST(EngineThreads, SmallEngineCreatesNoPool) {
+  const std::size_t before = live_threads();
+  {
+    const Engine derived(255, EngineConfig{});
+    const Engine explicit_four(255, EngineConfig{.threads = 4});
+    EXPECT_EQ(derived.threads(), 1);
+    EXPECT_EQ(explicit_four.threads(), 1);
+    EXPECT_EQ(live_threads(), before);
+  }
+  const Engine at_threshold(256, EngineConfig{.threads = 4});
+  EXPECT_EQ(at_threshold.threads(), 4);
+  EXPECT_EQ(live_threads(), before + 3);  // the caller steps shard 0
+}
+
+/// The Report fingerprint and digest-stream hash of one traced run.
+std::pair<std::uint64_t, std::uint64_t> traced_run(
+    const std::function<Report(core::RunOptions)>& run, int threads) {
+  DigestLog log;
+  core::RunOptions options;
+  options.threads = threads;
+  options.trace = &log;
+  const Report report = run(options);
+  EXPECT_TRUE(report.completed);
+  return {scenarios::fingerprint(report), test::digest_stream_hash(log.rounds)};
+}
+
+TEST(EngineThreads, DefaultMatchesSerialOnConsensusAndGossip) {
+  const NodeId n = 512;
+  const std::int64_t t = 40;
+  const auto params = core::ConsensusParams::practical(n, t);
+  const auto consensus = [&](const core::RunOptions& options) {
+    return core::run_system(
+        n, t,
+        [&](NodeId v) { return core::make_few_crashes_process(params, v, (v * 3 + 1) % 2); },
+        make_scheduled(random_crash_schedule(n, t, 0, 4 * t, 0.5, 99)), options);
+  };
+  EXPECT_EQ(traced_run(consensus, 0), traced_run(consensus, 1));
+
+  const auto gossip_params = core::GossipParams::practical(400, 30);
+  std::vector<std::uint64_t> rumors(400);
+  for (std::size_t v = 0; v < rumors.size(); ++v) rumors[v] = 1000u + v;
+  const auto gossip = [&](const core::RunOptions& options) {
+    return core::run_gossip(gossip_params, rumors,
+                            make_scheduled(random_crash_schedule(400, 30, 0, 40, 0.5, 7)),
+                            options)
+        .report;
+  };
+  EXPECT_EQ(traced_run(gossip, 0), traced_run(gossip, 1));
+}
+
+TEST(EngineThreads, SerialRunCyclesThroughTwoMessageBuffers) {
+  // A serial round appends straight into the outbox, which the delivery
+  // sort then swaps with the inbox: two message buffers in all, so a warm
+  // run shows exactly two distinct batch addresses (the outbox seen by the
+  // post-step phase, the inbox seen by node 0, the first receiver).
+  static constexpr NodeId kN = 64;
+  class OutboxSpy final : public FaultInjector {
+   public:
+    explicit OutboxSpy(std::set<const void*>& seen) : seen_(&seen) {}
+    void on_round(const EngineView& view, FaultController&) override {
+      if (!view.pending_sends().empty()) seen_->insert(view.pending_sends().data());
+    }
+
+   private:
+    std::set<const void*>* seen_;
+  };
+  EngineScratch scratch;
+  std::set<const void*> seen;
+  for (const bool record : {false, true}) {  // the first run warms the scratch
+    Engine engine(kN, EngineConfig{.threads = 1, .scratch = &scratch});
+    for (NodeId v = 0; v < kN; ++v) {
+      engine.set_process(v, lambda_process([&, v, record](Context& ctx, const Inbox& inbox) {
+                           if (record && v == 0 && !inbox.empty()) seen.insert(inbox.begin());
+                           if (ctx.round() >= 6) {
+                             ctx.halt();
+                             return;
+                           }
+                           for (NodeId to = 0; to < kN; ++to) ctx.send(to, 0, 1);
+                         }));
+    }
+    if (record) engine.add_fault_injector(std::make_unique<OutboxSpy>(seen));
+    EXPECT_TRUE(engine.run().completed);
+  }
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_GE(scratch.sink.msgs.capacity(), std::size_t{kN} * kN);
+  EXPECT_GE(scratch.inbox.capacity(), std::size_t{kN} * kN);
+}
 }  // namespace
 }  // namespace lft::sim

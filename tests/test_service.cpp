@@ -5,6 +5,7 @@
 // forensics replay, and the lft_serve server / client loop over real TCP
 // sockets.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -497,9 +498,23 @@ TEST(ClientDemux, SplitsAcksAndCommitsAcrossAPipelinedWindow) {
     net::Fd conn = net::accept_one(listener);
     ASSERT_TRUE(conn.valid());
     std::vector<std::byte> scratch;
+    // Blocking reads into a FrameParser, as the real client reads.
+    net::FrameParser parser;
+    const auto recv_frame = [&](std::vector<std::byte>& payload) {
+      std::span<const std::byte> view;
+      while (!parser.next_view(view)) {
+        if (parser.corrupt()) return false;
+        const std::span<std::byte> buf = parser.writable(4096);
+        const ssize_t r = ::recv(conn.get(), buf.data(), buf.size(), 0);
+        if (r <= 0) return false;
+        parser.commit(static_cast<std::size_t>(r));
+      }
+      payload.assign(view.begin(), view.end());
+      return true;
+    };
 
     std::vector<std::byte> hello;
-    ASSERT_TRUE(net::recv_frame(conn, hello));
+    ASSERT_TRUE(recv_frame(hello));
     ByteReader hr(hello);
     const auto hello_type = hr.get_u8();
     const auto hello_client = hr.get_u64();
@@ -519,7 +534,7 @@ TEST(ClientDemux, SplitsAcksAndCommitsAcrossAPipelinedWindow) {
     std::vector<std::uint64_t> requests;
     for (int i = 0; i < kWindow; ++i) {
       std::vector<std::byte> frame;
-      ASSERT_TRUE(net::recv_frame(conn, frame));
+      ASSERT_TRUE(recv_frame(frame));
       ByteReader r(frame);
       const auto type = r.get_u8();
       const auto request = r.get_u64();
