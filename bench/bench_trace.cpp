@@ -7,7 +7,8 @@
 // items_per_second rates and fails CI past both bounds (advisory under
 // ASan, like the hotpath gate). The absolute budget is what keeps the gate
 // stable as the untraced baseline speeds up: the recorder's digest work is
-// a fixed per-message cost, not a fraction of delivery time.
+// a fixed per-message cost, not a fraction of delivery time. Both sides step
+// serially (threads = 1), as the hotpath baseline does.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -64,6 +65,7 @@ void run_fanout(benchmark::State& state, std::size_t body_bytes, bool traced) {
   for (auto _ : state) {
     forensics::TraceRecorder recorder;
     EngineConfig config;
+    config.threads = 1;
     if (traced) config.trace = &recorder;
     Engine engine(kNodes, config);
     for (NodeId v = 0; v < kNodes; ++v) {

@@ -5,7 +5,9 @@
 // is a trivial fan-out so the measured time is arena append plus the one
 // delivery pass every round takes: the compaction pass (accounting, with
 // nothing to drop in these fault-free rounds) and the stable sort into
-// (receiver, tag) normal form.
+// (receiver, tag) normal form. The engine steps serially (threads = 1), so
+// the time is the serial per-message cost bench/hotpath_baseline.json
+// recorded, not the machine's core count.
 //
 // Extra flag (stripped before Google Benchmark sees the command line):
 //   --json=PATH   write one flat JSON row per benchmark run (bench, simd,
@@ -69,7 +71,9 @@ void run_fanout(benchmark::State& state, std::size_t body_bytes) {
   const int fan = static_cast<int>(messages / kNodes);
   std::int64_t delivered = 0;
   for (auto _ : state) {
-    Engine engine(kNodes, EngineConfig{});
+    EngineConfig config;
+    config.threads = 1;
+    Engine engine(kNodes, config);
     for (NodeId v = 0; v < kNodes; ++v) {
       engine.set_process(v, std::make_unique<FanoutProcess>(v, fan, body_bytes));
     }

@@ -10,6 +10,10 @@
 //                        [--out=repro.json] [--json=PATH]
 //   lft_forensics list
 //
+// --threads=N pins the engine's stepper to N workers; without it (or with
+// 0) the engine derives its worker count from the machine. Digests do not
+// depend on it, so a trace replays under any value.
+//
 // `replay` exits nonzero on divergence and prints the exact first divergent
 // round and digest component; `shrink` exits nonzero unless the minimal plan
 // still violates and its serial/parallel traces are bit-identical. `--json`
@@ -57,7 +61,7 @@ struct Options {
   std::string out_path;
   std::string json_path;
   std::uint64_t seed = 1;
-  int threads = 1;
+  int threads = 0;  // 0 = the engine's derived default
   int workers = 4;
   NodeId n = -1;
   std::int64_t t = -1;
@@ -74,7 +78,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       .on_str("--out", opt.out_path)
       .on_str("--json", opt.json_path)
       .on_u64("--seed", opt.seed)
-      .on_int("--threads", opt.threads, 1)
+      .on_int("--threads", opt.threads, 0)
       .on_int("--workers", opt.workers, 1)
       .on_value("--n",
                 [&opt](const std::string& v) {

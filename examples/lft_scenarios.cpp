@@ -6,6 +6,10 @@
 //                 [--telemetry] [--json=PATH]
 //   lft_scenarios --run=name[,name...] [...]
 //
+// --threads=N pins the engine's stepper to N workers; without it (or with
+// 0) each engine derives its worker count from the machine, as every
+// library caller does.
+//
 // --telemetry runs each scenario with an obs::Registry attached
 // (core::RunOptions::telemetry) and prints its engine round-time
 // percentiles (lft_engine_step_ns) plus per-round delivery stats —
@@ -63,7 +67,7 @@ struct Options {
   bool verify_determinism = false;
   bool telemetry = false;
   std::uint64_t seed = 1;
-  int threads = 1;
+  int threads = 0;  // 0 = the engine's derived default
   std::vector<std::string> names;
   std::string json_path;
 };
@@ -75,7 +79,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
       .on_flag("--verify-determinism", opt.verify_determinism)
       .on_flag("--telemetry", opt.telemetry)
       .on_u64("--seed", opt.seed)
-      .on_int("--threads", opt.threads, 1)
+      .on_int("--threads", opt.threads, 0)
       .on_str("--json", opt.json_path)
       .on_csv("--run", opt.names)
       .parse();

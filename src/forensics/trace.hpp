@@ -20,8 +20,8 @@ namespace lft::forensics {
 
 /// What it takes to re-execute a recorded run: the scenario registry name
 /// and the (seed, n, t) shape handed to Scenario::run_at. `threads` records
-/// what the original run used — replays may use any value, since digests
-/// are thread-invariant.
+/// what the original run asked for (0 = the engine's derived default) —
+/// replays may use any value, since digests are thread-invariant.
 struct TraceMeta {
   std::string scenario;
   std::uint64_t seed = 0;

@@ -24,12 +24,15 @@ constexpr std::uint32_t kMaxCountingTag = 1u << 16;
 // worker pool: the barrier handshake would dominate. Purely a latency knob —
 // results are bit-identical either way.
 constexpr std::size_t kParallelMinActive = 256;
-// Cap on a derived worker count: past 4 the serial rest of a round
-// dominates (measured in docs/architecture.md, The parallel stepper).
+// Cap on a derived worker count. Measured (docs/architecture.md): 4 workers
+// beat 2 by 15% on gossip_2k, lose 3% on consensus_1e5; that more would not
+// pay is extrapolated from a T(W) = s + p/W fit, not measured.
 constexpr int kMaxDerivedThreads = 4;
 thread_local bool t_step_serially = false;
-// Delay buckets a scratch keeps: one execution's in-flight due rounds at
-// lags up to 2 (the pending two plus the one draining).
+// Delay buckets a scratch keeps, sized to lags <= 2 (delay_parallel_flood:
+// two pending plus one draining). An allocator-placement mitigation only:
+// fresh buckets landed on just-returned pages. Moving the n-sized arrays
+// into EngineScratch (ROADMAP) may let the pool go.
 constexpr std::size_t kRecycledBuckets = 3;
 // Cap on the fused delivery sweep's key domain (n << tag_bits): bounds the
 // dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
