@@ -24,9 +24,11 @@ constexpr std::uint32_t kMaxCountingTag = 1u << 16;
 // worker pool: the barrier handshake would dominate. Purely a latency knob —
 // results are bit-identical either way.
 constexpr std::size_t kParallelMinActive = 256;
-// Cap on a derived worker count. Measured (docs/architecture.md): 4 workers
-// beat 2 by 15% on gossip_2k, lose 3% on consensus_1e5; that more would not
-// pay is extrapolated from a T(W) = s + p/W fit, not measured.
+// Cap on a derived worker count. Measured (docs/architecture.md, Why the
+// cap is 4): 4 workers beat 2 by 13% on gossip_2k and by 8% on
+// consensus_1e5, where only 29 of 25,062 rounds per execution wake the pool
+// for the step, and its dense rounds also sort on it. No width above 4 was
+// measured.
 constexpr int kMaxDerivedThreads = 4;
 thread_local bool t_step_serially = false;
 // Delay buckets a scratch keeps, sized to lags <= 2 (delay_parallel_flood:
@@ -38,10 +40,33 @@ constexpr std::size_t kRecycledBuckets = 3;
 // dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
 constexpr std::uint64_t kMaxFusedDomain = 1u << 22;
 
-// Batch size past which the fused sweep's scatter goes two-level (cache-
-// blocked): 40-byte records times this is ~10 MB, past any L2. Both
-// strategies produce the identical stable permutation.
-constexpr std::size_t kTwoLevelMinM = std::size_t{1} << 18;
+// Batch size from which delivery takes the partitioned counting sort on
+// the stepper's shards (measured crossover: docs/architecture.md, The
+// message plane). Below it the fused sweep or the LSD passes sort serially.
+constexpr std::size_t kPartitionMinM = std::size_t{1} << 16;
+// The partitioned sort's receiver buckets (to >> shift): at most 256, so a
+// chunk's histogram and scatter cursors are one stack array each; about 64
+// when the per-bucket key domain (receivers per bucket << tag_bits) still
+// fits 2^13 u32 counts (32 KiB, L1-resident), because fewer buckets make
+// the scatter into them cheaper. Past 2^16 keys per bucket the batch goes
+// to the LSD passes instead. Measured in docs/architecture.md, The message
+// plane.
+constexpr unsigned kMaxBucketBits = 8;
+constexpr unsigned kBucketBits = 6;
+constexpr unsigned kBucketKeyBits = 13;
+constexpr unsigned kMaxBucketKeyBits = 16;
+
+// Resizes a sort buffer whose contents are dead (every slot is rewritten
+// next): stale contents are cleared before growing, so a reallocation
+// copies nothing.
+template <typename T>
+void resize_discarding(std::vector<T>& buffer, std::size_t size) {
+  if (buffer.capacity() < size) {
+    buffer.clear();
+    buffer.reserve(size);
+  }
+  buffer.resize(size);
+}
 }  // namespace
 
 // ---- Telemetry -------------------------------------------------------------
@@ -61,6 +86,8 @@ struct Engine::Telemetry {
         round_lost(registry.histogram("lft_engine_round_lost")),
         round_active(registry.histogram("lft_engine_round_active")),
         step_ns(registry.histogram("lft_engine_step_ns")),
+        compact_ns(registry.histogram("lft_engine_compact_ns")),
+        sort_ns(registry.histogram("lft_engine_sort_ns")),
         arena_bytes(registry.gauge("lft_engine_arena_bytes")) {}
 
   obs::Counter& rounds;
@@ -73,6 +100,8 @@ struct Engine::Telemetry {
   obs::Histogram& round_lost;
   obs::Histogram& round_active;
   obs::Histogram& step_ns;
+  obs::Histogram& compact_ns;
+  obs::Histogram& sort_ns;
   obs::Gauge& arena_bytes;
 };
 
@@ -163,10 +192,11 @@ bool Report::all_nonfaulty_decided() const noexcept {
 
 // ---- Engine::Pool ----------------------------------------------------------
 
-/// Persistent worker pool for the deterministic parallel stepper. Workers
-/// park on a condition variable between rounds; the coordinating thread runs
-/// shard 0 itself, so a pool of W sinks spawns W-1 threads. The mutex
-/// handshake orders every worker's writes before the coordinator resumes.
+/// Persistent worker pool for the engine's sharded jobs (the parallel
+/// stepper and the partitioned sort). Workers park on a condition variable
+/// between jobs; the coordinating thread runs shard 0 itself, so a pool of W
+/// shards spawns W-1 threads. The mutex handshake publishes the job and
+/// orders every worker's writes before the coordinator resumes.
 struct Engine::Pool {
   Pool(Engine& engine, int workers) : engine_(&engine) {
     threads_.reserve(static_cast<std::size_t>(workers));
@@ -184,16 +214,17 @@ struct Engine::Pool {
     for (auto& t : threads_) t.join();
   }
 
-  /// Dispatches shards 1..W-1 to the pool, runs shard 0 inline, and returns
-  /// once every shard finished.
-  void step_round() {
+  /// Dispatches shards 1..W-1 of `job` to the pool, runs shard 0 inline,
+  /// and returns once every shard finished.
+  void run(ShardJob job) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++generation_;
+      job_ = job;
       pending_ = static_cast<int>(threads_.size());
     }
     cv_start_.notify_all();
-    engine_->step_shard(0);
+    job(*engine_, 0);
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [this] { return pending_ == 0; });
   }
@@ -202,13 +233,15 @@ struct Engine::Pool {
   void worker_loop(std::size_t shard) {
     std::uint64_t seen = 0;
     while (true) {
+      ShardJob job = nullptr;
       {
         std::unique_lock<std::mutex> lock(mu_);
         cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
         if (stop_) return;
         seen = generation_;
+        job = job_;
       }
-      engine_->step_shard(shard);
+      job(*engine_, shard);
       {
         std::lock_guard<std::mutex> lock(mu_);
         --pending_;
@@ -222,6 +255,7 @@ struct Engine::Pool {
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
+  ShardJob job_ = nullptr;
   std::uint64_t generation_ = 0;
   int pending_ = 0;
   bool stop_ = false;
@@ -621,6 +655,14 @@ void Engine::run_fault_phase(bool pre_round) {
   }
 }
 
+void Engine::run_shards(ShardJob job) {
+  if (workers_ != nullptr) {
+    workers_->run(job);
+  } else {
+    job(*this, 0);
+  }
+}
+
 void Engine::step_shard(std::size_t k) {
   const std::size_t begin = shard_begin_[k];
   const std::size_t end = shard_begin_[k + 1];
@@ -683,7 +725,7 @@ void Engine::step_active() {
     // thread's malloc arena, and capacity no round writes costs no memory.
     std::vector<Message>& outbox = sinks_[0].msgs;
     for (std::size_t k = 1; k < workers; ++k) sinks_[k].msgs.reserve(outbox.capacity());
-    workers_->step_round();
+    workers_->run([](Engine& engine, std::size_t k) { engine.step_shard(k); });
     // Append shards 1.. to shard 0's sends in shard order = ascending sender
     // order: the batch is byte-identical to what the serial path appends.
     std::size_t total = 0;
@@ -700,33 +742,174 @@ void Engine::step_active() {
   }
 }
 
+void Engine::partition_count(std::size_t k) {
+  const std::vector<Message>& outbox = sinks_[0].msgs;
+  const std::size_t m = outbox.size();
+  const std::size_t shards = sinks_.size();
+  const unsigned shift = part_.shift;
+  std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> hist{};
+  std::uint32_t max_tag = 0;
+  for (std::size_t i = k * m / shards; i < (k + 1) * m / shards; ++i) {
+    const Message& msg = outbox[i];
+    ++hist[static_cast<std::uint32_t>(msg.to) >> shift];
+    max_tag = std::max(max_tag, msg.tag);
+  }
+  std::copy_n(hist.begin(), part_.buckets,
+              part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets));
+  part_.max_tag[k] = max_tag;
+}
+
+void Engine::partition_scatter(std::size_t k) {
+  const std::vector<Message>& outbox = sinks_[0].msgs;
+  const std::size_t m = outbox.size();
+  const std::size_t shards = sinks_.size();
+  const unsigned shift = part_.shift;
+  std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> cursor{};
+  std::copy_n(part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets),
+              part_.buckets, cursor.begin());
+  Message* dst = inbox_.data();
+  for (std::size_t i = k * m / shards; i < (k + 1) * m / shards; ++i) {
+    const Message& msg = outbox[i];
+    dst[cursor[static_cast<std::uint32_t>(msg.to) >> shift]++] = msg;
+  }
+}
+
+void Engine::partition_sort_buckets(std::size_t k) {
+  const unsigned shift = part_.shift;
+  const unsigned tag_bits = tag_bits_;
+  const auto n = static_cast<std::uint32_t>(n_);
+  std::uint32_t* counts = counts_.data() + (k << (shift + tag_bits));
+  std::uint32_t* keys = keys_.data();
+  const Message* src = inbox_.data();
+  auto* dst = reinterpret_cast<std::byte*>(sinks_[0].msgs.data());
+  for (std::size_t b = part_.shard_buckets[k]; b < part_.shard_buckets[k + 1]; ++b) {
+    const std::uint32_t begin = part_.bucket_begin[b];
+    const std::uint32_t end = part_.bucket_begin[b + 1];
+    const auto base = static_cast<std::uint32_t>(b << shift);
+    const std::uint32_t receivers = std::min(n - base, 1u << shift);
+    std::uint32_t* bounds = recv_bounds_.data() + base + 1;  // bounds[r] = end of base + r
+    if (begin == end) {
+      std::fill_n(bounds, receivers, begin);
+      continue;
+    }
+    // Stable counting sort by the local key into the bucket's own window
+    // of the outbox: the histogram is scanned from the window's start.
+    const std::size_t domain = std::size_t{receivers} << tag_bits;
+    std::fill_n(counts, domain, 0u);
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const std::uint32_t key =
+          ((static_cast<std::uint32_t>(src[i].to) - base) << tag_bits) | src[i].tag;
+      keys[i] = key;
+      ++counts[key];
+    }
+    std::uint32_t sum = begin;
+    for (std::size_t j = 0; j < domain; ++j) {
+      const std::uint32_t count = counts[j];
+      counts[j] = sum;
+      sum += count;
+    }
+    simd::scatter_records40(reinterpret_cast<const std::byte*>(src + begin), end - begin,
+                            keys + begin, counts, dst);
+    // Post-scatter counts[key] is the end of key's run, so a receiver's
+    // slice ends where the run of its largest possible tag ends.
+    for (std::uint32_t r = 0; r < receivers; ++r) bounds[r] = counts[((r + 1) << tag_bits) - 1];
+  }
+}
+
 void Engine::sort_batch_normal_form() {
   std::vector<Message>& outbox = sinks_[0].msgs;
   const std::size_t m = outbox.size();
   recv_bounds_valid_ = false;
   if (m <= 1) return;
 
-  // Fused single-pass counting sort on the combined key
-  // (to << tag_bits_) | tag: one histogram + scan + stable 40-byte scatter
-  // replaces the two LSD passes below (half the scatter traffic), and the
-  // scattered histogram doubles as the per-receiver inbox bounds step_shard
-  // slices by. Engaged when the dense key domain is affordable (bounded
-  // absolutely and relative to m, so the per-round memset stays amortized);
-  // the result is bit-identical to the two-pass sort — both are stable
-  // sorts by (to, tag) — and every gate below depends only on
-  // (n, tag_bits, m, max_tag).
+  const bool countable = m < static_cast<std::size_t>(UINT32_MAX);  // u32 offsets
   const auto n64 = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_));
   std::uint32_t max_tag = 0;
   bool have_max_tag = false;
-  if (m < static_cast<std::size_t>(UINT32_MAX) && (n64 << tag_bits_) <= kMaxFusedDomain) {
-    const auto* bytes = reinterpret_cast<const std::byte*>(outbox.data());
-    // Stale contents are cleared before growing so the reallocation copies
-    // nothing; every key is rewritten below.
-    if (keys_.capacity() < m) {
-      keys_.clear();
-      keys_.reserve(m);
+  if (countable && m >= kPartitionMinM) {
+    // Partitioned stable counting sort on the stepper's W shards (one
+    // inline shard on a serial engine). Shard k owns the contiguous outbox
+    // chunk [k m / W, (k + 1) m / W), which is in arrival order:
+    //   1. each shard histograms its chunk over the receiver buckets
+    //      to >> shift and records the chunk's largest tag;
+    //   2. the coordinator scans bucket-major, then chunk-major, so chunk
+    //      k's share of bucket b lands after chunks 0..k-1's;
+    //   3. each shard scatters its chunk stably into inbox_;
+    //   4. each shard counting-sorts a contiguous range of buckets, dealt
+    //      by message count, from inbox_ back into the outbox by the local
+    //      key ((to - base) << tag_bits_) | tag, and fills recv_bounds_ for
+    //      its receivers.
+    // Both levels are stable, and a stable sort by (to, tag) has exactly
+    // one output, so the batch is bit-identical for every W and to the
+    // other strategies. Each bucket's window and its key histogram stay
+    // cache-resident while it is sorted.
+    const std::size_t shards = sinks_.size();
+    const auto top = static_cast<unsigned>(std::bit_width(static_cast<std::uint32_t>(n_ - 1)));
+    const unsigned fine = top > kMaxBucketBits ? top - kMaxBucketBits : 0;
+    const unsigned coarse = top > kBucketBits ? top - kBucketBits : 0;
+    const unsigned fit = kBucketKeyBits > tag_bits_ ? kBucketKeyBits - tag_bits_ : 0;
+    part_.shift = std::max(fine, std::min(coarse, fit));
+    part_.buckets = (static_cast<std::size_t>(n_ - 1) >> part_.shift) + 1;
+    part_.cursors.resize(shards * part_.buckets);
+    part_.max_tag.resize(shards);
+    run_shards([](Engine& engine, std::size_t k) { engine.partition_count(k); });
+    max_tag = *std::max_element(part_.max_tag.begin(), part_.max_tag.end());
+    have_max_tag = true;
+    if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
+      tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
     }
-    keys_.resize(m);
+    if (max_tag < kMaxCountingTag && part_.shift + tag_bits_ <= kMaxBucketKeyBits) {
+      const std::size_t buckets = part_.buckets;
+      part_.bucket_begin.resize(buckets + 1);
+      std::uint32_t sum = 0;
+      for (std::size_t b = 0; b < buckets; ++b) {
+        part_.bucket_begin[b] = sum;
+        for (std::size_t k = 0; k < shards; ++k) {
+          std::uint32_t& c = part_.cursors[k * buckets + b];
+          const std::uint32_t count = c;
+          c = sum;
+          sum += count;
+        }
+      }
+      part_.bucket_begin[buckets] = sum;
+      LFT_ASSERT(sum == m);
+      // Every buffer the shards write is sized here, on the coordinator
+      // (inbox_ holds last round's batch, already consumed by the step).
+      resize_discarding(inbox_, m);
+      resize_discarding(keys_, m);
+      counts_.resize(shards << (part_.shift + tag_bits_));
+      recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
+      recv_bounds_[0] = 0;
+      run_shards([](Engine& engine, std::size_t k) { engine.partition_scatter(k); });
+      // Deal the buckets in contiguous ranges: shard k - 1's range ends at
+      // the first bucket that starts at or past k m / W.
+      part_.shard_buckets.resize(shards + 1);
+      part_.shard_buckets[0] = 0;
+      for (std::size_t k = 1; k < shards; ++k) {
+        const auto target = static_cast<std::uint32_t>(k * m / shards);
+        part_.shard_buckets[k] = static_cast<std::size_t>(
+            std::lower_bound(part_.bucket_begin.begin(),
+                             part_.bucket_begin.begin() + static_cast<std::ptrdiff_t>(buckets),
+                             target) -
+            part_.bucket_begin.begin());
+      }
+      part_.shard_buckets[shards] = buckets;
+      run_shards([](Engine& engine, std::size_t k) { engine.partition_sort_buckets(k); });
+      recv_bounds_valid_ = true;
+      return;  // sorted back into the outbox
+    }
+  } else if (countable && (n64 << tag_bits_) <= kMaxFusedDomain) {
+    // Fused single-pass counting sort on the combined key
+    // (to << tag_bits_) | tag: one histogram + scan + stable 40-byte scatter
+    // replaces the two LSD passes below (half the scatter traffic), and the
+    // scattered histogram doubles as the per-receiver inbox bounds
+    // step_shard slices by. Engaged when the dense key domain is affordable
+    // (bounded absolutely and relative to m, so the per-round memset stays
+    // amortized); the result is bit-identical to the two-pass sort — both
+    // are stable sorts by (to, tag) — and every gate below depends only on
+    // (n, tag_bits, m, max_tag).
+    const auto* bytes = reinterpret_cast<const std::byte*>(outbox.data());
+    resize_discarding(keys_, m);
     max_tag = simd::build_keys40(bytes, m, tag_bits_, keys_.data());
     have_max_tag = true;
     if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
@@ -743,74 +926,9 @@ void Engine::sort_batch_normal_form() {
       simd::histogram_u32(keys_.data(), m, counts_.data());
       const std::uint32_t total = simd::exclusive_scan_u32(counts_.data(), counts_.size());
       LFT_ASSERT(total == m);
-      if (inbox_.capacity() < m) {
-        inbox_.clear();  // last round's batch, already consumed by the step
-        inbox_.reserve(m);
-      }
-      inbox_.resize(m);
-      auto* inbox_bytes = reinterpret_cast<std::byte*>(inbox_.data());
-      // Large batches over a large key domain take the scatter in two
-      // cache-blocked levels: a stable partition by the keys' high bits into
-      // bucket-sequential streams, then a per-bucket scatter whose source
-      // slice and destination window are both L2-resident. The direct
-      // scatter keeps one open write cursor per distinct (receiver, tag);
-      // once that cursor set outgrows L2 (domain beyond ~32k keys at a
-      // cache line each) every record store misses, and paying one extra
-      // sequential pass to shrink the live cursor set wins. Below that the
-      // direct scatter is already cache-resident and strictly cheaper. Same
-      // stable permutation either way — MSD partition + stable in-bucket
-      // sort by the full key — so the result is bit-identical; the cutover
-      // depends only on (m, domain).
-      const bool two_level = m >= kTwoLevelMinM && domain >= 32768;
-      if (!two_level) {
-        simd::scatter_records40(bytes, m, keys_.data(), counts_.data(), inbox_bytes);
-      } else {
-        // Bucket count scales so each output window is ~1-2 MiB, capped so
-        // the partition cursors stay within one page of L1 lines.
-        const auto want = static_cast<std::uint32_t>(
-            std::min<std::size_t>(256, m * sizeof(Message) >> 20));
-        const std::uint32_t target = std::bit_ceil(std::max(16u, want));
-        const auto dbits = static_cast<unsigned>(std::bit_width(domain - 1));
-        const unsigned tbits = static_cast<unsigned>(std::countr_zero(target));
-        const unsigned shift = dbits > tbits ? dbits - tbits : 0;
-        const auto nbuckets =
-            static_cast<std::uint32_t>((domain + (std::uint64_t{1} << shift) - 1) >> shift);
-        if (keys_hi_.capacity() < m) {
-          keys_hi_.clear();
-          keys_hi_.reserve(m);
-        }
-        keys_hi_.resize(m);
-        for (std::size_t i = 0; i < m; ++i) keys_hi_[i] = keys_[i] >> shift;
-        std::array<std::uint32_t, 257> bcur{};
-        for (std::size_t i = 0; i < m; ++i) ++bcur[keys_hi_[i]];
-        std::uint32_t bsum = 0;
-        for (std::uint32_t k = 0; k < nbuckets; ++k) {
-          const std::uint32_t c = bcur[k];
-          bcur[k] = bsum;
-          bsum += c;
-        }
-        // Level 1: stable partition outbox -> inbox by bucket id.
-        simd::scatter_records40(bytes, m, keys_hi_.data(), bcur.data(), inbox_bytes);
-        // Level 2: per bucket, rebuild the full keys from the (L2-hot)
-        // partitioned slice and scatter into the final positions — the
-        // global cursors in counts_ already point at each key's run. The
-        // destination is outbox itself: its records were just copied out,
-        // so the sorted batch lands where the direct path's swap would put
-        // it.
-        auto* outbox_bytes = reinterpret_cast<std::byte*>(outbox.data());
-        std::uint32_t start = 0;
-        for (std::uint32_t k = 0; k < nbuckets; ++k) {
-          const std::uint32_t end = bcur[k];  // post-scatter: end of bucket k
-          const std::uint32_t cnt = end - start;
-          if (cnt != 0) {
-            const std::byte* slice = inbox_bytes + std::size_t{start} * sizeof(Message);
-            (void)simd::build_keys40(slice, cnt, tag_bits_, keys_hi_.data() + start);
-            simd::scatter_records40(slice, cnt, keys_hi_.data() + start, counts_.data(),
-                                    outbox_bytes);
-          }
-          start = end;
-        }
-      }
+      resize_discarding(inbox_, m);  // last round's batch, already consumed
+      simd::scatter_records40(bytes, m, keys_.data(), counts_.data(),
+                              reinterpret_cast<std::byte*>(inbox_.data()));
       // Post-scatter, counts_[k] is the end offset of key k's run, so the
       // end of receiver v's slice is the end of its last tag run.
       recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
@@ -819,9 +937,7 @@ void Engine::sort_batch_normal_form() {
         recv_bounds_[v + 1] = counts_[((v + 1) << tag_bits_) - 1];
       }
       recv_bounds_valid_ = true;
-      // Leave the result where the caller expects it (it swaps the arenas);
-      // the two-level path already sorted back into outbox.
-      if (!two_level) outbox.swap(inbox_);
+      outbox.swap(inbox_);  // leave the result where the caller expects it
       return;
     }
   }
@@ -829,7 +945,7 @@ void Engine::sort_batch_normal_form() {
   if (!have_max_tag) {
     for (const Message& msg : outbox) max_tag = std::max(max_tag, msg.tag);
   }
-  if (max_tag >= kMaxCountingTag || m >= static_cast<std::size_t>(UINT32_MAX)) {
+  if (max_tag >= kMaxCountingTag || !countable) {
     std::stable_sort(outbox.begin(), outbox.end(), [](const Message& a, const Message& b) {
       return a.to != b.to ? a.to < b.to : a.tag < b.tag;
     });
@@ -888,6 +1004,7 @@ void Engine::sort_batch_normal_form() {
 void Engine::deliver_batch() {
   std::vector<Message>& outbox = sinks_[0].msgs;
   const bool traced = config_.trace != nullptr;
+  const std::uint64_t compact_start = tele_ != nullptr ? obs::now_ns() : 0;
 
   // Recycle the delayed bucket injected last round: its arena backed inbox
   // views through the step that just consumed them. One predictable
@@ -1015,9 +1132,14 @@ void Engine::deliver_batch() {
   // arena is appended in ascending sender order and every strategy of the
   // sort is stable, so each (receiver, tag) run stays sorted by sender with
   // per-sender send order preserved.
+  const std::uint64_t sort_start = tele_ != nullptr ? obs::now_ns() : 0;
   sort_batch_normal_form();
   inbox_.swap(outbox);
   outbox.clear();
+  if (tele_ != nullptr) {
+    tele_->compact_ns.record(sort_start - compact_start);
+    tele_->sort_ns.record(obs::now_ns() - sort_start);
+  }
 }
 
 Report Engine::run() {

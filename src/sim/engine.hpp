@@ -12,11 +12,12 @@
 // PODs to a contiguous arena (reused across rounds — the steady state
 // performs no per-message allocation). Delivery is one compaction pass (drop,
 // delay, account) followed by one stable sort by (receiver, tag), whose
-// strategy is picked from the batch size m, n and the tag width: a fused
-// one-pass counting sort on the combined key, the same sort with a two-level
-// cache-blocked scatter for large batches over a large key domain, two LSD
-// counting passes (tag, then receiver) when the dense key domain is too
-// large, or a comparison sort for degenerate tags. Each receiver gets a
+// strategy is picked from the batch size m, n and the tag width: a large
+// batch takes a partitioned counting sort that runs on the stepper's shards
+// (receiver buckets, then a counting sort inside each bucket); a smaller one
+// a fused one-pass counting sort on the combined key, or two LSD counting
+// passes (tag, then receiver) when the dense key domain is too large, or a
+// comparison sort for degenerate tags. Each receiver gets a
 // zero-copy Inbox view into its slice. Only nodes that are alive and not
 // halted are stepped (the active set shrinks as the execution winds down),
 // so per-round cost is O(active + messages), not O(n).
@@ -26,6 +27,8 @@
 // pool; shard 0 appends to the outbox, every other shard to its own sink,
 // appended in ascending sender order after the barrier, so the delivered
 // batch — and every Report field — is bit-identical to the serial engine.
+// The same pool runs the large-batch sort's shards; a stable sort by
+// (receiver, tag) has one possible output, so that is bit-identical too.
 #pragma once
 
 #include <cstdint>
@@ -375,6 +378,12 @@ class Engine {
   [[nodiscard]] bool fault_dropped(const Message& m) const noexcept;
   /// Runs one fault-plane phase (pre-round or post-step).
   void run_fault_phase(bool pre_round);
+  /// One shard's share of a sharded job: shard 0 runs on the calling
+  /// thread, shard k >= 1 on worker k - 1.
+  using ShardJob = void (*)(Engine&, std::size_t shard);
+  /// Runs `job` for shards 0..threads()-1 and returns once all finished:
+  /// on the worker pool, or inline as the one shard of a serial engine.
+  void run_shards(ShardJob job);
   /// Steps active_[k-th shard] (bounds in shard_begin_) into sinks_[k].
   void step_shard(std::size_t k);
   /// Steps every active node (serial or sharded) and fills the outbox.
@@ -383,11 +392,18 @@ class Engine {
   /// metrics, and sorts the survivors into delivery normal form.
   void deliver_batch();
   /// Stable sort of the outbox by (receiver, tag), with inbox_ as the scratch
-  /// buffer: a fused one-pass counting sort (direct or two-level scatter)
-  /// when the dense key domain n << tag_bits is affordable, else two LSD
-  /// counting passes in O(m + tag_domain + min(n, d log d)) for d distinct
-  /// receivers, else — for degenerate (huge) tags — a comparison sort.
+  /// buffer: the partitioned counting sort for batches of at least
+  /// kPartitionMinM, else a fused one-pass counting sort when the dense key
+  /// domain n << tag_bits is affordable, else two LSD counting passes in
+  /// O(m + tag_domain + min(n, d log d)) for d distinct receivers, else — for
+  /// degenerate (huge) tags — a comparison sort.
   void sort_batch_normal_form();
+  /// The partitioned counting sort's three sharded phases (see engine.cpp):
+  /// bucket histogram of shard k's outbox chunk, its stable scatter into
+  /// inbox_, and the counting sort of shard k's buckets back into the outbox.
+  void partition_count(std::size_t k);
+  void partition_scatter(std::size_t k);
+  void partition_sort_buckets(std::size_t k);
 
   NodeId n_;
   EngineConfig config_;
@@ -476,20 +492,36 @@ class Engine {
   std::vector<std::uint32_t> recv_count_;  // n entries, all zero between rounds
   std::vector<NodeId> touched_receivers_;
 
-  // Fused single-pass sweep scratch (sort_batch_normal_form's first
-  // choice): per-message sort keys (to << tag_bits_) | tag, the dense key
-  // histogram, and per-receiver inbox bounds derived from the scattered
-  // histogram. recv_bounds_ is valid only for rounds the fused
-  // sweep sorted (recv_bounds_valid_); step_shard then slices inboxes by
+  // Counting-sort scratch shared by the fused and the partitioned sort:
+  // per-message sort keys ((to - base) << tag_bits_) | tag (base = 0 for the
+  // fused sort, the bucket's first receiver for the partitioned one), the
+  // dense key histograms (one domain-sized slice per shard), and
+  // per-receiver inbox bounds derived from the scattered histograms.
+  // recv_bounds_ is valid only for rounds a counting sort on the combined
+  // key sorted (recv_bounds_valid_); step_shard then slices inboxes by
   // lookup instead of scanning inbox_ for receiver boundaries. tag_bits_ is
   // a high-water mark: it grows when a round's max tag outgrows it and the
   // keys are rebuilt (rare — tags are small protocol enumerators).
   std::vector<std::uint32_t> keys_;
-  std::vector<std::uint32_t> keys_hi_;  // two-level scatter: bucket ids, then per-bucket keys
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> recv_bounds_;  // n + 1 entries when valid
   bool recv_bounds_valid_ = false;
   unsigned tag_bits_ = 4;
+
+  // The partitioned sort's plan for the current batch, written by the
+  // coordinator between its sharded phases. Receiver buckets are
+  // to >> shift (at most 256 of them); shard k's outbox chunk is
+  // [k m / W, (k + 1) m / W) and it sorts buckets
+  // [shard_buckets[k], shard_buckets[k + 1]).
+  struct Partition {
+    unsigned shift = 0;
+    std::size_t buckets = 0;
+    std::vector<std::uint32_t> cursors;       // W x buckets: chunk histograms, then scatter cursors
+    std::vector<std::uint32_t> max_tag;       // W: each chunk's largest tag
+    std::vector<std::uint32_t> bucket_begin;  // buckets + 1 offsets into the batch
+    std::vector<std::size_t> shard_buckets;   // W + 1
+  };
+  Partition part_;
 
   // Per-round crash bookkeeping. `crash_filter_` maps a node crashed this
   // round to its keep-filter slot (or -1 for a clean crash); only the entries

@@ -5,9 +5,10 @@
 // bit-identity of serial vs parallel stepping on the crash-consensus and
 // gossip workloads, the stepper x scratch identity matrix (Report
 // fingerprint plus every RoundDigest) over fanout, crash consensus, gossip,
-// Byzantine, delay/GST and the two-level scatter, a cross-build pin of
-// a fan-out's accounting and digest stream, and the stepper's derived
-// worker count (EngineThreads).
+// Byzantine, delay/GST and the partitioned large-batch sort (with an
+// inbox oracle at threads 1-4), a cross-build pin of a fan-out's
+// accounting and digest stream, the stepper's derived worker count
+// (EngineThreads), and the delivery-phase telemetry (EngineTelemetry).
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <sched.h>
@@ -30,6 +31,7 @@
 #include "common/cpus.hpp"
 #include "core/consensus.hpp"
 #include "core/gossip.hpp"
+#include "obs/obs.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/adversary.hpp"
 #include "sim/engine.hpp"
@@ -650,24 +652,63 @@ TEST(MessagePlaneIdentity, DelayedDeliverySteppersScratch) {
   }
 }
 
-TEST(MessagePlaneIdentity, TwoLevelScatterDeliversNormalForm) {
-  // Large-domain large-batch delivery: n = 4096 and m = n * 64 = 262144 per
-  // round clears both two-level gates (m >= 1<<18, domain = n << tag_bits =
-  // 65536 >= 32768), so the cache-blocked MSD scatter runs instead of the
-  // flat one. Every delivered inbox must equal the oracle built here from
-  // the send schedule: the receiver's messages in send order (sender
-  // ascending, then send index), stably sorted by tag. The parallel stepper
-  // with scratch must then reproduce the serial run bit for bit.
-  static constexpr NodeId kN = 4096;
-  static constexpr int kFan = 64;
-  static constexpr Round kRounds = 2;
-  auto dest = [](NodeId from, int i, Round round) {
-    return static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 17 + round) % kN);
+TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
+  // Large-batch delivery through the partitioned counting sort: every round
+  // sends m = 4093 * 17 = 69581 messages, just past kPartitionMinM
+  // (1 << 16), so the kernel sorts every round at every shard count. n =
+  // 4093 is not a power of two: the receiver buckets are to >> 6 here, 64
+  // of them, and the last holds 61 receivers. All of bucket 7, the last
+  // receiver and receivers on some 16-aligned edges (64-aligned ones
+  // among them) get nothing, so empty slices sit where bucket windows
+  // meet, whatever the bucket width. Round 1 sends tags up to 40, past
+  // the 4-bit key width the engine starts with, so the key widens mid-run.
+  // At threads 1..4 every delivered inbox must equal the oracle built here
+  // from the send schedule — the receiver's messages in send order (sender
+  // ascending, then send index), stably sorted by tag — because the
+  // delivered-header digest is a commutative sum and cannot see the order
+  // inside a receiver's run. Fingerprints and digest streams must match
+  // the serial run's too.
+  static constexpr NodeId kN = 4093;
+  static constexpr int kFan = 17;
+  static constexpr Round kRounds = 3;
+  auto starved = [](NodeId v) {
+    const NodeId edge = v / 16;
+    const NodeId slot = v % 16;
+    return v / 64 == 7 || v == kN - 1 || (slot == 0 && edge % 3 == 0) ||
+           (slot == 15 && edge % 5 == 0);
+  };
+  auto dest = [&starved](NodeId from, int i, Round round) {
+    auto v = static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 17 + round) % kN);
+    while (starved(v)) v = (v + 1) % kN;
+    return v;
+  };
+  auto tag_of = [](int i, Round round) {
+    return static_cast<std::uint32_t>(round == 1 ? 2 * i + 8 : i % 7);
   };
   using Seen = std::tuple<std::uint32_t, NodeId, std::uint64_t>;  // (tag, from, value)
-  // inboxes[r][v]: what node v received in round r + 1.
-  std::vector<std::vector<std::vector<Seen>>> inboxes(
-      kRounds, std::vector<std::vector<Seen>>(static_cast<std::size_t>(kN)));
+  using Inboxes = std::vector<std::vector<std::vector<Seen>>>;  // [round - 1][receiver]
+  auto empty_inboxes = [] {
+    return Inboxes(kRounds, std::vector<std::vector<Seen>>(static_cast<std::size_t>(kN)));
+  };
+  Inboxes want = empty_inboxes();
+  for (Round r = 0; r < kRounds; ++r) {
+    for (NodeId from = 0; from < kN; ++from) {
+      for (int i = 0; i < kFan; ++i) {
+        want[static_cast<std::size_t>(r)][static_cast<std::size_t>(dest(from, i, r))]
+            .emplace_back(tag_of(i, r), from, static_cast<std::uint64_t>(i));
+      }
+    }
+    for (auto& expected : want[static_cast<std::size_t>(r)]) {
+      std::stable_sort(expected.begin(), expected.end(), [](const Seen& a, const Seen& b) {
+        return std::get<0>(a) < std::get<0>(b);
+      });
+    }
+  }
+  ASSERT_TRUE(want[0][64 * 7].empty());
+  ASSERT_TRUE(want[0][64 * 3].empty());
+  ASSERT_FALSE(want[0][kN - 2].empty());
+
+  Inboxes inboxes = empty_inboxes();
   auto workload = [&](const Combo& c) {
     DigestLog log;
     EngineScratch scratch;
@@ -676,23 +717,21 @@ TEST(MessagePlaneIdentity, TwoLevelScatterDeliversNormalForm) {
     config.scratch = c.scratch ? &scratch : nullptr;
     config.trace = &log;
     Engine engine(kN, config);
+    EXPECT_EQ(engine.threads(), c.threads);
     for (NodeId v = 0; v < kN; ++v) {
       engine.set_process(v, lambda_process([&, v](Context& ctx, const Inbox& inbox) {
                            if (ctx.round() >= 1) {
                              auto& seen = inboxes[static_cast<std::size_t>(ctx.round() - 1)]
                                                  [static_cast<std::size_t>(v)];
                              seen.clear();
-                             for (const auto& m : inbox) {
-                               EXPECT_EQ(m.to, v);
-                               seen.emplace_back(m.tag, m.from, m.value);
-                             }
+                             for (const auto& m : inbox) seen.emplace_back(m.tag, m.from, m.value);
                            }
                            if (ctx.round() >= kRounds) {
                              ctx.halt();
                              return;
                            }
                            for (int i = 0; i < kFan; ++i) {
-                             ctx.send(dest(v, i, ctx.round()), static_cast<std::uint32_t>(i % 7),
+                             ctx.send(dest(v, i, ctx.round()), tag_of(i, ctx.round()),
                                       static_cast<std::uint64_t>(i));
                            }
                          }));
@@ -701,25 +740,25 @@ TEST(MessagePlaneIdentity, TwoLevelScatterDeliversNormalForm) {
     EXPECT_EQ(report.metrics.peak_round_messages, static_cast<std::int64_t>(kN) * kFan);
     return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
   };
-  const Capture ref = workload(Combo{});
-  for (Round r = 0; r < kRounds; ++r) {
-    std::vector<std::vector<Seen>> want(static_cast<std::size_t>(kN));
-    for (NodeId from = 0; from < kN; ++from) {
-      for (int i = 0; i < kFan; ++i) {
-        want[static_cast<std::size_t>(dest(from, i, r))].emplace_back(
-            static_cast<std::uint32_t>(i % 7), from, static_cast<std::uint64_t>(i));
+  Capture ref;
+  for (const int threads : {1, 2, 3, 4}) {
+    const Combo combo{threads, threads % 2 == 0};
+    const std::string label = combo_label("partitioned", combo);
+    inboxes = empty_inboxes();
+    Capture got = workload(combo);
+    for (Round r = 0; r < kRounds; ++r) {
+      for (NodeId v = 0; v < kN; ++v) {
+        ASSERT_EQ(inboxes[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)],
+                  want[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)])
+            << label << " round " << r + 1 << " receiver " << v;
       }
     }
-    for (NodeId v = 0; v < kN; ++v) {
-      auto& expected = want[static_cast<std::size_t>(v)];
-      std::stable_sort(expected.begin(), expected.end(), [](const Seen& a, const Seen& b) {
-        return std::get<0>(a) < std::get<0>(b);
-      });
-      ASSERT_EQ(inboxes[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)], expected)
-          << "round " << r + 1 << " receiver " << v;
+    if (threads == 1) {
+      ref = std::move(got);
+    } else {
+      expect_capture_eq(ref, got, label);
     }
   }
-  expect_capture_eq(ref, workload(Combo{4, true}), combo_label("twolevel", {4, true}));
 }
 
 // ---- the stepper's derived worker count ------------------------------------
@@ -863,6 +902,53 @@ TEST(EngineThreads, SerialRunCyclesThroughTwoMessageBuffers) {
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_GE(scratch.sink.msgs.capacity(), std::size_t{kN} * kN);
   EXPECT_GE(scratch.inbox.capacity(), std::size_t{kN} * kN);
+}
+
+// ---- delivery-phase telemetry ----------------------------------------------
+
+TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
+  // lft_engine_compact_ns and lft_engine_sort_ns time the two halves of
+  // delivery. With lft_engine_step_ns they record one sample per executed
+  // round, and the three together cannot exceed the run's wall time. The
+  // first rounds send m = 1024 * 80 > kPartitionMinM messages (the
+  // partitioned sort, on two shards), the later ones one message per node
+  // (the serial sorts), so both kinds of sort are timed.
+  static constexpr NodeId kN = 1024;
+  obs::Registry registry;
+  EngineConfig config;
+  config.threads = 2;
+  config.telemetry = &registry;
+  Engine engine(kN, config);
+  for (NodeId v = 0; v < kN; ++v) {
+    engine.set_process(v, lambda_process([v](Context& ctx, const Inbox&) {
+                         if (ctx.round() >= 6) {
+                           ctx.halt();
+                           return;
+                         }
+                         const int fan = ctx.round() < 3 ? 80 : 1;
+                         for (int i = 0; i < fan; ++i) {
+                           ctx.send(static_cast<NodeId>((v * 7 + i) % kN), 0, 1);
+                         }
+                       }));
+  }
+  const std::uint64_t start = obs::now_ns();
+  const Report report = engine.run();
+  const std::uint64_t wall_ns = obs::now_ns() - start;
+  ASSERT_TRUE(report.completed);
+  EXPECT_EQ(report.metrics.peak_round_messages, std::int64_t{kN} * 80);
+
+  const auto snapshot = registry.snapshot();
+  const auto* rounds = snapshot.find_counter("lft_engine_rounds_total");
+  ASSERT_NE(rounds, nullptr);
+  EXPECT_EQ(rounds->value, static_cast<std::uint64_t>(report.rounds));
+  std::uint64_t phases_ns = 0;
+  for (const char* name : {"lft_engine_step_ns", "lft_engine_compact_ns", "lft_engine_sort_ns"}) {
+    const auto* phase = snapshot.find_histogram(name);
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_EQ(phase->data.count(), rounds->value) << name;
+    phases_ns += phase->data.sum();
+  }
+  EXPECT_LE(phases_ns, wall_ns);
 }
 }  // namespace
 }  // namespace lft::sim
