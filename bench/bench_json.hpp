@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <initializer_list>
 #include <string>
 #include <utility>
 #include <variant>
@@ -102,13 +101,13 @@ inline std::string json_flag(int argc, char** argv) {
 /// artifact shares — keeping the four table benches' schemas from
 /// diverging. No-op when json is null (no --json flag).
 inline void record_table_row(JsonRows* json,
-                             std::initializer_list<std::pair<const char*, const char*>> labels,
+                             const std::vector<std::pair<std::string, std::string>>& labels,
                              NodeId n, std::int64_t t, std::int64_t rounds,
                              std::int64_t messages, std::int64_t bits, double wall_ms,
                              bool ok) {
   if (json == nullptr) return;
   json->begin_row();
-  for (const auto& [key, value] : labels) json->field(key, std::string(value));
+  for (const auto& [key, value] : labels) json->field(key, value);
   json->field("n", static_cast<std::int64_t>(n));
   json->field("t", t);
   json->field("rounds", rounds);

@@ -1,6 +1,7 @@
-// Shared helpers for the benchmark harness: fixed-width paper-style table
-// printing (each bench binary first regenerates its table/figure rows, then
-// runs google-benchmark timings) and common workload construction.
+// Shared helpers for the bench binaries: fixed-width paper-style table
+// printing (paper_claims prints its 15 tables with it; the google-benchmark
+// binaries print their table before their timings) and common workload
+// construction.
 #pragma once
 
 #include <cstdio>

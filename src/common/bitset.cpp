@@ -42,11 +42,6 @@ bool DynamicBitset::or_assign(const DynamicBitset& other) noexcept {
   return changed;
 }
 
-void DynamicBitset::and_assign(const DynamicBitset& other) noexcept {
-  LFT_ASSERT(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-}
-
 DynamicBitset DynamicBitset::minus(const DynamicBitset& other) const {
   LFT_ASSERT(size_ == other.size_);
   DynamicBitset out(size_);

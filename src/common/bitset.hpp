@@ -43,9 +43,6 @@ class DynamicBitset {
   /// this |= other. Sizes must match. Returns true iff any bit changed.
   bool or_assign(const DynamicBitset& other) noexcept;
 
-  /// this &= other. Sizes must match.
-  void and_assign(const DynamicBitset& other) noexcept;
-
   /// Bits set in this but not in other (set difference), as a new bitset.
   [[nodiscard]] DynamicBitset minus(const DynamicBitset& other) const;
 

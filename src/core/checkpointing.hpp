@@ -26,7 +26,6 @@ class CheckpointProcess final : public sim::Process {
 
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
 
-  [[nodiscard]] const GossipState& gossip_state() const noexcept { return gossip_state_; }
   [[nodiscard]] const VectorState& vector_state() const noexcept { return vector_state_; }
   [[nodiscard]] Round duration() const { return driver_.total_duration(); }
 

@@ -188,7 +188,6 @@ sim::Report run_system(NodeId n, std::int64_t crash_budget, const ProcessFactory
   // Each fault class gets the same budget t: omission faults are node faults
   // in the same adversary model (Dwork-Halpern-Waarts).
   config.omission_budget = crash_budget;
-  config.max_rounds = options.max_rounds;
   config.threads = options.threads;
   config.scratch = options.scratch;
   config.trace = options.trace;

@@ -121,7 +121,6 @@ class StageDriver {
 
   [[nodiscard]] Round total_duration() const;
   [[nodiscard]] const Stage& stage(std::size_t i) const { return *stages_[i]; }
-  [[nodiscard]] std::size_t stage_count() const noexcept { return stages_.size(); }
 
   /// Drives the stage owning `round`; returns true when this was the last
   /// round of the last stage (the caller should halt).

@@ -93,12 +93,4 @@ ConsensusParams ConsensusParams::single_port(NodeId n, std::int64_t t) {
   return p;
 }
 
-double PaperFormulas::many_degree(double alpha) { return std::pow(4.0 / (1.0 - alpha), 8.0); }
-
-double PaperFormulas::ell(double n, double d) { return 4.0 * n * std::pow(d, -0.125); }
-
-double PaperFormulas::delta(double d) {
-  return 0.5 * (std::pow(d, 7.0 / 8.0) - std::pow(d, 5.0 / 8.0));
-}
-
 }  // namespace lft::core

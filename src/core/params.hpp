@@ -47,13 +47,4 @@ struct ConsensusParams {
   [[nodiscard]] static ConsensusParams single_port(NodeId n, std::int64_t t);
 };
 
-/// The paper's exact parameter formulas, for documentation and for the
-/// bench that reports what they would require.
-struct PaperFormulas {
-  static double aea_degree() { return 390625.0; }  // 5^8
-  static double many_degree(double alpha);          // (4/(1-alpha))^8
-  static double ell(double n, double d);            // 4 n d^{-1/8}
-  static double delta(double d);                    // (d^{7/8} - d^{5/8}) / 2
-};
-
 }  // namespace lft::core

@@ -5,11 +5,9 @@
 // longer touches every runner signature in the tree.
 //
 // None of these options changes any Report bit — they select *how* an
-// execution runs (round cap, stepper parallelism, buffer recycling, trace
-// recording), never what it computes.
+// execution runs (stepper parallelism, buffer recycling, trace recording),
+// never what it computes.
 #pragma once
-
-#include "common/types.hpp"
 
 namespace lft::obs {
 class Registry;
@@ -25,8 +23,6 @@ namespace lft::core {
 /// Per-execution knobs, defaulting to a cold untraced run whose stepper is
 /// sized by the machine.
 struct RunOptions {
-  /// Safety cap on executed rounds; Report::completed is false when hit.
-  Round max_rounds = Round{1} << 22;
   /// Worker threads for the engine's deterministic parallel stepper;
   /// 1 = serial, 0 (the default) = derived from the usable CPUs (see
   /// sim::EngineConfig::threads). Reports are bit-identical for every value.

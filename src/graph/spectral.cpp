@@ -146,12 +146,6 @@ double ramanujan_bound(int degree) {
   return 2.0 * std::sqrt(static_cast<double>(degree - 1));
 }
 
-bool is_near_ramanujan(const Graph& g, double slack_factor) {
-  const int d = g.max_degree();
-  if (d <= 1) return false;
-  return second_eigenvalue_estimate(g) <= ramanujan_bound(d) * slack_factor;
-}
-
 double edge_expansion_lower_bound(const Graph& g) {
   const double lambda = second_eigenvalue_estimate(g);
   const double d = g.max_degree();

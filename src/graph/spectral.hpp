@@ -54,11 +54,6 @@ class RowShare {
 /// Ramanujan bound 2*sqrt(d-1) for degree d.
 [[nodiscard]] double ramanujan_bound(int degree);
 
-/// True iff the estimated lambda is within `slack_factor` of the Ramanujan
-/// bound (slack_factor = 1.0 tests the exact bound; certification uses a
-/// small tolerance because random regular graphs are *near*-Ramanujan).
-[[nodiscard]] bool is_near_ramanujan(const Graph& g, double slack_factor = 1.15);
-
 /// Cheeger-style lower bound on the edge expansion of a d-regular graph:
 /// h(G) >= (d - lambda_2) / 2 >= (d - lambda) / 2.
 [[nodiscard]] double edge_expansion_lower_bound(const Graph& g);

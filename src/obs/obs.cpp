@@ -388,12 +388,4 @@ void Registry::merge_from(const Registry& other) {
   }
 }
 
-void Registry::reset_values() {
-  for (auto& e : entries_) {
-    e.counter.reset();
-    e.gauge.reset();
-    e.histogram.reset();
-  }
-}
-
 }  // namespace lft::obs

@@ -215,10 +215,6 @@ class Registry {
   /// add, gauge max, histogram merge), creating missing instruments.
   void merge_from(const Registry& other);
 
-  /// Zeroes every instrument, keeping registrations (and handed-out
-  /// references) valid.
-  void reset_values();
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
