@@ -96,10 +96,10 @@ inline std::string json_flag(int argc, char** argv) {
   return {};
 }
 
-/// Appends one table1-style row: any leading label fields, then the common
+/// Appends one table row: any leading label fields, then the common
 /// (n, t, rounds, messages, bits, wall_ms, ok) columns every BENCH_*.json
-/// artifact shares — keeping the four table benches' schemas from
-/// diverging. No-op when json is null (no --json flag).
+/// artifact shares — keeping the paper-claims and scenario tables' schemas
+/// from diverging. No-op when json is null (no --json flag).
 inline void record_table_row(JsonRows* json,
                              const std::vector<std::pair<std::string, std::string>>& labels,
                              NodeId n, std::int64_t t, std::int64_t rounds,
