@@ -559,8 +559,8 @@ ClaimTable thm11_ab_consensus() {
 
 // Both Section 8 regimes: t >= sqrt(n) schedules the related-node star link
 // by link; t < sqrt(n) replaces it with extended SCV flooding. The n = 3200
-// execution steps about 4x faster on four stepper workers than serially
-// (16-43 s against 80 s on a 4-vCPU VM), longer than the rest of the harness
+// execution steps about 3x faster on four stepper workers than serially
+// (9-11 s against 28-34 s on a 4-vCPU VM), longer than the rest of the harness
 // takes, so it runs on the parallel stepper.
 ClaimTable thm12_single_port() {
   ClaimTable table{

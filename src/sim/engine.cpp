@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -40,9 +41,10 @@ constexpr std::size_t kRecycledBuckets = 3;
 // dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
 constexpr std::uint64_t kMaxFusedDomain = 1u << 22;
 
-// Batch size from which delivery takes the partitioned counting sort on
-// the stepper's shards (measured crossover: docs/architecture.md, The
-// message plane). Below it the fused sweep or the LSD passes sort serially.
+// Batch size from which delivery compacts and sorts on the stepper's shards,
+// with the partitioned counting sort (measured crossover:
+// docs/architecture.md, The message plane). Below it one inline shard
+// compacts, and the fused sweep or the LSD passes sort serially.
 constexpr std::size_t kPartitionMinM = std::size_t{1} << 16;
 // The partitioned sort's receiver buckets (to >> shift): at most 256, so a
 // chunk's histogram and scatter cursors are one stack array each; about 64
@@ -85,9 +87,12 @@ struct Engine::Telemetry {
         round_delayed(registry.histogram("lft_engine_round_delayed")),
         round_lost(registry.histogram("lft_engine_round_lost")),
         round_active(registry.histogram("lft_engine_round_active")),
+        pre_round_ns(registry.histogram("lft_engine_pre_round_ns")),
         step_ns(registry.histogram("lft_engine_step_ns")),
+        post_step_ns(registry.histogram("lft_engine_post_step_ns")),
         compact_ns(registry.histogram("lft_engine_compact_ns")),
         sort_ns(registry.histogram("lft_engine_sort_ns")),
+        settle_ns(registry.histogram("lft_engine_settle_ns")),
         arena_bytes(registry.gauge("lft_engine_arena_bytes")) {}
 
   obs::Counter& rounds;
@@ -99,9 +104,12 @@ struct Engine::Telemetry {
   obs::Histogram& round_delayed;
   obs::Histogram& round_lost;
   obs::Histogram& round_active;
+  obs::Histogram& pre_round_ns;
   obs::Histogram& step_ns;
+  obs::Histogram& post_step_ns;
   obs::Histogram& compact_ns;
   obs::Histogram& sort_ns;
+  obs::Histogram& settle_ns;
   obs::Gauge& arena_bytes;
 };
 
@@ -128,7 +136,10 @@ std::uint64_t Context::decision() const noexcept {
   return engine_->status_[static_cast<std::size_t>(self_)].decision;
 }
 
-void Context::halt() { engine_->status_[static_cast<std::size_t>(self_)].halted = true; }
+void Context::halt() {
+  engine_->status_[static_cast<std::size_t>(self_)].halted = true;
+  engine_->dead_[static_cast<std::size_t>(self_)] = 1;
+}
 
 void Context::sleep_until(Round wake_round) { engine_->do_sleep(self_, wake_round); }
 
@@ -270,6 +281,7 @@ Engine::Engine(NodeId n, EngineConfig config)
       config_(config),
       processes_(static_cast<std::size_t>(n)),
       status_(static_cast<std::size_t>(n)),
+      dead_(static_cast<std::size_t>(n), 0),
       wake_at_(static_cast<std::size_t>(n), 0),
       sleeping_(static_cast<std::size_t>(n), 0),
       recv_count_(static_cast<std::size_t>(n), 0),
@@ -288,6 +300,7 @@ Engine::Engine(NodeId n, EngineConfig config)
   }
   sinks_.resize(static_cast<std::size_t>(workers));
   shard_begin_.assign(static_cast<std::size_t>(workers) + 1, 0);
+  compact_.resize(static_cast<std::size_t>(workers) + 1);
   if (config_.scratch != nullptr) {
     // Adopt the recycled buffers: contents are cleared, but vector capacity
     // and arena chunks carry over from the previous execution in this slot.
@@ -394,11 +407,11 @@ void Engine::do_sleep(NodeId v, Round wake_round) {
   wake_at_[static_cast<std::size_t>(v)] = wake_round;
 }
 
-void Engine::wake_by(NodeId v, Round round) {
-  auto& wake = wake_at_[static_cast<std::size_t>(v)];
-  if (wake <= round) return;
-  wake = round;
-  if (sleeping_[static_cast<std::size_t>(v)] != 0) sleep_heap_.emplace(round, v);
+bool Engine::wake_receiver(std::size_t v) noexcept {
+  Round& wake = wake_at_[v];
+  if (wake <= round_ + 1) return false;
+  wake = round_ + 1;
+  return sleeping_[v] != 0;
 }
 
 void Engine::do_crash(NodeId v, std::function<bool(const Message&)> keep) {
@@ -416,6 +429,7 @@ void Engine::do_crash(NodeId v, std::function<bool(const Message&)> keep) {
   LFT_ASSERT_MSG(crashes_used_ <= config_.crash_budget, "crash budget exceeded");
   s.crashed = true;
   s.crash_round = round_;
+  dead_[static_cast<std::size_t>(v)] = 1;
   crashed_this_round_.push_back(v);
   if (config_.trace != nullptr) ++digest_.crashes;
   if (keep) {
@@ -515,6 +529,7 @@ void Engine::do_takeover(NodeId v, std::unique_ptr<Process> behavior) {
       --sleeping_count_;
     }
     s.halted = false;
+    dead_[vi] = 0;
     reactivated_.push_back(v);
   }
   wake_at_[vi] = round_;
@@ -601,7 +616,6 @@ void Engine::park_delayed(const Message& m, Round due) {
   bucket.msgs.push_back(copy);
   ++pending_delayed_count_;
   ++total_delayed_;  // lifetime count, read (never branched on) by telemetry
-  delays_armed_ = true;  // a nonempty queue keeps the delay plane engaged
 }
 
 void Engine::recycle_drained() {
@@ -742,35 +756,151 @@ void Engine::step_active() {
   }
 }
 
-void Engine::partition_count(std::size_t k) {
-  const std::vector<Message>& outbox = sinks_[0].msgs;
-  const std::size_t m = outbox.size();
-  const std::size_t shards = sinks_.size();
+void Engine::compact_shard(std::size_t k) {
+  // One pass over the chunk: drop crashed senders' messages (minus the ones
+  // their keep filter saves), account the survivors, lose in-transit faults,
+  // hold delayed messages and drop messages whose receiver is dead.
+  // Survivors shift left in place to [begin, kept), so the steady state
+  // allocates nothing. The chunk holds whole sender runs (the
+  // outbox ascends by sender), so the sender-side state — the crash filter,
+  // `byzantine` and `sends` — is read and written once per run, by this
+  // shard alone.
+  CompactShard& shard = compact_[k];
+  Message* msgs = sinks_[0].msgs.data();
+  const std::uint8_t* dead = dead_.data();
+  const bool traced = config_.trace != nullptr;
+  const bool fault_filters = fault_filters_armed_;
+  const bool delays = delays_armed_;
+  // On the partitioned route the survivors' receiver-bucket histogram rides
+  // this pass, so the sort never re-reads the batch to count it. Only then
+  // is the histogram zeroed: the inline route runs every small round.
+  const bool count = part_.active;
   const unsigned shift = part_.shift;
-  std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> hist{};
+  std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> hist;
+  if (count) std::fill_n(hist.begin(), part_.buckets, 0u);
   std::uint32_t max_tag = 0;
-  for (std::size_t i = k * m / shards; i < (k + 1) * m / shards; ++i) {
-    const Message& msg = outbox[i];
-    ++hist[static_cast<std::uint32_t>(msg.to) >> shift];
-    max_tag = std::max(max_tag, msg.tag);
+  std::size_t kept = shard.begin;
+  std::int64_t messages = 0;
+  std::int64_t bits = 0;
+  std::int64_t honest_messages = 0;
+  std::int64_t honest_bits = 0;
+  const std::size_t end = shard.end;
+  for (std::size_t i = shard.begin; i < end;) {
+    const NodeId from = msgs[i].from;
+    const std::int32_t filter = crash_filter_[static_cast<std::size_t>(from)];
+    std::int64_t run_messages = 0;
+    std::int64_t run_bits = 0;
+    // Survivors are written at kept <= i, so msgs[i] is still unread here.
+    for (; i < end && msgs[i].from == from; ++i) {
+      const Message& m = msgs[i];
+      if (filter != kNotCrashedThisRound) {
+        const bool saved =
+            filter >= 0 && keep_filters_[static_cast<std::size_t>(filter)](m);
+        if (!saved) {  // lost in the crash
+          if (traced) {
+            ++shard.lost_crash;
+            shard.dropped_sum += digest_header(m);
+          }
+          continue;
+        }
+      }
+      run_messages += 1;
+      run_bits += static_cast<std::int64_t>(m.bits);
+      // Omission / partition / link faults lose the message in transit: the
+      // sender paid for it (accounted above), the receiver never sees it.
+      if (fault_filters && fault_dropped(m)) {
+        if (traced) {
+          ++shard.lost_fault;
+          shard.dropped_sum += digest_header(m);
+        }
+        continue;
+      }
+      // Timing faults hold the message in transit instead of losing it: the
+      // sender paid for it above, and the record (body bytes copied) parks
+      // in the bucket injected into round (round_ + lag)'s sweep, so it
+      // becomes readable exactly lag rounds late. Receiver liveness is
+      // judged at delivery time, not here. Shard 0 runs on the coordinator
+      // and parks at once; a worker's shard queues its messages for the
+      // coordinator, which parks them after shard 0's, in shard order.
+      if (delays) {
+        const Round lag = delay_for(m);
+        if (lag > 0) {
+          if (traced) {
+            ++shard.delayed;
+            shard.dropped_sum += digest_header(m);
+          }
+          if (k == 0) {
+            park_delayed(m, round_ + lag);
+          } else {
+            shard.parked.emplace_back(round_ + lag, m);
+          }
+          continue;
+        }
+      }
+      const auto to = static_cast<std::uint32_t>(m.to);
+      if (dead[to] != 0) {  // never received
+        if (traced) {
+          ++shard.lost_dead;
+          shard.dropped_sum += digest_header(m);
+        }
+        continue;
+      }
+      if (count) {
+        ++hist[to >> shift];
+        max_tag = std::max(max_tag, m.tag);
+      }
+      if (kept != i) msgs[kept] = m;
+      ++kept;
+    }
+    NodeStatus& sender = status_[static_cast<std::size_t>(from)];
+    sender.sends += run_messages;
+    messages += run_messages;
+    bits += run_bits;
+    if (!sender.byzantine) {
+      honest_messages += run_messages;
+      honest_bits += run_bits;
+    }
   }
-  std::copy_n(hist.begin(), part_.buckets,
-              part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets));
-  part_.max_tag[k] = max_tag;
+  shard.kept = kept;
+  shard.messages = messages;
+  shard.bits = bits;
+  shard.honest_messages = honest_messages;
+  shard.honest_bits = honest_bits;
+  shard.max_tag = max_tag;
+  if (count) {
+    std::copy_n(hist.begin(), part_.buckets,
+                part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets));
+  }
+}
+
+void Engine::close_gaps() {
+  std::vector<Message>& outbox = sinks_[0].msgs;
+  std::size_t at = 0;
+  for (std::size_t c = 0; c <= sinks_.size(); ++c) {
+    const CompactShard& chunk = compact_[c];
+    const std::size_t count = chunk.kept - chunk.begin;
+    std::memmove(outbox.data() + at, outbox.data() + chunk.begin, count * sizeof(Message));
+    at += count;
+  }
+  outbox.resize(at);
 }
 
 void Engine::partition_scatter(std::size_t k) {
-  const std::vector<Message>& outbox = sinks_[0].msgs;
-  const std::size_t m = outbox.size();
+  const Message* src = sinks_[0].msgs.data();
   const std::size_t shards = sinks_.size();
   const unsigned shift = part_.shift;
-  std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> cursor{};
-  std::copy_n(part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets),
-              part_.buckets, cursor.begin());
   Message* dst = inbox_.data();
-  for (std::size_t i = k * m / shards; i < (k + 1) * m / shards; ++i) {
-    const Message& msg = outbox[i];
-    dst[cursor[static_cast<std::uint32_t>(msg.to) >> shift]++] = msg;
+  // The last shard scatters the injected chunk W too: its cursors follow
+  // every compaction chunk's within each bucket.
+  const std::size_t last = k + 1 == shards ? shards : k;
+  for (std::size_t c = k; c <= last; ++c) {
+    std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> cursor{};
+    std::copy_n(part_.cursors.begin() + static_cast<std::ptrdiff_t>(c * part_.buckets),
+                part_.buckets, cursor.begin());
+    for (std::size_t i = compact_[c].begin; i < compact_[c].kept; ++i) {
+      const Message& msg = src[i];
+      dst[cursor[static_cast<std::uint32_t>(msg.to) >> shift]++] = msg;
+    }
   }
 }
 
@@ -782,6 +912,7 @@ void Engine::partition_sort_buckets(std::size_t k) {
   std::uint32_t* keys = keys_.data();
   const Message* src = inbox_.data();
   auto* dst = reinterpret_cast<std::byte*>(sinks_[0].msgs.data());
+  std::vector<NodeId>& sleepers = compact_[k].sleepers;
   for (std::size_t b = part_.shard_buckets[k]; b < part_.shard_buckets[k + 1]; ++b) {
     const std::uint32_t begin = part_.bucket_begin[b];
     const std::uint32_t end = part_.bucket_begin[b + 1];
@@ -811,9 +942,83 @@ void Engine::partition_sort_buckets(std::size_t k) {
     simd::scatter_records40(reinterpret_cast<const std::byte*>(src + begin), end - begin,
                             keys + begin, counts, dst);
     // Post-scatter counts[key] is the end of key's run, so a receiver's
-    // slice ends where the run of its largest possible tag ends.
-    for (std::uint32_t r = 0; r < receivers; ++r) bounds[r] = counts[((r + 1) << tag_bits) - 1];
+    // slice ends where the run of its largest possible tag ends. Delivery
+    // wakes every receiver with a nonempty slice; the bucket's receivers
+    // are this shard's alone, and parked ones queue for the sleep heap.
+    std::uint32_t lo = begin;
+    for (std::uint32_t r = 0; r < receivers; ++r) {
+      const std::uint32_t hi = counts[((r + 1) << tag_bits) - 1];
+      bounds[r] = hi;
+      if (hi != lo && wake_receiver(base + r)) sleepers.push_back(static_cast<NodeId>(base + r));
+      lo = hi;
+    }
   }
+}
+
+bool Engine::sort_partitioned() {
+  // Partitioned stable counting sort on the stepper's W shards (one inline
+  // shard on a serial engine). Chunk c < W is compaction shard c's survivor
+  // range and chunk W the injected delayed messages, in batch order; the
+  // compaction already histogrammed every chunk over the receiver buckets
+  // to >> shift. Then:
+  //   1. the coordinator scans bucket-major, then chunk-major, so chunk
+  //      c's share of bucket b lands after chunks 0..c-1's;
+  //   2. each shard scatters its chunk stably into inbox_;
+  //   3. each shard counting-sorts a contiguous range of buckets, dealt
+  //      by message count, from inbox_ back into the front of the outbox
+  //      by the local key ((to - base) << tag_bits_) | tag, fills
+  //      recv_bounds_ for its receivers and wakes them.
+  // Both levels are stable, and a stable sort by (to, tag) has exactly
+  // one output, so the batch is bit-identical for every W and to the
+  // other strategies. Each bucket's window and its key histogram stay
+  // cache-resident while it is sorted.
+  std::vector<Message>& outbox = sinks_[0].msgs;
+  const std::size_t shards = sinks_.size();
+  const std::size_t buckets = part_.buckets;
+  std::uint32_t max_tag = 0;
+  for (std::size_t c = 0; c <= shards; ++c) max_tag = std::max(max_tag, compact_[c].max_tag);
+  if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
+    tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
+  }
+  if (max_tag >= kMaxCountingTag || part_.shift + tag_bits_ > kMaxBucketKeyBits) return false;
+  part_.bucket_begin.resize(buckets + 1);
+  std::uint32_t sum = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    part_.bucket_begin[b] = sum;
+    for (std::size_t c = 0; c <= shards; ++c) {
+      std::uint32_t& cursor = part_.cursors[c * buckets + b];
+      const std::uint32_t count = cursor;
+      cursor = sum;
+      sum += count;
+    }
+  }
+  part_.bucket_begin[buckets] = sum;
+  const std::size_t m = sum;
+  // Every buffer the shards write is sized here, on the coordinator
+  // (inbox_ holds last round's batch, already consumed by the step).
+  resize_discarding(inbox_, m);
+  resize_discarding(keys_, m);
+  counts_.resize(shards << (part_.shift + tag_bits_));
+  recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
+  recv_bounds_[0] = 0;
+  run_shards([](Engine& engine, std::size_t k) { engine.partition_scatter(k); });
+  // Deal the buckets in contiguous ranges: shard k - 1's range ends at
+  // the first bucket that starts at or past k m / W.
+  part_.shard_buckets.resize(shards + 1);
+  part_.shard_buckets[0] = 0;
+  for (std::size_t k = 1; k < shards; ++k) {
+    const auto target = static_cast<std::uint32_t>(k * m / shards);
+    part_.shard_buckets[k] = static_cast<std::size_t>(
+        std::lower_bound(part_.bucket_begin.begin(),
+                         part_.bucket_begin.begin() + static_cast<std::ptrdiff_t>(buckets),
+                         target) -
+        part_.bucket_begin.begin());
+  }
+  part_.shard_buckets[shards] = buckets;
+  run_shards([](Engine& engine, std::size_t k) { engine.partition_sort_buckets(k); });
+  outbox.resize(m);
+  recv_bounds_valid_ = true;
+  return true;
 }
 
 void Engine::sort_batch_normal_form() {
@@ -826,79 +1031,7 @@ void Engine::sort_batch_normal_form() {
   const auto n64 = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_));
   std::uint32_t max_tag = 0;
   bool have_max_tag = false;
-  if (countable && m >= kPartitionMinM) {
-    // Partitioned stable counting sort on the stepper's W shards (one
-    // inline shard on a serial engine). Shard k owns the contiguous outbox
-    // chunk [k m / W, (k + 1) m / W), which is in arrival order:
-    //   1. each shard histograms its chunk over the receiver buckets
-    //      to >> shift and records the chunk's largest tag;
-    //   2. the coordinator scans bucket-major, then chunk-major, so chunk
-    //      k's share of bucket b lands after chunks 0..k-1's;
-    //   3. each shard scatters its chunk stably into inbox_;
-    //   4. each shard counting-sorts a contiguous range of buckets, dealt
-    //      by message count, from inbox_ back into the outbox by the local
-    //      key ((to - base) << tag_bits_) | tag, and fills recv_bounds_ for
-    //      its receivers.
-    // Both levels are stable, and a stable sort by (to, tag) has exactly
-    // one output, so the batch is bit-identical for every W and to the
-    // other strategies. Each bucket's window and its key histogram stay
-    // cache-resident while it is sorted.
-    const std::size_t shards = sinks_.size();
-    const auto top = static_cast<unsigned>(std::bit_width(static_cast<std::uint32_t>(n_ - 1)));
-    const unsigned fine = top > kMaxBucketBits ? top - kMaxBucketBits : 0;
-    const unsigned coarse = top > kBucketBits ? top - kBucketBits : 0;
-    const unsigned fit = kBucketKeyBits > tag_bits_ ? kBucketKeyBits - tag_bits_ : 0;
-    part_.shift = std::max(fine, std::min(coarse, fit));
-    part_.buckets = (static_cast<std::size_t>(n_ - 1) >> part_.shift) + 1;
-    part_.cursors.resize(shards * part_.buckets);
-    part_.max_tag.resize(shards);
-    run_shards([](Engine& engine, std::size_t k) { engine.partition_count(k); });
-    max_tag = *std::max_element(part_.max_tag.begin(), part_.max_tag.end());
-    have_max_tag = true;
-    if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
-      tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
-    }
-    if (max_tag < kMaxCountingTag && part_.shift + tag_bits_ <= kMaxBucketKeyBits) {
-      const std::size_t buckets = part_.buckets;
-      part_.bucket_begin.resize(buckets + 1);
-      std::uint32_t sum = 0;
-      for (std::size_t b = 0; b < buckets; ++b) {
-        part_.bucket_begin[b] = sum;
-        for (std::size_t k = 0; k < shards; ++k) {
-          std::uint32_t& c = part_.cursors[k * buckets + b];
-          const std::uint32_t count = c;
-          c = sum;
-          sum += count;
-        }
-      }
-      part_.bucket_begin[buckets] = sum;
-      LFT_ASSERT(sum == m);
-      // Every buffer the shards write is sized here, on the coordinator
-      // (inbox_ holds last round's batch, already consumed by the step).
-      resize_discarding(inbox_, m);
-      resize_discarding(keys_, m);
-      counts_.resize(shards << (part_.shift + tag_bits_));
-      recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
-      recv_bounds_[0] = 0;
-      run_shards([](Engine& engine, std::size_t k) { engine.partition_scatter(k); });
-      // Deal the buckets in contiguous ranges: shard k - 1's range ends at
-      // the first bucket that starts at or past k m / W.
-      part_.shard_buckets.resize(shards + 1);
-      part_.shard_buckets[0] = 0;
-      for (std::size_t k = 1; k < shards; ++k) {
-        const auto target = static_cast<std::uint32_t>(k * m / shards);
-        part_.shard_buckets[k] = static_cast<std::size_t>(
-            std::lower_bound(part_.bucket_begin.begin(),
-                             part_.bucket_begin.begin() + static_cast<std::ptrdiff_t>(buckets),
-                             target) -
-            part_.bucket_begin.begin());
-      }
-      part_.shard_buckets[shards] = buckets;
-      run_shards([](Engine& engine, std::size_t k) { engine.partition_sort_buckets(k); });
-      recv_bounds_valid_ = true;
-      return;  // sorted back into the outbox
-    }
-  } else if (countable && (n64 << tag_bits_) <= kMaxFusedDomain) {
+  if (countable && (n64 << tag_bits_) <= kMaxFusedDomain) {
     // Fused single-pass counting sort on the combined key
     // (to << tag_bits_) | tag: one histogram + scan + stable 40-byte scatter
     // replaces the two LSD passes below (half the scatter traffic), and the
@@ -1011,117 +1144,134 @@ void Engine::deliver_batch() {
   // empty-check on delay-free runs.
   if (!draining_delayed_.msgs.empty()) recycle_drained();
 
-  // One compaction pass over the arena: drop crashed senders' messages (minus
-  // the ones their keep-filter saves), account the survivors, and drop
-  // messages whose receiver can no longer accept them. Survivors shift left
-  // in place, so the steady state allocates nothing.
-  std::size_t kept = 0;
-  const bool fault_filters = fault_filters_armed_;
-  // Trace accounting rides the existing drop branches: the sent-batch header
-  // sum was accumulated at send time (fields in registers, no extra DRAM
-  // pass), the rare dropped messages are subtracted below, and with no sink
-  // installed only the predictable `traced` branches remain.
+  // One rule picks the route: a batch of kPartitionMinM messages or more
+  // (this round's sends plus the delayed messages due now) is compacted and
+  // sorted on the stepper's shards — one inline shard on a serial engine —
+  // and a smaller one is compacted inline as shard 0 and sorted serially.
+  const auto due = delays_armed_ ? pending_delayed_.find(round_) : pending_delayed_.end();
+  const std::size_t sent = outbox.size();
+  const std::size_t batch =
+      sent + (due != pending_delayed_.end() ? due->second.msgs.size() : 0);
+  part_.active = batch >= kPartitionMinM && batch < static_cast<std::size_t>(UINT32_MAX);
+  const std::size_t shards = part_.active ? sinks_.size() : 1;
+  if (part_.active) {
+    // Receiver buckets (to >> shift): at most 256 of them, about 64 when
+    // the bucket's key domain fits kBucketKeyBits at the current tag width.
+    const auto top = static_cast<unsigned>(std::bit_width(static_cast<std::uint32_t>(n_ - 1)));
+    const unsigned fine = top > kMaxBucketBits ? top - kMaxBucketBits : 0;
+    const unsigned coarse = top > kBucketBits ? top - kBucketBits : 0;
+    const unsigned fit = kBucketKeyBits > tag_bits_ ? kBucketKeyBits - tag_bits_ : 0;
+    part_.shift = std::max(fine, std::min(coarse, fit));
+    part_.buckets = (static_cast<std::size_t>(n_ - 1) >> part_.shift) + 1;
+    part_.cursors.resize((shards + 1) * part_.buckets);
+  }
+  // Shard k's chunk starts at k sent / W, snapped forward past the sender
+  // run straddling it, so each sender's run belongs to exactly one shard.
+  const Message* msgs = outbox.data();
+  compact_[0].begin = 0;
+  for (std::size_t k = 1; k < shards; ++k) {
+    std::size_t at = std::max(k * sent / shards, compact_[k - 1].begin);
+    if (at > 0 && at < sent) {
+      const NodeId from = msgs[at - 1].from;
+      at = static_cast<std::size_t>(
+          std::partition_point(msgs + at, msgs + sent,
+                               [from](const Message& m) { return m.from == from; }) -
+          msgs);
+    }
+    compact_[k].begin = at;
+    compact_[k - 1].end = at;
+  }
+  compact_[shards - 1].end = sent;
+  // Room for every list a worker (shard k >= 1) fills, reserved here: a
+  // list grown on its worker would strand the outgrown buffers in that
+  // thread's malloc arena.
+  for (std::size_t k = 0; k < shards; ++k) {
+    CompactShard& shard = compact_[k];
+    shard.dropped_sum = shard.lost_crash = shard.lost_fault = shard.lost_dead = shard.delayed = 0;
+    if (k != 0) {
+      shard.sleepers.reserve(static_cast<std::size_t>(sleeping_count_));
+      if (delays_armed_) shard.parked.reserve(shard.end - shard.begin);
+    }
+  }
+  if (part_.active) {
+    run_shards([](Engine& engine, std::size_t k) { engine.compact_shard(k); });
+  } else {
+    compact_shard(0);
+  }
+
+  // Fold the shards' accumulators in shard order. Trace accounting: the
+  // sent-batch header sum was accumulated at send time (fields in
+  // registers, no extra DRAM pass) and the shards subtract the rare
+  // dropped and delayed messages, so the delivered-header digest never
+  // touches a surviving message again.
+  std::size_t kept_total = 0;
   std::uint64_t dropped_sum = 0;
-  std::uint64_t sent_sum = 0;
-  if (traced) {
-    digest_.sent = outbox.size();
-    for (const auto& sink : sinks_) sent_sum += sink.header_sum;
+  for (std::size_t k = 0; k < shards; ++k) {
+    CompactShard& shard = compact_[k];
+    kept_total += shard.kept - shard.begin;
+    metrics_.messages_total += shard.messages;
+    metrics_.bits_total += shard.bits;
+    metrics_.messages_honest += shard.honest_messages;
+    metrics_.bits_honest += shard.honest_bits;
+    if (traced) {
+      dropped_sum += shard.dropped_sum;
+      digest_.lost_crash += shard.lost_crash;
+      digest_.lost_fault += shard.lost_fault;
+      digest_.lost_dead += shard.lost_dead;
+      digest_.delayed += shard.delayed;
+    }
+    // Parked in shard order = the serial send order, so every bucket's
+    // message order and arena contents match the serial engine's.
+    for (const auto& [round, m] : shard.parked) park_delayed(m, round);
+    shard.parked.clear();
   }
-  for (std::size_t i = 0; i < outbox.size(); ++i) {
-    const Message& m = outbox[i];
-    const auto from = static_cast<std::size_t>(m.from);
-    const std::int32_t filter = crash_filter_[from];
-    if (filter != kNotCrashedThisRound) {
-      const bool saved =
-          filter >= 0 && keep_filters_[static_cast<std::size_t>(filter)](m);
-      if (!saved) {  // lost in the crash
-        if (traced) {
-          ++digest_.lost_crash;
-          dropped_sum += digest_header(m);
-        }
-        continue;
-      }
-    }
-    metrics_.messages_total += 1;
-    metrics_.bits_total += static_cast<std::int64_t>(m.bits);
-    auto& sender = status_[from];
-    if (!sender.byzantine) {
-      metrics_.messages_honest += 1;
-      metrics_.bits_honest += static_cast<std::int64_t>(m.bits);
-    }
-    sender.sends += 1;
-    // Omission / partition / link faults lose the message in transit: the
-    // sender paid for it (accounted above), the receiver never sees it.
-    if (fault_filters && fault_dropped(m)) {
-      if (traced) {
-        ++digest_.lost_fault;
-        dropped_sum += digest_header(m);
-      }
-      continue;
-    }
-    // Timing faults hold the message in transit instead of losing it: the
-    // sender paid for it above, and the whole record (body bytes copied)
-    // parks in the bucket injected into round (round_ + lag)'s sweep, so it
-    // becomes readable exactly lag rounds late. Receiver liveness is judged
-    // at delivery time, not here.
-    if (delays_armed_) {
-      const Round lag = delay_for(m);
-      if (lag > 0) {
-        if (traced) {
-          ++digest_.delayed;
-          dropped_sum += digest_header(m);
-        }
-        park_delayed(m, round_ + lag);
-        continue;
-      }
-    }
-    const auto to = static_cast<std::size_t>(m.to);
-    if (status_[to].crashed || status_[to].halted) {  // never received
-      if (traced) {
-        ++digest_.lost_dead;
-        dropped_sum += digest_header(m);
-      }
-      continue;
-    }
-    wake_by(m.to, round_ + 1);  // delivery always wakes the recipient
-    if (kept != i) outbox[kept] = m;
-    ++kept;
+
+  // Inject the messages whose due round is now as the last chunk: they join
+  // the batch after this round's own survivors (the stable sort below
+  // groups them by (receiver, tag), late arrivals after on-time ones within
+  // a group) and become readable next round. A receiver that crashed or
+  // halted while the message was in transit never sees it (lost_dead).
+  // The injected chunk starts after the last shard's survivors.
+  outbox.resize(compact_[shards - 1].kept);
+  CompactShard& injected = compact_[shards];
+  injected.begin = outbox.size();
+  injected.max_tag = 0;
+  std::uint32_t* hist = nullptr;
+  if (part_.active) {
+    hist = part_.cursors.data() + shards * part_.buckets;
+    std::fill_n(hist, part_.buckets, 0u);
   }
-  outbox.resize(kept);
-  // Inject the messages whose due round is now: they join the batch after
-  // this round's own survivors (the stable sort below groups them by
-  // (receiver, tag), late arrivals after on-time ones within a group) and
-  // become readable next round. A receiver that crashed or halted while the
-  // message was in transit never sees it (lost_dead); live recipients are
-  // woken exactly as for on-time delivery.
   std::uint64_t injected_sum = 0;
-  if (delays_armed_) {
-    const auto due = pending_delayed_.find(round_);
-    if (due != pending_delayed_.end()) {
-      for (const Message& m : due->second.msgs) {
-        --pending_delayed_count_;
-        const auto to = static_cast<std::size_t>(m.to);
-        if (status_[to].crashed || status_[to].halted) {
-          if (traced) ++digest_.lost_dead;
-          continue;
-        }
-        wake_by(m.to, round_ + 1);
-        if (traced) injected_sum += digest_header(m);
-        outbox.push_back(m);
+  if (due != pending_delayed_.end()) {
+    for (const Message& m : due->second.msgs) {
+      --pending_delayed_count_;
+      const auto to = static_cast<std::uint32_t>(m.to);
+      if (dead_[to] != 0) {
+        if (traced) ++digest_.lost_dead;
+        continue;
       }
-      // The bucket's arena backs the injected bodies until next round's step
-      // has read them; recycled one round from now (see the top).
-      draining_delayed_ = std::move(due->second);
-      pending_delayed_.erase(due);
-      rearm_delays();
+      if (traced) injected_sum += digest_header(m);
+      if (hist != nullptr) {
+        ++hist[to >> part_.shift];
+        injected.max_tag = std::max(injected.max_tag, m.tag);
+      }
+      outbox.push_back(m);
     }
+    // The bucket's arena backs the injected bodies until next round's step
+    // has read them; recycled one round from now (see the top).
+    draining_delayed_ = std::move(due->second);
+    pending_delayed_.erase(due);
   }
-  const std::size_t kept_total = outbox.size();
+  rearm_delays();  // a nonempty queue keeps the delay plane engaged
+  injected.kept = outbox.size();
+  kept_total += injected.kept - injected.begin;
   if (traced) {
     // Delivered-header digest = (sum of sent headers) - (sum of dropped and
     // parked headers) + (sum of injected due headers): equal to
-    // digest_messages over the delivered batch, without touching any
-    // surviving message again.
+    // digest_messages over the delivered batch.
+    std::uint64_t sent_sum = 0;
+    for (const auto& sink : sinks_) sent_sum += sink.header_sum;
+    digest_.sent = sent;
     digest_.payload_hash =
         digest_messages_final(sent_sum - dropped_sum + injected_sum, kept_total);
   }
@@ -1131,11 +1281,33 @@ void Engine::deliver_batch() {
   // Stable sort into delivery normal form: group by (receiver, tag). The
   // arena is appended in ascending sender order and every strategy of the
   // sort is stable, so each (receiver, tag) run stays sorted by sender with
-  // per-sender send order preserved.
+  // per-sender send order preserved. Delivery always wakes the recipient:
+  // the partitioned sort wakes each bucket's receivers on its shard; after
+  // the serial sorts one pass over the delivered batch does.
   const std::uint64_t sort_start = tele_ != nullptr ? obs::now_ns() : 0;
-  sort_batch_normal_form();
+  bool woken = false;
+  if (part_.active) {
+    woken = sort_partitioned();
+    if (!woken) close_gaps();  // a widened tag rejected the bucket key
+  }
+  if (!woken) sort_batch_normal_form();
   inbox_.swap(outbox);
   outbox.clear();
+  const Round next = round_ + 1;
+  if (woken) {
+    for (std::size_t k = 0; k < shards; ++k) {
+      for (const NodeId v : compact_[k].sleepers) sleep_heap_.emplace(next, v);
+      compact_[k].sleepers.clear();
+    }
+  } else {
+    NodeId last = kNoNode;
+    for (const Message& m : inbox_) {
+      if (m.to == last) continue;
+      last = m.to;
+      if (wake_receiver(static_cast<std::size_t>(last))) sleep_heap_.emplace(next, last);
+    }
+  }
+  part_.active = false;
   if (tele_ != nullptr) {
     tele_->compact_ns.record(sort_start - compact_start);
     tele_->sort_ns.record(obs::now_ns() - sort_start);
@@ -1162,6 +1334,7 @@ bool Engine::step() {
   }
   // 0a. Fault plane, pre-round phase: omission/partition/link windows and
   //     Byzantine takeovers that affect this round's sends.
+  const std::uint64_t round_start = tele_ != nullptr ? obs::now_ns() : 0;
   if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/true);
 
   // 0b. Wake sleepers whose timer (or a message) is due. Heap entries are
@@ -1191,8 +1364,10 @@ bool Engine::step() {
   //    round's sends in ascending sender order.
   const std::uint64_t step_start = tele_ != nullptr ? obs::now_ns() : 0;
   step_active();
+  const std::uint64_t post_step_start = tele_ != nullptr ? obs::now_ns() : 0;
   if (tele_ != nullptr) {
-    tele_->step_ns.record(obs::now_ns() - step_start);
+    tele_->pre_round_ns.record(step_start - round_start);
+    tele_->step_ns.record(post_step_start - step_start);
     tele_->round_active.record(active_.size());
   }
 
@@ -1200,6 +1375,7 @@ bool Engine::step() {
   //    round's pending sends and node states (crashes classically land
   //    here).
   if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/false);
+  if (tele_ != nullptr) tele_->post_step_ns.record(obs::now_ns() - post_step_start);
 
   // 3. Filter, account, and sort this round's batch for delivery.
   //    Telemetry brackets the batch with message conservation: everything
@@ -1242,6 +1418,7 @@ bool Engine::step() {
 
   // Reset only the crash slots touched this round; keep-filter slots are
   // released (captured state freed) but their storage is reused.
+  const std::uint64_t settle_start = tele_ != nullptr ? obs::now_ns() : 0;
   for (const NodeId v : crashed_this_round_) {
     crash_filter_[static_cast<std::size_t>(v)] = kNotCrashedThisRound;
   }
@@ -1253,8 +1430,7 @@ bool Engine::step() {
   //    done when nobody is active or sleeping.
   std::erase_if(active_, [this](NodeId v) {
     const auto vi = static_cast<std::size_t>(v);
-    const auto& s = status_[vi];
-    if (s.crashed || s.halted) return true;
+    if (dead_[vi] != 0) return true;
     if (wake_at_[vi] > round_ + 1) {
       sleeping_[vi] = 1;
       ++sleeping_count_;
@@ -1267,6 +1443,7 @@ bool Engine::step() {
   // a sleeping or future receiver; undeliverable ones resolve to lost_dead
   // at their due round), so conservation holds over the whole trace.
   completed_ = active_.empty() && sleeping_count_ == 0 && pending_delayed_count_ == 0;
+  if (tele_ != nullptr) tele_->settle_ns.record(obs::now_ns() - settle_start);
   ++round_;  // the finishing round still counts
   finished_ = completed_ || round_ >= config_.max_rounds;
   return !finished_;

@@ -11,11 +11,14 @@
 // round-scoped, double-buffered PayloadArena, so each round's sends append
 // PODs to a contiguous arena (reused across rounds — the steady state
 // performs no per-message allocation). Delivery is one compaction pass (drop,
-// delay, account) followed by one stable sort by (receiver, tag), whose
-// strategy is picked from the batch size m, n and the tag width: a large
-// batch takes a partitioned counting sort that runs on the stepper's shards
-// (receiver buckets, then a counting sort inside each bucket); a smaller one
-// a fused one-pass counting sort on the combined key, or two LSD counting
+// delay, account) followed by one stable sort by (receiver, tag). A large
+// batch (the round's sends plus the delayed messages due now) is compacted
+// and sorted on the stepper's shards: each shard compacts whole sender runs
+// of the outbox in place and histograms its survivors by receiver bucket,
+// then the partitioned counting sort scatters the shards' survivor ranges
+// into receiver buckets and counting-sorts inside each bucket, waking each
+// bucket's receivers. A smaller batch is compacted inline and sorted by a
+// fused one-pass counting sort on the combined key, or two LSD counting
 // passes (tag, then receiver) when the dense key domain is too large, or a
 // comparison sort for degenerate tags. Each receiver gets a
 // zero-copy Inbox view into its slice. Only nodes that are alive and not
@@ -27,8 +30,10 @@
 // pool; shard 0 appends to the outbox, every other shard to its own sink,
 // appended in ascending sender order after the barrier, so the delivered
 // batch — and every Report field — is bit-identical to the serial engine.
-// The same pool runs the large-batch sort's shards; a stable sort by
-// (receiver, tag) has one possible output, so that is bit-identical too.
+// The same pool runs the large batch's compaction and sort shards. A
+// compaction shard owns whole senders, the coordinator folds the shards'
+// sums and delayed messages in shard order, and a stable sort by
+// (receiver, tag) has one possible output, so both are bit-identical too.
 #pragma once
 
 #include <cstdint>
@@ -349,8 +354,9 @@ class Engine {
                std::uint64_t value, std::uint64_t bits, PayloadView body);
   void do_decide(NodeId v, std::uint64_t value);
   void do_sleep(NodeId v, Round wake_round);
-  /// Ensures a sleeping node is stepped at `round` (message wake).
-  void wake_by(NodeId v, Round round);
+  /// Wakes receiver v for next round, when its delivered inbox is readable;
+  /// true iff v is parked and needs a sleep-heap entry for that round.
+  [[nodiscard]] bool wake_receiver(std::size_t v) noexcept;
   void do_crash(NodeId v, std::function<bool(const Message&)> keep);
   void do_set_omission(NodeId v, std::uint8_t flag, bool enabled);
   void do_set_link(NodeId a, NodeId b, bool cut);
@@ -389,19 +395,30 @@ class Engine {
   /// Steps every active node (serial or sharded) and fills the outbox.
   void step_active();
   /// Filters crashed senders / dead receivers out of the arena, accounts
-  /// metrics, and sorts the survivors into delivery normal form.
+  /// metrics, sorts the survivors into delivery normal form and wakes
+  /// their receivers.
   void deliver_batch();
-  /// Stable sort of the outbox by (receiver, tag), with inbox_ as the scratch
-  /// buffer: the partitioned counting sort for batches of at least
-  /// kPartitionMinM, else a fused one-pass counting sort when the dense key
+  /// Compaction of shard k's chunk of the outbox (see engine.cpp): drops,
+  /// per-sender-run accounting, delayed messages (parked by shard 0, queued
+  /// by a worker's shard), and on the partitioned route the survivors'
+  /// receiver-bucket histogram.
+  void compact_shard(std::size_t k);
+  /// Moves the shards' survivor ranges and the injected chunk together at
+  /// the front of the outbox (the partitioned route's rare fallback).
+  void close_gaps();
+  /// Partitioned counting sort of the shards' survivor ranges plus the
+  /// injected chunk, back into the front of the outbox; false (nothing
+  /// moved) when the round's tags do not fit the bucket key.
+  [[nodiscard]] bool sort_partitioned();
+  /// Stable sort of the contiguous outbox by (receiver, tag), with inbox_ as
+  /// the scratch buffer: a fused one-pass counting sort when the dense key
   /// domain n << tag_bits is affordable, else two LSD counting passes in
   /// O(m + tag_domain + min(n, d log d)) for d distinct receivers, else — for
   /// degenerate (huge) tags — a comparison sort.
   void sort_batch_normal_form();
-  /// The partitioned counting sort's three sharded phases (see engine.cpp):
-  /// bucket histogram of shard k's outbox chunk, its stable scatter into
-  /// inbox_, and the counting sort of shard k's buckets back into the outbox.
-  void partition_count(std::size_t k);
+  /// The partitioned sort's two sharded phases (see engine.cpp): the stable
+  /// scatter of shard k's survivor range into inbox_, and the counting sort
+  /// of shard k's buckets back into the outbox, waking their receivers.
   void partition_scatter(std::size_t k);
   void partition_sort_buckets(std::size_t k);
 
@@ -412,6 +429,10 @@ class Engine {
   FaultPlane fault_plane_;
 
   std::vector<NodeStatus> status_;
+  // Receiver liveness, one byte per node beside status_: 1 once the node
+  // crashed or halted (cleared by a takeover). Delivery reads it per
+  // message instead of two fields of a 40-byte NodeStatus.
+  std::vector<std::uint8_t> dead_;
   std::int64_t crashes_used_ = 0;
 
   // Fault-plane state beyond crashes. All containers are empty (and the
@@ -508,20 +529,47 @@ class Engine {
   bool recv_bounds_valid_ = false;
   unsigned tag_bits_ = 4;
 
-  // The partitioned sort's plan for the current batch, written by the
+  // The partitioned route's plan for the current batch, written by the
   // coordinator between its sharded phases. Receiver buckets are
-  // to >> shift (at most 256 of them); shard k's outbox chunk is
-  // [k m / W, (k + 1) m / W) and it sorts buckets
-  // [shard_buckets[k], shard_buckets[k + 1]).
+  // to >> shift (at most 256 of them); chunk c < W is compaction shard c's
+  // survivor range, chunk W the injected delayed messages, and shard k
+  // sorts buckets [shard_buckets[k], shard_buckets[k + 1]). `active` is
+  // true while a batch is on this route.
   struct Partition {
+    bool active = false;
     unsigned shift = 0;
     std::size_t buckets = 0;
-    std::vector<std::uint32_t> cursors;       // W x buckets: chunk histograms, then scatter cursors
-    std::vector<std::uint32_t> max_tag;       // W: each chunk's largest tag
+    // (W + 1) x buckets: chunk histograms, then scatter cursors.
+    std::vector<std::uint32_t> cursors;
     std::vector<std::uint32_t> bucket_begin;  // buckets + 1 offsets into the batch
     std::vector<std::size_t> shard_buckets;   // W + 1
   };
   Partition part_;
+
+  // One compaction chunk: its outbox input range, its survivors (compacted
+  // in place to [begin, kept)) and the shard's accumulators, which the
+  // coordinator folds in shard order. Entry W is the injected chunk.
+  // Every buffer here that a worker fills is reserved on the coordinator.
+  struct CompactShard {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t kept = 0;
+    std::uint32_t max_tag = 0;  // largest survivor tag (partitioned route)
+    std::int64_t messages = 0;
+    std::int64_t bits = 0;
+    std::int64_t honest_messages = 0;
+    std::int64_t honest_bits = 0;
+    // Trace accounting (stays 0 when untraced): header sum of the dropped
+    // and delayed messages, and their counts.
+    std::uint64_t dropped_sum = 0;
+    std::uint64_t lost_crash = 0;
+    std::uint64_t lost_fault = 0;
+    std::uint64_t lost_dead = 0;
+    std::uint64_t delayed = 0;
+    std::vector<std::pair<Round, Message>> parked;  // a worker shard's (due round, message)
+    std::vector<NodeId> sleepers;  // parked receivers this shard's buckets woke
+  };
+  std::vector<CompactShard> compact_;  // W + 1 entries
 
   // Per-round crash bookkeeping. `crash_filter_` maps a node crashed this
   // round to its keep-filter slot (or -1 for a clean crash); only the entries

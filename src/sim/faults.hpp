@@ -29,8 +29,8 @@
 // made here affect the current round's sends. `on_round` runs after sends
 // are collected but before delivery — the classical adaptive-crash position,
 // where the adversary sees this round's pending sends. All delivery-time
-// filtering happens inside the engine's radix sweep, so an armed fault plane
-// adds one predictable branch per message and the hot path stays
+// filtering happens inside the engine's compaction pass, so an armed fault
+// plane adds one predictable branch per message and the hot path stays
 // allocation-free.
 //
 // `FaultPlan` is the declarative layer: a data-only schedule of typed fault
@@ -89,7 +89,11 @@ class FaultController {
   /// Crashes v this round; all of v's pending sends this round are dropped.
   void crash(NodeId v);
   /// Crashes v this round; of v's pending sends this round, those matching
-  /// `keep` are still delivered (the classical partial-send crash).
+  /// `keep` are still delivered (the classical partial-send crash). `keep`
+  /// runs during delivery, possibly on a stepper worker, once per victim
+  /// message in send order; it must share no mutable state with another
+  /// crash's filter, since two victims' filters may run concurrently. Pure
+  /// functions of the message (every in-repo caller's) qualify.
   void crash_partial(NodeId v, std::function<bool(const Message&)> keep);
 
   /// While enabled, every message v sends is lost in transit (accounted as

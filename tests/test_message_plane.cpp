@@ -5,8 +5,9 @@
 // bit-identity of serial vs parallel stepping on the crash-consensus and
 // gossip workloads, the stepper x scratch identity matrix (Report
 // fingerprint plus every RoundDigest) over fanout, crash consensus, gossip,
-// Byzantine, delay/GST and the partitioned large-batch sort (with an
-// inbox oracle at threads 1-4), a cross-build pin of a fan-out's
+// Byzantine, delay/GST, the partitioned large-batch sort (with an
+// inbox oracle at threads 1-4) and the sharded compaction under every
+// fault class at threads 1-4, a cross-build pin of a fan-out's
 // accounting and digest stream, the stepper's derived worker count
 // (EngineThreads), and the delivery-phase telemetry (EngineTelemetry).
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 
 #include "byzantine/ab_consensus.hpp"
 #include "common/cpus.hpp"
+#include "common/hash.hpp"
 #include "core/consensus.hpp"
 #include "core/gossip.hpp"
 #include "obs/obs.hpp"
@@ -761,6 +763,199 @@ TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
   }
 }
 
+TEST(MessagePlaneIdentity, ShardedCompactionUnderFaults) {
+  // Every round sends more than kPartitionMinM messages, so the compaction
+  // runs as one shard per worker and each shard owns whole sender runs.
+  // Fans of 14..30 messages make sender runs uneven, and in round 2 the
+  // post-step adversary partially crashes the sender whose run straddles
+  // each raw chunk start k m / W for W = 2, 3 and 4: the run moves whole
+  // into one shard, keep filter and all. Node 100 and node 2049 are
+  // Byzantine (the honest/total split), one node send-omits and one
+  // receive-omits, a partition cuts off every 16th node in rounds 2-3,
+  // links are cut, a delay rule holds every message to node 7 and a second
+  // one node 3001's sends (so the coordinator parks several shards' lists
+  // in order), some nodes halt in round 3 while others keep addressing
+  // them, and every 97th node sleeps from round 1 until a round-4 message
+  // wakes it. Round 6, after the delay rules are gone, sends a degenerate
+  // tag, which sends the round to the fallback sort; the wake round stays
+  // on the partitioned one. Each node decides the hash of everything it
+  // read, in order, so the Report pins every inbox. At threads 1..4 the Report, per-node
+  // sends, Metrics, fingerprint and digest stream must equal the serial
+  // run's.
+  static constexpr NodeId kN = 4096;
+  static constexpr Round kRounds = 8;
+  static constexpr Round kWakeRound = 4;
+  auto sleeper = [](NodeId v) { return v % 97 == 13; };
+  auto halter = [](NodeId v) { return v % 61 == 7; };
+  auto fan = [](NodeId v, Round r) { return 14 + static_cast<int>((v * 7 + r * 3) % 17); };
+  // Round 6's first send per node carries a tag past the counting sorts'
+  // range, so that round's compacted shards (gaps, injected chunk and all)
+  // are moved together for the comparison sort. No rule can delay it into
+  // a later round.
+  auto tag_of = [](int i, Round r) {
+    return r == 6 && i == 0 ? std::uint32_t{1} << 17 : static_cast<std::uint32_t>(i % 5);
+  };
+  auto dest = [&sleeper](NodeId from, int i, Round r) {
+    auto v = static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 613 + r * 5) % kN);
+    // Sleepers hear nothing until the wake round, so they really park.
+    while (r != kWakeRound && sleeper(v)) v = (v + 1) % kN;
+    return v;
+  };
+
+  class Adversary final : public FaultInjector {
+   public:
+    explicit Adversary(std::function<NodeId(NodeId, int, Round)> dest, int& straddles)
+        : dest_(std::move(dest)), straddles_(&straddles) {}
+    void pre_round(const EngineView& view, FaultController& control) override {
+      switch (view.round()) {
+        case 1:
+          control.set_send_omission(1500, true);
+          control.set_recv_omission(2500, true);
+          break;
+        case 2:
+          for (NodeId a = 40; a < kN; a += 401) control.cut_link(a, dest_(a, 0, 2));
+          delay_rules_ = {control.add_delay_rule(kNoNode, 7, 1, 3, 0xD1),
+                          control.add_delay_rule(3001, kNoNode, 1, 2, 0xD2)};
+          {
+            std::vector<std::uint32_t> group(static_cast<std::size_t>(kN), 0);
+            for (NodeId v = 0; v < kN; v += 16) group[static_cast<std::size_t>(v)] = 1;
+            control.set_partition(group);
+          }
+          break;
+        case 4:
+          control.clear_partition();
+          break;
+        case 5:
+          for (const std::size_t id : delay_rules_) control.remove_delay_rule(id);
+          break;
+        case 6:
+          for (NodeId a = 40; a < kN; a += 401) control.heal_link(a, dest_(a, 0, 2));
+          break;
+        default:
+          break;
+      }
+    }
+    void on_round(const EngineView& view, FaultController& control) override {
+      if (view.round() != 2 && view.round() != 4) return;
+      const std::span<const Message> sends = view.pending_sends();
+      const std::size_t m = sends.size();
+      for (const std::size_t shards : {2, 3, 4}) {
+        for (std::size_t k = 1; k < shards; ++k) {
+          const std::size_t at = k * m / shards;
+          const NodeId victim = sends[at].from;
+          if (!view.alive(victim)) continue;  // m / 2 = 2 m / 4
+          if (view.round() == 2) {
+            if (sends[at - 1].from == victim) ++*straddles_;
+            control.crash_partial(victim,
+                                  [](const Message& msg) { return (msg.to + msg.tag) % 3 != 0; });
+          } else if (k * 2 == shards) {
+            control.crash(victim);  // a clean crash at m / 2 too
+          }
+        }
+      }
+    }
+
+   private:
+    std::function<NodeId(NodeId, int, Round)> dest_;
+    int* straddles_;
+    std::vector<std::size_t> delay_rules_;
+  };
+
+  struct Run {
+    Capture capture;
+    Report report;
+    int straddles = 0;
+    std::vector<Round> first_wake;  // sleepers: first round stepped after round 1
+  };
+  auto workload = [&](const Combo& c) {
+    Run run;
+    DigestLog log;
+    EngineScratch scratch;
+    EngineConfig config;
+    config.threads = c.threads;
+    config.scratch = c.scratch ? &scratch : nullptr;
+    config.trace = &log;
+    config.crash_budget = 16;
+    config.omission_budget = 2;
+    Engine engine(kN, config);
+    EXPECT_EQ(engine.threads(), c.threads);
+    engine.mark_byzantine(100);
+    engine.mark_byzantine(2049);
+    std::vector<std::uint64_t> heard(static_cast<std::size_t>(kN), 0);
+    run.first_wake.assign(static_cast<std::size_t>(kN), -1);
+    for (NodeId v = 0; v < kN; ++v) {
+      engine.set_process(v, lambda_process([&, v](Context& ctx, const Inbox& inbox) {
+                           const auto vi = static_cast<std::size_t>(v);
+                           std::uint64_t& h = heard[vi];
+                           for (const Message& m : inbox) {
+                             h = mix64(h ^ (static_cast<std::uint64_t>(m.from) << 40) ^
+                                       (static_cast<std::uint64_t>(m.tag) << 32) ^ m.value);
+                           }
+                           const Round r = ctx.round();
+                           if (sleeper(v) && r > 1 && run.first_wake[vi] < 0) {
+                             run.first_wake[vi] = r;
+                           }
+                           if (r >= kRounds || (halter(v) && r == 3)) {
+                             ctx.decide(h);
+                             ctx.halt();
+                             return;
+                           }
+                           for (int i = 0; i < fan(v, r); ++i) {
+                             const auto value = static_cast<std::uint64_t>(v) * 64 +
+                                                static_cast<std::uint64_t>(i);
+                             ctx.send(dest(v, i, r), tag_of(i, r), value,
+                                      1 + static_cast<std::uint64_t>(i % 3));
+                           }
+                           if (sleeper(v) && r == 1) ctx.sleep_until(kRounds + 10);
+                         }));
+    }
+    engine.add_fault_injector(std::make_unique<Adversary>(dest, run.straddles));
+    run.report = engine.run();
+    run.capture = Capture{scenarios::fingerprint(run.report), std::move(log.rounds)};
+    return run;
+  };
+
+  Run ref;
+  for (const int threads : {1, 2, 3, 4}) {
+    const Combo combo{threads, threads % 2 == 0};
+    const std::string label = combo_label("sharded_compaction", combo);
+    Run got = workload(combo);
+    EXPECT_TRUE(got.report.completed) << label;
+    EXPECT_EQ(got.straddles, 5) << label << ": a chunk start fell between sender runs";
+    std::uint64_t sent = 0, delivered = 0, lost_crash = 0, lost_fault = 0, lost_dead = 0,
+                  delayed = 0;
+    for (const RoundDigest& d : got.capture.rounds) {
+      if (d.round < kRounds) {
+        EXPECT_GE(d.sent, std::uint64_t{1} << 16) << label << " round " << d.round;
+      }
+      sent += d.sent;
+      delivered += d.delivered;
+      lost_crash += d.lost_crash;
+      lost_fault += d.lost_fault;
+      lost_dead += d.lost_dead;
+      delayed += d.delayed;
+    }
+    // Conservation: every delayed message resolved to delivered or lost_dead.
+    EXPECT_EQ(sent, delivered + lost_crash + lost_fault + lost_dead) << label;
+    EXPECT_GT(lost_crash, 0u) << label;
+    EXPECT_GT(lost_fault, 0u) << label;
+    EXPECT_GT(lost_dead, 0u) << label;
+    EXPECT_GT(delayed, 0u) << label;
+    EXPECT_NE(got.report.metrics.messages_honest, got.report.metrics.messages_total) << label;
+    for (NodeId v = 0; v < kN; ++v) {
+      if (!sleeper(v) || got.report.nodes[static_cast<std::size_t>(v)].crashed) continue;
+      EXPECT_EQ(got.first_wake[static_cast<std::size_t>(v)], kWakeRound + 1)
+          << label << ": sleeper " << v << " was not woken by its message";
+    }
+    if (threads == 1) {
+      ref = std::move(got);
+    } else {
+      expect_reports_identical(ref.report, got.report);
+      expect_capture_eq(ref.capture, got.capture, label);
+    }
+  }
+}
+
 // ---- the stepper's derived worker count ------------------------------------
 //
 // EngineConfig::threads = 0 (the default) sizes the stepper by the CPUs the
@@ -907,16 +1102,20 @@ TEST(EngineThreads, SerialRunCyclesThroughTwoMessageBuffers) {
 // ---- delivery-phase telemetry ----------------------------------------------
 
 TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
-  // lft_engine_compact_ns and lft_engine_sort_ns time the two halves of
-  // delivery. With lft_engine_step_ns they record one sample per executed
-  // round, and the three together cannot exceed the run's wall time. The
-  // first rounds send m = 1024 * 80 > kPartitionMinM messages (the
-  // partitioned sort, on two shards), the later ones one message per node
-  // (the serial sorts), so both kinds of sort are timed.
+  // The six round phases — pre-round (fault pre-round plus sleeper wake),
+  // step, post-step faults, the two halves of delivery (compaction and
+  // sort) and the end-of-round settle — each record one sample per
+  // executed round, and together they cannot exceed the run's wall time.
+  // The first rounds send m = 1024 * 80 > kPartitionMinM messages (the
+  // sharded compaction and the partitioned sort, on two shards), the later
+  // ones one message per node (the inline compaction and the serial
+  // sorts), so both routes are timed. A crash injector gives the fault
+  // phases work to time.
   static constexpr NodeId kN = 1024;
   obs::Registry registry;
   EngineConfig config;
   config.threads = 2;
+  config.crash_budget = 2;
   config.telemetry = &registry;
   Engine engine(kN, config);
   for (NodeId v = 0; v < kN; ++v) {
@@ -931,10 +1130,12 @@ TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
                          }
                        }));
   }
+  engine.add_fault_injector(make_scheduled({{.round = 1, .node = 5}, {.round = 4, .node = 9}}));
   const std::uint64_t start = obs::now_ns();
   const Report report = engine.run();
   const std::uint64_t wall_ns = obs::now_ns() - start;
   ASSERT_TRUE(report.completed);
+  EXPECT_EQ(report.crashed_count(), 2);
   EXPECT_EQ(report.metrics.peak_round_messages, std::int64_t{kN} * 80);
 
   const auto snapshot = registry.snapshot();
@@ -942,7 +1143,9 @@ TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
   ASSERT_NE(rounds, nullptr);
   EXPECT_EQ(rounds->value, static_cast<std::uint64_t>(report.rounds));
   std::uint64_t phases_ns = 0;
-  for (const char* name : {"lft_engine_step_ns", "lft_engine_compact_ns", "lft_engine_sort_ns"}) {
+  for (const char* name :
+       {"lft_engine_pre_round_ns", "lft_engine_step_ns", "lft_engine_post_step_ns",
+        "lft_engine_compact_ns", "lft_engine_sort_ns", "lft_engine_settle_ns"}) {
     const auto* phase = snapshot.find_histogram(name);
     ASSERT_NE(phase, nullptr) << name;
     EXPECT_EQ(phase->data.count(), rounds->value) << name;
