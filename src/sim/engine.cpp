@@ -4,8 +4,8 @@
 #include <array>
 #include <bit>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -18,8 +18,9 @@ namespace lft::sim {
 namespace {
 constexpr std::int32_t kNotCrashedThisRound = -2;
 constexpr std::int32_t kCleanCrash = -1;
-// Tag values are small enumerators; anything past this is degenerate and
-// falls back to a comparison sort (same normal form, so still deterministic).
+// Tag values are small enumerators; a round whose largest tag reaches this
+// is degenerate and every bucket of its sort takes the comparison sort (same
+// normal form, so still deterministic).
 constexpr std::uint32_t kMaxCountingTag = 1u << 16;
 // Below this many active nodes a round is stepped serially even with a
 // worker pool: the barrier handshake would dominate. Purely a latency knob —
@@ -37,26 +38,26 @@ thread_local bool t_step_serially = false;
 // fresh buckets landed on just-returned pages. Moving the n-sized arrays
 // into EngineScratch (ROADMAP) may let the pool go.
 constexpr std::size_t kRecycledBuckets = 3;
-// Cap on the fused delivery sweep's key domain (n << tag_bits): bounds the
-// dense histogram at 16 MiB of u32 counts and keeps the key in 32 bits.
-constexpr std::uint64_t kMaxFusedDomain = 1u << 22;
 
-// Batch size from which delivery compacts and sorts on the stepper's shards,
-// with the partitioned counting sort (measured crossover:
-// docs/architecture.md, The message plane). Below it one inline shard
-// compacts, and the fused sweep or the LSD passes sort serially.
+// Batch size from which delivery compacts and sorts on the stepper's shards
+// (measured crossover: docs/architecture.md, The message plane). Below it
+// shard 0 does both inline.
 constexpr std::size_t kPartitionMinM = std::size_t{1} << 16;
-// The partitioned sort's receiver buckets (to >> shift): at most 256, so a
-// chunk's histogram and scatter cursors are one stack array each; about 64
-// when the per-bucket key domain (receivers per bucket << tag_bits) still
-// fits 2^13 u32 counts (32 KiB, L1-resident), because fewer buckets make
-// the scatter into them cheaper. Past 2^16 keys per bucket the batch goes
-// to the LSD passes instead. Measured in docs/architecture.md, The message
-// plane.
+// The sort's receiver buckets (to >> shift), measured in docs/architecture.md,
+// The message plane: at most 256, so a chunk's histogram and scatter cursors
+// are one stack array each; about 64 when the per-bucket key domain still
+// fits 2^13 u32 counts (32 KiB, L1-resident), because fewer buckets make the
+// scatter into them cheaper; and at most one per 16 messages, so a sparse
+// batch pays for few buckets and a batch under 16 messages is one bucket.
 constexpr unsigned kMaxBucketBits = 8;
 constexpr unsigned kBucketBits = 6;
 constexpr unsigned kBucketKeyBits = 13;
-constexpr unsigned kMaxBucketKeyBits = 16;
+constexpr std::size_t kBucketMessages = 16;
+// A bucket is counting-sorted when its key domain (receivers << tag_bits)
+// fits kMaxKeyBits bits and is at most kDenseFactor times its message count;
+// otherwise its positions are sorted by (to, tag, position) and gathered.
+constexpr unsigned kMaxKeyBits = 22;
+constexpr std::size_t kDenseFactor = 64;
 
 // Resizes a sort buffer whose contents are dead (every slot is rewritten
 // next): stale contents are cleared before growing, so a reallocation
@@ -87,7 +88,8 @@ struct Engine::Telemetry {
         round_delayed(registry.histogram("lft_engine_round_delayed")),
         round_lost(registry.histogram("lft_engine_round_lost")),
         round_active(registry.histogram("lft_engine_round_active")),
-        pre_round_ns(registry.histogram("lft_engine_pre_round_ns")),
+        fault_pre_round_ns(registry.histogram("lft_engine_fault_pre_round_ns")),
+        wake_ns(registry.histogram("lft_engine_wake_ns")),
         step_ns(registry.histogram("lft_engine_step_ns")),
         post_step_ns(registry.histogram("lft_engine_post_step_ns")),
         compact_ns(registry.histogram("lft_engine_compact_ns")),
@@ -104,7 +106,8 @@ struct Engine::Telemetry {
   obs::Histogram& round_delayed;
   obs::Histogram& round_lost;
   obs::Histogram& round_active;
-  obs::Histogram& pre_round_ns;
+  obs::Histogram& fault_pre_round_ns;
+  obs::Histogram& wake_ns;
   obs::Histogram& step_ns;
   obs::Histogram& post_step_ns;
   obs::Histogram& compact_ns;
@@ -204,10 +207,11 @@ bool Report::all_nonfaulty_decided() const noexcept {
 // ---- Engine::Pool ----------------------------------------------------------
 
 /// Persistent worker pool for the engine's sharded jobs (the parallel
-/// stepper and the partitioned sort). Workers park on a condition variable
-/// between jobs; the coordinating thread runs shard 0 itself, so a pool of W
-/// shards spawns W-1 threads. The mutex handshake publishes the job and
-/// orders every worker's writes before the coordinator resumes.
+/// stepper and a large batch's compaction and sort). Workers park on a
+/// condition variable between jobs; the coordinating thread runs shard 0
+/// itself, so a pool of W shards spawns W-1 threads. The mutex handshake
+/// publishes the job and orders every worker's writes before the
+/// coordinator resumes.
 struct Engine::Pool {
   Pool(Engine& engine, int workers) : engine_(&engine) {
     threads_.reserve(static_cast<std::size_t>(workers));
@@ -284,7 +288,6 @@ Engine::Engine(NodeId n, EngineConfig config)
       dead_(static_cast<std::size_t>(n), 0),
       wake_at_(static_cast<std::size_t>(n), 0),
       sleeping_(static_cast<std::size_t>(n), 0),
-      recv_count_(static_cast<std::size_t>(n), 0),
       crash_filter_(static_cast<std::size_t>(n), kNotCrashedThisRound) {
   LFT_ASSERT(n > 0);
   if (config_.telemetry != nullptr) {
@@ -670,7 +673,7 @@ void Engine::run_fault_phase(bool pre_round) {
 }
 
 void Engine::run_shards(ShardJob job) {
-  if (workers_ != nullptr) {
+  if (part_.shards > 1) {
     workers_->run(job);
   } else {
     job(*this, 0);
@@ -682,19 +685,6 @@ void Engine::step_shard(std::size_t k) {
   const std::size_t end = shard_begin_[k + 1];
   if (begin >= end) return;
   StepSink& sink = sinks_[k];
-  if (recv_bounds_valid_) {
-    // The fused sweep that sorted inbox_ also recorded every receiver's
-    // slice bounds; no scanning needed.
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId v = active_[i];
-      const std::size_t lo = recv_bounds_[static_cast<std::size_t>(v)];
-      const std::size_t hi = recv_bounds_[static_cast<std::size_t>(v) + 1];
-      Context ctx(*this, v, sink, config_.trace != nullptr);
-      const Inbox inbox(std::span<const Message>(inbox_.data() + lo, hi - lo));
-      processes_[static_cast<std::size_t>(v)]->on_round(ctx, inbox);
-    }
-    return;
-  }
   // First delivered message of this shard's first node: inbox_ ascends by
   // receiver, active_ ascends by id, so one cursor pairs them up.
   const NodeId first = active_[begin];
@@ -764,20 +754,17 @@ void Engine::compact_shard(std::size_t k) {
   // allocates nothing. The chunk holds whole sender runs (the
   // outbox ascends by sender), so the sender-side state — the crash filter,
   // `byzantine` and `sends` — is read and written once per run, by this
-  // shard alone.
+  // shard alone. The survivors' receiver-bucket histogram and largest tag
+  // ride the same pass, so the sort never re-reads the batch to count it.
   CompactShard& shard = compact_[k];
   Message* msgs = sinks_[0].msgs.data();
   const std::uint8_t* dead = dead_.data();
   const bool traced = config_.trace != nullptr;
   const bool fault_filters = fault_filters_armed_;
   const bool delays = delays_armed_;
-  // On the partitioned route the survivors' receiver-bucket histogram rides
-  // this pass, so the sort never re-reads the batch to count it. Only then
-  // is the histogram zeroed: the inline route runs every small round.
-  const bool count = part_.active;
   const unsigned shift = part_.shift;
   std::array<std::uint32_t, std::size_t{1} << kMaxBucketBits> hist;
-  if (count) std::fill_n(hist.begin(), part_.buckets, 0u);
+  std::fill_n(hist.begin(), part_.buckets, 0u);
   std::uint32_t max_tag = 0;
   std::size_t kept = shard.begin;
   std::int64_t messages = 0;
@@ -845,10 +832,8 @@ void Engine::compact_shard(std::size_t k) {
         }
         continue;
       }
-      if (count) {
-        ++hist[to >> shift];
-        max_tag = std::max(max_tag, m.tag);
-      }
+      ++hist[to >> shift];
+      max_tag = std::max(max_tag, m.tag);
       if (kept != i) msgs[kept] = m;
       ++kept;
     }
@@ -867,30 +852,16 @@ void Engine::compact_shard(std::size_t k) {
   shard.honest_messages = honest_messages;
   shard.honest_bits = honest_bits;
   shard.max_tag = max_tag;
-  if (count) {
-    std::copy_n(hist.begin(), part_.buckets,
-                part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets));
-  }
-}
-
-void Engine::close_gaps() {
-  std::vector<Message>& outbox = sinks_[0].msgs;
-  std::size_t at = 0;
-  for (std::size_t c = 0; c <= sinks_.size(); ++c) {
-    const CompactShard& chunk = compact_[c];
-    const std::size_t count = chunk.kept - chunk.begin;
-    std::memmove(outbox.data() + at, outbox.data() + chunk.begin, count * sizeof(Message));
-    at += count;
-  }
-  outbox.resize(at);
+  std::copy_n(hist.begin(), part_.buckets,
+              part_.cursors.begin() + static_cast<std::ptrdiff_t>(k * part_.buckets));
 }
 
 void Engine::partition_scatter(std::size_t k) {
   const Message* src = sinks_[0].msgs.data();
-  const std::size_t shards = sinks_.size();
+  const std::size_t shards = part_.shards;
   const unsigned shift = part_.shift;
   Message* dst = inbox_.data();
-  // The last shard scatters the injected chunk W too: its cursors follow
+  // The last shard scatters the injected chunk too: its cursors follow
   // every compaction chunk's within each bucket.
   const std::size_t last = k + 1 == shards ? shards : k;
   for (std::size_t c = k; c <= last; ++c) {
@@ -908,79 +879,93 @@ void Engine::partition_sort_buckets(std::size_t k) {
   const unsigned shift = part_.shift;
   const unsigned tag_bits = tag_bits_;
   const auto n = static_cast<std::uint32_t>(n_);
-  std::uint32_t* counts = counts_.data() + (k << (shift + tag_bits));
   std::uint32_t* keys = keys_.data();
   const Message* src = inbox_.data();
-  auto* dst = reinterpret_cast<std::byte*>(sinks_[0].msgs.data());
+  Message* dst = sinks_[0].msgs.data();
   std::vector<NodeId>& sleepers = compact_[k].sleepers;
   for (std::size_t b = part_.shard_buckets[k]; b < part_.shard_buckets[k + 1]; ++b) {
     const std::uint32_t begin = part_.bucket_begin[b];
     const std::uint32_t end = part_.bucket_begin[b + 1];
+    if (begin == end) continue;
     const auto base = static_cast<std::uint32_t>(b << shift);
     const std::uint32_t receivers = std::min(n - base, 1u << shift);
-    std::uint32_t* bounds = recv_bounds_.data() + base + 1;  // bounds[r] = end of base + r
-    if (begin == end) {
-      std::fill_n(bounds, receivers, begin);
-      continue;
-    }
-    // Stable counting sort by the local key into the bucket's own window
-    // of the outbox: the histogram is scanned from the window's start.
     const std::size_t domain = std::size_t{receivers} << tag_bits;
-    std::fill_n(counts, domain, 0u);
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const std::uint32_t key =
-          ((static_cast<std::uint32_t>(src[i].to) - base) << tag_bits) | src[i].tag;
-      keys[i] = key;
-      ++counts[key];
-    }
-    std::uint32_t sum = begin;
-    for (std::size_t j = 0; j < domain; ++j) {
-      const std::uint32_t count = counts[j];
-      counts[j] = sum;
-      sum += count;
-    }
-    simd::scatter_records40(reinterpret_cast<const std::byte*>(src + begin), end - begin,
-                            keys + begin, counts, dst);
-    // Post-scatter counts[key] is the end of key's run, so a receiver's
-    // slice ends where the run of its largest possible tag ends. Delivery
-    // wakes every receiver with a nonempty slice; the bucket's receivers
-    // are this shard's alone, and parked ones queue for the sleep heap.
-    std::uint32_t lo = begin;
-    for (std::uint32_t r = 0; r < receivers; ++r) {
-      const std::uint32_t hi = counts[((r + 1) << tag_bits) - 1];
-      bounds[r] = hi;
-      if (hi != lo && wake_receiver(base + r)) sleepers.push_back(static_cast<NodeId>(base + r));
-      lo = hi;
+    // Delivery wakes every receiver with a nonempty slice; the bucket's
+    // receivers are this shard's alone, and parked ones queue for the
+    // sleep heap.
+    auto wake = [this, &sleepers](std::uint32_t v) {
+      if (wake_receiver(v)) sleepers.push_back(static_cast<NodeId>(v));
+    };
+    if (part_.counting && domain <= kDenseFactor * (end - begin)) {
+      // Stable counting sort by the local key ((to - base) << tag_bits) |
+      // tag into the bucket's own window of dst: the histogram is scanned
+      // from the window's start.
+      std::uint32_t* counts = counts_.data() + k * part_.domain;
+      std::fill_n(counts, domain, 0u);
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const std::uint32_t key =
+            ((static_cast<std::uint32_t>(src[i].to) - base) << tag_bits) | src[i].tag;
+        keys[i] = key;
+        ++counts[key];
+      }
+      std::uint32_t sum = begin;
+      for (std::size_t j = 0; j < domain; ++j) {
+        const std::uint32_t count = counts[j];
+        counts[j] = sum;
+        sum += count;
+      }
+      simd::scatter_records40(reinterpret_cast<const std::byte*>(src + begin), end - begin,
+                              keys + begin, counts, reinterpret_cast<std::byte*>(dst));
+      // Post-scatter counts[key] is the end of key's run, so a receiver's
+      // slice ends where the run of its largest possible tag ends.
+      std::uint32_t lo = begin;
+      for (std::uint32_t r = 0; r < receivers; ++r) {
+        const std::uint32_t hi = counts[((r + 1) << tag_bits) - 1];
+        if (hi != lo) wake(base + r);
+        lo = hi;
+      }
+    } else {
+      // A sparse bucket, or a round of degenerate tags: sort the window's
+      // positions by (to, tag, position) in place, which allocates nothing
+      // and is stable, then gather the records.
+      std::iota(keys + begin, keys + end, begin);
+      std::sort(keys + begin, keys + end, [src](std::uint32_t x, std::uint32_t y) {
+        if (src[x].to != src[y].to) return src[x].to < src[y].to;
+        return src[x].tag != src[y].tag ? src[x].tag < src[y].tag : x < y;
+      });
+      for (std::uint32_t i = begin; i < end; ++i) {
+        dst[i] = src[keys[i]];
+        if (i == begin || dst[i].to != dst[i - 1].to) wake(static_cast<std::uint32_t>(dst[i].to));
+      }
     }
   }
 }
 
-bool Engine::sort_partitioned() {
-  // Partitioned stable counting sort on the stepper's W shards (one inline
-  // shard on a serial engine). Chunk c < W is compaction shard c's survivor
-  // range and chunk W the injected delayed messages, in batch order; the
-  // compaction already histogrammed every chunk over the receiver buckets
-  // to >> shift. Then:
+void Engine::sort_batch() {
+  // Two-level stable sort on the batch's shards (W on the sharded route,
+  // one inline shard otherwise). Chunk c < shards is compaction shard c's
+  // survivor range and chunk `shards` the injected delayed messages, in
+  // batch order; the compaction already histogrammed every chunk over the
+  // receiver buckets to >> shift. Then:
   //   1. the coordinator scans bucket-major, then chunk-major, so chunk
   //      c's share of bucket b lands after chunks 0..c-1's;
   //   2. each shard scatters its chunk stably into inbox_;
-  //   3. each shard counting-sorts a contiguous range of buckets, dealt
-  //      by message count, from inbox_ back into the front of the outbox
-  //      by the local key ((to - base) << tag_bits_) | tag, fills
-  //      recv_bounds_ for its receivers and wakes them.
-  // Both levels are stable, and a stable sort by (to, tag) has exactly
-  // one output, so the batch is bit-identical for every W and to the
-  // other strategies. Each bucket's window and its key histogram stay
-  // cache-resident while it is sorted.
+  //   3. each shard sorts a contiguous range of buckets, dealt by message
+  //      count, back into the same window of the outbox: by a counting
+  //      sort on ((to - base) << tag_bits_) | tag when the bucket is dense,
+  //      else by sorting its positions on (to, tag, position); then it
+  //      wakes the bucket's receivers.
+  // Both levels are stable, and a stable sort by (to, tag) has exactly one
+  // output, so the batch is bit-identical for every shard and bucket count
+  // and either kernel.
   std::vector<Message>& outbox = sinks_[0].msgs;
-  const std::size_t shards = sinks_.size();
+  const std::size_t shards = part_.shards;
   const std::size_t buckets = part_.buckets;
   std::uint32_t max_tag = 0;
   for (std::size_t c = 0; c <= shards; ++c) max_tag = std::max(max_tag, compact_[c].max_tag);
   if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
     tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
   }
-  if (max_tag >= kMaxCountingTag || part_.shift + tag_bits_ > kMaxBucketKeyBits) return false;
   part_.bucket_begin.resize(buckets + 1);
   std::uint32_t sum = 0;
   for (std::size_t b = 0; b < buckets; ++b) {
@@ -995,12 +980,16 @@ bool Engine::sort_partitioned() {
   part_.bucket_begin[buckets] = sum;
   const std::size_t m = sum;
   // Every buffer the shards write is sized here, on the coordinator
-  // (inbox_ holds last round's batch, already consumed by the step).
+  // (inbox_ holds last round's batch, already consumed by the step). The
+  // counting kernel's histograms are sized only when the widest bucket
+  // would be dense holding the whole batch.
   resize_discarding(inbox_, m);
   resize_discarding(keys_, m);
-  counts_.resize(shards << (part_.shift + tag_bits_));
-  recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
-  recv_bounds_[0] = 0;
+  const std::size_t width = std::min(static_cast<std::size_t>(n_), std::size_t{1} << part_.shift);
+  part_.domain = width << tag_bits_;
+  part_.counting = max_tag < kMaxCountingTag && part_.shift + tag_bits_ <= kMaxKeyBits &&
+                   part_.domain <= kDenseFactor * m;
+  if (part_.counting) counts_.resize(shards * part_.domain);
   run_shards([](Engine& engine, std::size_t k) { engine.partition_scatter(k); });
   // Deal the buckets in contiguous ranges: shard k - 1's range ends at
   // the first bucket that starts at or past k m / W.
@@ -1017,121 +1006,8 @@ bool Engine::sort_partitioned() {
   part_.shard_buckets[shards] = buckets;
   run_shards([](Engine& engine, std::size_t k) { engine.partition_sort_buckets(k); });
   outbox.resize(m);
-  recv_bounds_valid_ = true;
-  return true;
-}
-
-void Engine::sort_batch_normal_form() {
-  std::vector<Message>& outbox = sinks_[0].msgs;
-  const std::size_t m = outbox.size();
-  recv_bounds_valid_ = false;
-  if (m <= 1) return;
-
-  const bool countable = m < static_cast<std::size_t>(UINT32_MAX);  // u32 offsets
-  const auto n64 = static_cast<std::uint64_t>(static_cast<std::uint32_t>(n_));
-  std::uint32_t max_tag = 0;
-  bool have_max_tag = false;
-  if (countable && (n64 << tag_bits_) <= kMaxFusedDomain) {
-    // Fused single-pass counting sort on the combined key
-    // (to << tag_bits_) | tag: one histogram + scan + stable 40-byte scatter
-    // replaces the two LSD passes below (half the scatter traffic), and the
-    // scattered histogram doubles as the per-receiver inbox bounds
-    // step_shard slices by. Engaged when the dense key domain is affordable
-    // (bounded absolutely and relative to m, so the per-round memset stays
-    // amortized); the result is bit-identical to the two-pass sort — both
-    // are stable sorts by (to, tag) — and every gate below depends only on
-    // (n, tag_bits, m, max_tag).
-    const auto* bytes = reinterpret_cast<const std::byte*>(outbox.data());
-    resize_discarding(keys_, m);
-    max_tag = simd::build_keys40(bytes, m, tag_bits_, keys_.data());
-    have_max_tag = true;
-    if (max_tag >= (1u << tag_bits_) && max_tag < kMaxCountingTag) {
-      // Tag outgrew the high-water key width: widen and rebuild once.
-      tag_bits_ = static_cast<unsigned>(std::bit_width(max_tag));
-      if ((n64 << tag_bits_) <= kMaxFusedDomain) {
-        (void)simd::build_keys40(bytes, m, tag_bits_, keys_.data());
-      }
-    }
-    const std::uint64_t domain = n64 << tag_bits_;
-    if (max_tag < (1u << tag_bits_) && domain <= kMaxFusedDomain &&
-        domain <= 4 * static_cast<std::uint64_t>(m) + 1024) {
-      counts_.assign(static_cast<std::size_t>(domain), 0);
-      simd::histogram_u32(keys_.data(), m, counts_.data());
-      const std::uint32_t total = simd::exclusive_scan_u32(counts_.data(), counts_.size());
-      LFT_ASSERT(total == m);
-      resize_discarding(inbox_, m);  // last round's batch, already consumed
-      simd::scatter_records40(bytes, m, keys_.data(), counts_.data(),
-                              reinterpret_cast<std::byte*>(inbox_.data()));
-      // Post-scatter, counts_[k] is the end offset of key k's run, so the
-      // end of receiver v's slice is the end of its last tag run.
-      recv_bounds_.resize(static_cast<std::size_t>(n_) + 1);
-      recv_bounds_[0] = 0;
-      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-        recv_bounds_[v + 1] = counts_[((v + 1) << tag_bits_) - 1];
-      }
-      recv_bounds_valid_ = true;
-      outbox.swap(inbox_);  // leave the result where the caller expects it
-      return;
-    }
-  }
-
-  if (!have_max_tag) {
-    for (const Message& msg : outbox) max_tag = std::max(max_tag, msg.tag);
-  }
-  if (max_tag >= kMaxCountingTag || !countable) {
-    std::stable_sort(outbox.begin(), outbox.end(), [](const Message& a, const Message& b) {
-      return a.to != b.to ? a.to < b.to : a.tag < b.tag;
-    });
-    return;
-  }
-
-  // Pass 1 (LSD): stable counting sort by tag, outbox -> inbox_. The tag
-  // domain is tiny (protocol enumerators), so a dense count array is cheap.
-  tag_count_.assign(static_cast<std::size_t>(max_tag) + 1, 0);
-  for (const Message& msg : outbox) ++tag_count_[msg.tag];
-  std::uint32_t sum = 0;
-  for (auto& c : tag_count_) {
-    const std::uint32_t count = c;
-    c = sum;
-    sum += count;
-  }
-  inbox_.resize(m);
-  for (const Message& msg : outbox) inbox_[tag_count_[msg.tag]++] = msg;
-
-  // Pass 2: stable counting sort by receiver, inbox_ -> outbox. Counts are
-  // kept in an n-sized array that is all-zero between rounds; only the
-  // entries actually touched are visited for the prefix sum (sorted distinct
-  // receivers) when the batch is sparse, and only they are re-zeroed.
-  touched_receivers_.clear();
-  for (const Message& msg : inbox_) {
-    auto& c = recv_count_[static_cast<std::size_t>(msg.to)];
-    if (c++ == 0) touched_receivers_.push_back(msg.to);
-  }
-  const std::size_t distinct = touched_receivers_.size();
-  sum = 0;
-  if (distinct < static_cast<std::size_t>(n_) / 16) {
-    std::sort(touched_receivers_.begin(), touched_receivers_.end());
-    for (const NodeId r : touched_receivers_) {
-      auto& c = recv_count_[static_cast<std::size_t>(r)];
-      const std::uint32_t count = c;
-      c = sum;
-      sum += count;
-    }
-  } else {
-    for (NodeId r = 0; r < n_; ++r) {
-      auto& c = recv_count_[static_cast<std::size_t>(r)];
-      if (c != 0) {  // untouched entries must stay zero
-        const std::uint32_t count = c;
-        c = sum;
-        sum += count;
-      }
-    }
-  }
-  for (const Message& msg : inbox_) {
-    outbox[recv_count_[static_cast<std::size_t>(msg.to)]++] = msg;
-  }
-  // Restore the all-zero invariant by visiting only touched entries.
-  for (const NodeId r : touched_receivers_) recv_count_[static_cast<std::size_t>(r)] = 0;
+  inbox_.swap(outbox);
+  outbox.clear();
 }
 
 void Engine::deliver_batch() {
@@ -1147,24 +1023,25 @@ void Engine::deliver_batch() {
   // One rule picks the route: a batch of kPartitionMinM messages or more
   // (this round's sends plus the delayed messages due now) is compacted and
   // sorted on the stepper's shards — one inline shard on a serial engine —
-  // and a smaller one is compacted inline as shard 0 and sorted serially.
+  // and a smaller one by shard 0 alone, inline.
   const auto due = delays_armed_ ? pending_delayed_.find(round_) : pending_delayed_.end();
   const std::size_t sent = outbox.size();
   const std::size_t batch =
       sent + (due != pending_delayed_.end() ? due->second.msgs.size() : 0);
-  part_.active = batch >= kPartitionMinM && batch < static_cast<std::size_t>(UINT32_MAX);
-  const std::size_t shards = part_.active ? sinks_.size() : 1;
-  if (part_.active) {
-    // Receiver buckets (to >> shift): at most 256 of them, about 64 when
-    // the bucket's key domain fits kBucketKeyBits at the current tag width.
-    const auto top = static_cast<unsigned>(std::bit_width(static_cast<std::uint32_t>(n_ - 1)));
-    const unsigned fine = top > kMaxBucketBits ? top - kMaxBucketBits : 0;
-    const unsigned coarse = top > kBucketBits ? top - kBucketBits : 0;
-    const unsigned fit = kBucketKeyBits > tag_bits_ ? kBucketKeyBits - tag_bits_ : 0;
-    part_.shift = std::max(fine, std::min(coarse, fit));
-    part_.buckets = (static_cast<std::size_t>(n_ - 1) >> part_.shift) + 1;
-    part_.cursors.resize((shards + 1) * part_.buckets);
-  }
+  LFT_ASSERT(batch < static_cast<std::size_t>(UINT32_MAX));  // u32 sort offsets
+  const std::size_t shards = batch >= kPartitionMinM ? sinks_.size() : 1;
+  part_.shards = shards;
+  // The receiver buckets (see kBucketBits): about 64, at most 256, at most
+  // one per kBucketMessages.
+  const auto top = static_cast<unsigned>(std::bit_width(static_cast<std::uint32_t>(n_ - 1)));
+  const unsigned fine = top > kMaxBucketBits ? top - kMaxBucketBits : 0;
+  const unsigned coarse = top > kBucketBits ? top - kBucketBits : 0;
+  const unsigned fit = kBucketKeyBits > tag_bits_ ? kBucketKeyBits - tag_bits_ : 0;
+  const auto few = static_cast<unsigned>(std::bit_width(batch / kBucketMessages));
+  const unsigned shift = std::max({fine, std::min(coarse, fit), top > few ? top - few : 0u});
+  part_.shift = shift;
+  part_.buckets = (static_cast<std::size_t>(n_ - 1) >> shift) + 1;
+  part_.cursors.resize((shards + 1) * part_.buckets);
   // Shard k's chunk starts at k sent / W, snapped forward past the sender
   // run straddling it, so each sender's run belongs to exactly one shard.
   const Message* msgs = outbox.data();
@@ -1193,11 +1070,7 @@ void Engine::deliver_batch() {
       if (delays_armed_) shard.parked.reserve(shard.end - shard.begin);
     }
   }
-  if (part_.active) {
-    run_shards([](Engine& engine, std::size_t k) { engine.compact_shard(k); });
-  } else {
-    compact_shard(0);
-  }
+  run_shards([](Engine& engine, std::size_t k) { engine.compact_shard(k); });
 
   // Fold the shards' accumulators in shard order. Trace accounting: the
   // sent-batch header sum was accumulated at send time (fields in
@@ -1236,11 +1109,8 @@ void Engine::deliver_batch() {
   CompactShard& injected = compact_[shards];
   injected.begin = outbox.size();
   injected.max_tag = 0;
-  std::uint32_t* hist = nullptr;
-  if (part_.active) {
-    hist = part_.cursors.data() + shards * part_.buckets;
-    std::fill_n(hist, part_.buckets, 0u);
-  }
+  std::uint32_t* hist = part_.cursors.data() + shards * part_.buckets;
+  std::fill_n(hist, part_.buckets, 0u);
   std::uint64_t injected_sum = 0;
   if (due != pending_delayed_.end()) {
     for (const Message& m : due->second.msgs) {
@@ -1251,18 +1121,16 @@ void Engine::deliver_batch() {
         continue;
       }
       if (traced) injected_sum += digest_header(m);
-      if (hist != nullptr) {
-        ++hist[to >> part_.shift];
-        injected.max_tag = std::max(injected.max_tag, m.tag);
-      }
+      ++hist[to >> shift];
+      injected.max_tag = std::max(injected.max_tag, m.tag);
       outbox.push_back(m);
     }
     // The bucket's arena backs the injected bodies until next round's step
     // has read them; recycled one round from now (see the top).
     draining_delayed_ = std::move(due->second);
     pending_delayed_.erase(due);
+    rearm_delays();  // a nonempty queue keeps the delay plane engaged
   }
-  rearm_delays();  // a nonempty queue keeps the delay plane engaged
   injected.kept = outbox.size();
   kept_total += injected.kept - injected.begin;
   if (traced) {
@@ -1279,35 +1147,17 @@ void Engine::deliver_batch() {
       std::max(metrics_.peak_round_messages, static_cast<std::int64_t>(kept_total));
 
   // Stable sort into delivery normal form: group by (receiver, tag). The
-  // arena is appended in ascending sender order and every strategy of the
-  // sort is stable, so each (receiver, tag) run stays sorted by sender with
-  // per-sender send order preserved. Delivery always wakes the recipient:
-  // the partitioned sort wakes each bucket's receivers on its shard; after
-  // the serial sorts one pass over the delivered batch does.
+  // arena is appended in ascending sender order and both levels of the
+  // sort are stable, so each (receiver, tag) run stays sorted by sender
+  // with per-sender send order preserved. The sort's shards wake the
+  // receivers of their buckets; their parked ones go onto the sleep heap.
   const std::uint64_t sort_start = tele_ != nullptr ? obs::now_ns() : 0;
-  bool woken = false;
-  if (part_.active) {
-    woken = sort_partitioned();
-    if (!woken) close_gaps();  // a widened tag rejected the bucket key
-  }
-  if (!woken) sort_batch_normal_form();
-  inbox_.swap(outbox);
-  outbox.clear();
+  sort_batch();
   const Round next = round_ + 1;
-  if (woken) {
-    for (std::size_t k = 0; k < shards; ++k) {
-      for (const NodeId v : compact_[k].sleepers) sleep_heap_.emplace(next, v);
-      compact_[k].sleepers.clear();
-    }
-  } else {
-    NodeId last = kNoNode;
-    for (const Message& m : inbox_) {
-      if (m.to == last) continue;
-      last = m.to;
-      if (wake_receiver(static_cast<std::size_t>(last))) sleep_heap_.emplace(next, last);
-    }
+  for (std::size_t k = 0; k < shards; ++k) {
+    for (const NodeId v : compact_[k].sleepers) sleep_heap_.emplace(next, v);
+    compact_[k].sleepers.clear();
   }
-  part_.active = false;
   if (tele_ != nullptr) {
     tele_->compact_ns.record(sort_start - compact_start);
     tele_->sort_ns.record(obs::now_ns() - sort_start);
@@ -1336,6 +1186,7 @@ bool Engine::step() {
   //     Byzantine takeovers that affect this round's sends.
   const std::uint64_t round_start = tele_ != nullptr ? obs::now_ns() : 0;
   if (!fault_plane_.empty()) run_fault_phase(/*pre_round=*/true);
+  const std::uint64_t wake_start = tele_ != nullptr ? obs::now_ns() : 0;
 
   // 0b. Wake sleepers whose timer (or a message) is due. Heap entries are
   //    lazily invalidated: only nodes still marked sleeping with a due wake
@@ -1366,7 +1217,8 @@ bool Engine::step() {
   step_active();
   const std::uint64_t post_step_start = tele_ != nullptr ? obs::now_ns() : 0;
   if (tele_ != nullptr) {
-    tele_->pre_round_ns.record(step_start - round_start);
+    tele_->fault_pre_round_ns.record(wake_start - round_start);
+    tele_->wake_ns.record(step_start - wake_start);
     tele_->step_ns.record(post_step_start - step_start);
     tele_->round_active.record(active_.size());
   }

@@ -13,14 +13,12 @@
 // performs no per-message allocation). Delivery is one compaction pass (drop,
 // delay, account) followed by one stable sort by (receiver, tag). A large
 // batch (the round's sends plus the delayed messages due now) is compacted
-// and sorted on the stepper's shards: each shard compacts whole sender runs
-// of the outbox in place and histograms its survivors by receiver bucket,
-// then the partitioned counting sort scatters the shards' survivor ranges
-// into receiver buckets and counting-sorts inside each bucket, waking each
-// bucket's receivers. A smaller batch is compacted inline and sorted by a
-// fused one-pass counting sort on the combined key, or two LSD counting
-// passes (tag, then receiver) when the dense key domain is too large, or a
-// comparison sort for degenerate tags. Each receiver gets a
+// and sorted on the stepper's shards, a smaller one by shard 0 inline, with
+// the same two functions: each shard compacts whole sender runs of the
+// outbox in place and histograms its survivors by receiver bucket; the sort
+// scatters the survivors into receiver buckets, orders each bucket by a
+// counting sort when it is dense or by a comparison sort when it is sparse
+// or its tags are degenerate, and wakes each bucket's receivers. Each receiver gets a
 // zero-copy Inbox view into its slice. Only nodes that are alive and not
 // halted are stepped (the active set shrinks as the execution winds down),
 // so per-round cost is O(active + messages), not O(n).
@@ -387,8 +385,9 @@ class Engine {
   /// One shard's share of a sharded job: shard 0 runs on the calling
   /// thread, shard k >= 1 on worker k - 1.
   using ShardJob = void (*)(Engine&, std::size_t shard);
-  /// Runs `job` for shards 0..threads()-1 and returns once all finished:
-  /// on the worker pool, or inline as the one shard of a serial engine.
+  /// Runs `job` for the batch's shards 0..part_.shards-1 and returns once
+  /// all finished: on the worker pool, or inline as the one shard of an
+  /// unsharded batch.
   void run_shards(ShardJob job);
   /// Steps active_[k-th shard] (bounds in shard_begin_) into sinks_[k].
   void step_shard(std::size_t k);
@@ -400,25 +399,15 @@ class Engine {
   void deliver_batch();
   /// Compaction of shard k's chunk of the outbox (see engine.cpp): drops,
   /// per-sender-run accounting, delayed messages (parked by shard 0, queued
-  /// by a worker's shard), and on the partitioned route the survivors'
-  /// receiver-bucket histogram.
+  /// by a worker's shard), and the survivors' receiver-bucket histogram.
   void compact_shard(std::size_t k);
-  /// Moves the shards' survivor ranges and the injected chunk together at
-  /// the front of the outbox (the partitioned route's rare fallback).
-  void close_gaps();
-  /// Partitioned counting sort of the shards' survivor ranges plus the
-  /// injected chunk, back into the front of the outbox; false (nothing
-  /// moved) when the round's tags do not fit the bucket key.
-  [[nodiscard]] bool sort_partitioned();
-  /// Stable sort of the contiguous outbox by (receiver, tag), with inbox_ as
-  /// the scratch buffer: a fused one-pass counting sort when the dense key
-  /// domain n << tag_bits is affordable, else two LSD counting passes in
-  /// O(m + tag_domain + min(n, d log d)) for d distinct receivers, else — for
-  /// degenerate (huge) tags — a comparison sort.
-  void sort_batch_normal_form();
-  /// The partitioned sort's two sharded phases (see engine.cpp): the stable
-  /// scatter of shard k's survivor range into inbox_, and the counting sort
-  /// of shard k's buckets back into the outbox, waking their receivers.
+  /// Two-level stable sort of the shards' survivor ranges plus the injected
+  /// chunk by (receiver, tag) into inbox_, waking the receivers.
+  void sort_batch();
+  /// The sort's two shard phases (see engine.cpp): the stable scatter of
+  /// shard k's survivor range into receiver buckets, and the sort of shard
+  /// k's buckets, each by a counting sort or a sort of its positions by
+  /// (to, tag, position), waking their receivers.
   void partition_scatter(std::size_t k);
   void partition_sort_buckets(std::size_t k);
 
@@ -507,54 +496,46 @@ class Engine {
   struct Pool;
   std::unique_ptr<Pool> workers_;
 
-  // LSD-pass scratch, sized once and cleared via touch lists so per-round
-  // cost stays proportional to the batch.
-  std::vector<std::uint32_t> tag_count_;
-  std::vector<std::uint32_t> recv_count_;  // n entries, all zero between rounds
-  std::vector<NodeId> touched_receivers_;
-
-  // Counting-sort scratch shared by the fused and the partitioned sort:
-  // per-message sort keys ((to - base) << tag_bits_) | tag (base = 0 for the
-  // fused sort, the bucket's first receiver for the partitioned one), the
-  // dense key histograms (one domain-sized slice per shard), and
-  // per-receiver inbox bounds derived from the scattered histograms.
-  // recv_bounds_ is valid only for rounds a counting sort on the combined
-  // key sorted (recv_bounds_valid_); step_shard then slices inboxes by
-  // lookup instead of scanning inbox_ for receiver boundaries. tag_bits_ is
-  // a high-water mark: it grows when a round's max tag outgrows it and the
-  // keys are rebuilt (rare — tags are small protocol enumerators).
+  // Sort scratch: per-message bucket keys ((to - base) << tag_bits_) | tag,
+  // base the bucket's first receiver, or a comparison-sorted bucket's
+  // positions; and one dense key histogram per shard. tag_bits_ is a
+  // high-water mark: it grows when a round's max tag outgrows it (rare —
+  // tags are small protocol enumerators).
   std::vector<std::uint32_t> keys_;
   std::vector<std::uint32_t> counts_;
-  std::vector<std::uint32_t> recv_bounds_;  // n + 1 entries when valid
-  bool recv_bounds_valid_ = false;
   unsigned tag_bits_ = 4;
 
-  // The partitioned route's plan for the current batch, written by the
-  // coordinator between its sharded phases. Receiver buckets are
-  // to >> shift (at most 256 of them); chunk c < W is compaction shard c's
-  // survivor range, chunk W the injected delayed messages, and shard k
-  // sorts buckets [shard_buckets[k], shard_buckets[k + 1]). `active` is
-  // true while a batch is on this route.
+  // The sort's plan for the current batch, written by the coordinator
+  // between its phases. The batch has `shards` compaction chunks (W on the
+  // sharded route, else 1) plus the injected chunk; receiver buckets are
+  // to >> shift (at most 256 of them), and shard k sorts buckets
+  // [shard_buckets[k], shard_buckets[k + 1]) from inbox_ back into the
+  // outbox. `counting` is true when counts_ holds `domain` (the widest
+  // bucket's key domain) counts per shard, so a dense bucket may take the
+  // counting sort.
   struct Partition {
-    bool active = false;
+    std::size_t shards = 1;
     unsigned shift = 0;
     std::size_t buckets = 0;
-    // (W + 1) x buckets: chunk histograms, then scatter cursors.
+    bool counting = false;
+    std::size_t domain = 0;
+    // (shards + 1) x buckets: chunk histograms, then scatter cursors.
     std::vector<std::uint32_t> cursors;
     std::vector<std::uint32_t> bucket_begin;  // buckets + 1 offsets into the batch
-    std::vector<std::size_t> shard_buckets;   // W + 1
+    std::vector<std::size_t> shard_buckets;   // shards + 1
   };
   Partition part_;
 
   // One compaction chunk: its outbox input range, its survivors (compacted
   // in place to [begin, kept)) and the shard's accumulators, which the
-  // coordinator folds in shard order. Entry W is the injected chunk.
+  // coordinator folds in shard order. Entry part_.shards is the injected
+  // chunk.
   // Every buffer here that a worker fills is reserved on the coordinator.
   struct CompactShard {
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t kept = 0;
-    std::uint32_t max_tag = 0;  // largest survivor tag (partitioned route)
+    std::uint32_t max_tag = 0;  // largest survivor tag
     std::int64_t messages = 0;
     std::int64_t bits = 0;
     std::int64_t honest_messages = 0;

@@ -654,61 +654,46 @@ TEST(MessagePlaneIdentity, DelayedDeliverySteppersScratch) {
   }
 }
 
-TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
-  // Large-batch delivery through the partitioned counting sort: every round
-  // sends m = 4093 * 17 = 69581 messages, just past kPartitionMinM
-  // (1 << 16), so the kernel sorts every round at every shard count. n =
-  // 4093 is not a power of two: the receiver buckets are to >> 6 here, 64
-  // of them, and the last holds 61 receivers. All of bucket 7, the last
-  // receiver and receivers on some 16-aligned edges (64-aligned ones
-  // among them) get nothing, so empty slices sit where bucket windows
-  // meet, whatever the bucket width. Round 1 sends tags up to 40, past
-  // the 4-bit key width the engine starts with, so the key widens mid-run.
-  // At threads 1..4 every delivered inbox must equal the oracle built here
-  // from the send schedule — the receiver's messages in send order (sender
-  // ascending, then send index), stably sorted by tag — because the
-  // delivered-header digest is a commutative sum and cannot see the order
-  // inside a receiver's run. Fingerprints and digest streams must match
-  // the serial run's too.
-  static constexpr NodeId kN = 4093;
-  static constexpr int kFan = 17;
-  static constexpr Round kRounds = 3;
-  auto starved = [](NodeId v) {
-    const NodeId edge = v / 16;
-    const NodeId slot = v % 16;
-    return v / 64 == 7 || v == kN - 1 || (slot == 0 && edge % 3 == 0) ||
-           (slot == 15 && edge % 5 == 0);
-  };
-  auto dest = [&starved](NodeId from, int i, Round round) {
-    auto v = static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 17 + round) % kN);
-    while (starved(v)) v = (v + 1) % kN;
-    return v;
-  };
-  auto tag_of = [](int i, Round round) {
-    return static_cast<std::uint32_t>(round == 1 ? 2 * i + 8 : i % 7);
-  };
+/// One sender's sends of one round, in send order: (receiver, tag).
+using Sends = std::vector<std::pair<NodeId, std::uint32_t>>;
+/// The sends of node `from` in round `round`; a pure function, since the
+/// parallel stepper calls it on its workers.
+using Schedule = std::function<Sends(NodeId from, Round round)>;
+
+/// Runs n nodes through `rounds` rounds of `schedule` at threads 1..4
+/// (scratch on at even counts) and holds every delivered inbox to the
+/// oracle built here from the schedule — the receiver's messages in send
+/// order (sender ascending, then send index), stably sorted by tag —
+/// because the delivered-header digest is a commutative sum and cannot see
+/// the order inside a receiver's run. Fingerprints and digest streams must
+/// match the serial run's too.
+void expect_oracle_inboxes(const char* name, NodeId n, Round rounds, const Schedule& schedule) {
   using Seen = std::tuple<std::uint32_t, NodeId, std::uint64_t>;  // (tag, from, value)
   using Inboxes = std::vector<std::vector<std::vector<Seen>>>;  // [round - 1][receiver]
-  auto empty_inboxes = [] {
-    return Inboxes(kRounds, std::vector<std::vector<Seen>>(static_cast<std::size_t>(kN)));
+  auto empty_inboxes = [n, rounds] {
+    return Inboxes(static_cast<std::size_t>(rounds),
+                   std::vector<std::vector<Seen>>(static_cast<std::size_t>(n)));
   };
   Inboxes want = empty_inboxes();
-  for (Round r = 0; r < kRounds; ++r) {
-    for (NodeId from = 0; from < kN; ++from) {
-      for (int i = 0; i < kFan; ++i) {
-        want[static_cast<std::size_t>(r)][static_cast<std::size_t>(dest(from, i, r))]
-            .emplace_back(tag_of(i, r), from, static_cast<std::uint64_t>(i));
+  std::int64_t peak = 0;
+  for (Round r = 0; r < rounds; ++r) {
+    auto& round_want = want[static_cast<std::size_t>(r)];
+    std::int64_t sent = 0;
+    for (NodeId from = 0; from < n; ++from) {
+      const Sends sends = schedule(from, r);
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        round_want[static_cast<std::size_t>(sends[i].first)].emplace_back(sends[i].second, from,
+                                                                          i);
       }
+      sent += static_cast<std::int64_t>(sends.size());
     }
-    for (auto& expected : want[static_cast<std::size_t>(r)]) {
+    peak = std::max(peak, sent);
+    for (auto& expected : round_want) {
       std::stable_sort(expected.begin(), expected.end(), [](const Seen& a, const Seen& b) {
         return std::get<0>(a) < std::get<0>(b);
       });
     }
   }
-  ASSERT_TRUE(want[0][64 * 7].empty());
-  ASSERT_TRUE(want[0][64 * 3].empty());
-  ASSERT_FALSE(want[0][kN - 2].empty());
 
   Inboxes inboxes = empty_inboxes();
   auto workload = [&](const Combo& c) {
@@ -718,9 +703,9 @@ TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
     config.threads = c.threads;
     config.scratch = c.scratch ? &scratch : nullptr;
     config.trace = &log;
-    Engine engine(kN, config);
-    EXPECT_EQ(engine.threads(), c.threads);
-    for (NodeId v = 0; v < kN; ++v) {
+    Engine engine(n, config);
+    EXPECT_EQ(engine.threads(), n >= 256 ? c.threads : 1);  // small engines step serially
+    for (NodeId v = 0; v < n; ++v) {
       engine.set_process(v, lambda_process([&, v](Context& ctx, const Inbox& inbox) {
                            if (ctx.round() >= 1) {
                              auto& seen = inboxes[static_cast<std::size_t>(ctx.round() - 1)]
@@ -728,28 +713,28 @@ TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
                              seen.clear();
                              for (const auto& m : inbox) seen.emplace_back(m.tag, m.from, m.value);
                            }
-                           if (ctx.round() >= kRounds) {
+                           if (ctx.round() >= rounds) {
                              ctx.halt();
                              return;
                            }
-                           for (int i = 0; i < kFan; ++i) {
-                             ctx.send(dest(v, i, ctx.round()), tag_of(i, ctx.round()),
-                                      static_cast<std::uint64_t>(i));
+                           const Sends sends = schedule(v, ctx.round());
+                           for (std::size_t i = 0; i < sends.size(); ++i) {
+                             ctx.send(sends[i].first, sends[i].second, i);
                            }
                          }));
     }
     const Report report = engine.run();
-    EXPECT_EQ(report.metrics.peak_round_messages, static_cast<std::int64_t>(kN) * kFan);
+    EXPECT_EQ(report.metrics.peak_round_messages, peak);
     return Capture{scenarios::fingerprint(report), std::move(log.rounds)};
   };
   Capture ref;
   for (const int threads : {1, 2, 3, 4}) {
     const Combo combo{threads, threads % 2 == 0};
-    const std::string label = combo_label("partitioned", combo);
+    const std::string label = combo_label(name, combo);
     inboxes = empty_inboxes();
     Capture got = workload(combo);
-    for (Round r = 0; r < kRounds; ++r) {
-      for (NodeId v = 0; v < kN; ++v) {
+    for (Round r = 0; r < rounds; ++r) {
+      for (NodeId v = 0; v < n; ++v) {
         ASSERT_EQ(inboxes[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)],
                   want[static_cast<std::size_t>(r)][static_cast<std::size_t>(v)])
             << label << " round " << r + 1 << " receiver " << v;
@@ -761,6 +746,79 @@ TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
       expect_capture_eq(ref, got, label);
     }
   }
+}
+
+TEST(MessagePlaneIdentity, PartitionedSortDeliversNormalForm) {
+  // Every shape the one delivery sort takes, held to the send-schedule
+  // oracle at threads 1..4.
+  //
+  // Rounds 0-3 send m = 4093 * 17 = 69581 messages (plus one in round 3),
+  // just past kPartitionMinM (1 << 16): at threads 2..4 they are compacted
+  // and sorted on the shards, and at threads 1 by the one inline shard,
+  // through the same 64-bucket scatter. n = 4093 is not a power of two, so
+  // the last receiver bucket is partial whatever its width. All of
+  // receivers 448..511, the last receiver and receivers on some 16-aligned
+  // edges (64-aligned ones among them) get nothing in those rounds, so
+  // empty slices sit where bucket windows meet. Round 1 sends tags up to
+  // 40, past the 4-bit key width the engine starts with, so the key widens
+  // mid-run; round 3 adds one degenerate tag (2^16 + 5) in one bucket of an
+  // otherwise dense round, so every bucket takes the comparison sort.
+  //
+  // Rounds 4-6 are small and sorted inline at every thread count: one
+  // message (one bucket), ten messages to receivers far apart (one sparse
+  // bucket), and 1,020 messages, 1,000 of them to receivers 300..303 and 20
+  // to receiver 4090, so most of the 64 buckets are empty, one is dense
+  // (counting sort) and one sparse (comparison sort).
+  static constexpr NodeId kN = 4093;
+  static constexpr int kFan = 17;
+  auto starved = [](NodeId v) {
+    const NodeId edge = v / 16;
+    const NodeId slot = v % 16;
+    return v / 64 == 7 || v == kN - 1 || (slot == 0 && edge % 3 == 0) ||
+           (slot == 15 && edge % 5 == 0);
+  };
+  ASSERT_TRUE(starved(64 * 7));
+  ASSERT_TRUE(starved(64 * 3));
+  ASSERT_FALSE(starved(kN - 2));
+  expect_oracle_inboxes("partitioned", kN, 7, [&starved](NodeId from, Round round) {
+    Sends sends;
+    if (round <= 3) {
+      for (int i = 0; i < kFan; ++i) {
+        auto v = static_cast<NodeId>((static_cast<std::int64_t>(from) * 31 + i * 17 + round) % kN);
+        while (starved(v)) v = (v + 1) % kN;
+        sends.emplace_back(v, static_cast<std::uint32_t>(round == 1 ? 2 * i + 8 : i % 7));
+      }
+      if (round == 3 && from == 2000) sends.emplace_back(2001, (1u << 16) + 5);
+    } else if (round == 4) {
+      if (from == 5) sends.emplace_back(4000, 3);
+    } else if (round == 5) {
+      if (from >= 100 && from < 110) {
+        sends.emplace_back(static_cast<NodeId>((from - 100) * 409),
+                           static_cast<std::uint32_t>(from % 3));
+      }
+    } else if (from < 1000) {
+      sends.emplace_back(300 + from % 4, static_cast<std::uint32_t>(from % 3));
+    } else if (from < 1020) {
+      sends.emplace_back(4090, static_cast<std::uint32_t>(from % 5));
+    }
+    return sends;
+  });
+
+  // A commit-slot-shaped engine, n = 7 (the live service's slot): a round
+  // of all-to-all proposals plus acks to node 0 (four dense buckets), then
+  // one of two messages (one bucket, sparse: the acks' tag 40 widened the
+  // key to 6 tag bits, a 448-count domain for 2 messages).
+  expect_oracle_inboxes("slot", 7, 2, [](NodeId from, Round round) {
+    Sends sends;
+    if (round == 0) {
+      for (NodeId to = 0; to < 7; ++to) sends.emplace_back(to, 2);
+      sends.emplace_back(0, 40);
+    } else if (from == 3) {
+      sends.emplace_back(6, 1);
+      sends.emplace_back(1, 0);
+    }
+    return sends;
+  });
 }
 
 TEST(MessagePlaneIdentity, ShardedCompactionUnderFaults) {
@@ -1102,15 +1160,14 @@ TEST(EngineThreads, SerialRunCyclesThroughTwoMessageBuffers) {
 // ---- delivery-phase telemetry ----------------------------------------------
 
 TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
-  // The six round phases — pre-round (fault pre-round plus sleeper wake),
-  // step, post-step faults, the two halves of delivery (compaction and
-  // sort) and the end-of-round settle — each record one sample per
-  // executed round, and together they cannot exceed the run's wall time.
-  // The first rounds send m = 1024 * 80 > kPartitionMinM messages (the
-  // sharded compaction and the partitioned sort, on two shards), the later
-  // ones one message per node (the inline compaction and the serial
-  // sorts), so both routes are timed. A crash injector gives the fault
-  // phases work to time.
+  // The seven round phases — the fault plane's pre-round phase, the
+  // sleeper wake, step, post-step faults, the two halves of delivery
+  // (compaction and sort) and the end-of-round settle — each record one
+  // sample per executed round, and together they cannot exceed the run's
+  // wall time. The first rounds send m = 1024 * 80 > kPartitionMinM
+  // messages (compacted and sorted on two shards), the later ones one
+  // message per node (one inline shard), so both routes are timed. A crash
+  // injector gives the fault phases work to time.
   static constexpr NodeId kN = 1024;
   obs::Registry registry;
   EngineConfig config;
@@ -1144,8 +1201,9 @@ TEST(EngineTelemetry, DeliveryPhasesRecordOneSamplePerRound) {
   EXPECT_EQ(rounds->value, static_cast<std::uint64_t>(report.rounds));
   std::uint64_t phases_ns = 0;
   for (const char* name :
-       {"lft_engine_pre_round_ns", "lft_engine_step_ns", "lft_engine_post_step_ns",
-        "lft_engine_compact_ns", "lft_engine_sort_ns", "lft_engine_settle_ns"}) {
+       {"lft_engine_fault_pre_round_ns", "lft_engine_wake_ns", "lft_engine_step_ns",
+        "lft_engine_post_step_ns", "lft_engine_compact_ns", "lft_engine_sort_ns",
+        "lft_engine_settle_ns"}) {
     const auto* phase = snapshot.find_histogram(name);
     ASSERT_NE(phase, nullptr) << name;
     EXPECT_EQ(phase->data.count(), rounds->value) << name;

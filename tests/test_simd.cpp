@@ -1,7 +1,7 @@
-// Tests for the delivery-sweep kernels (common/simd.hpp). Each kernel is
-// held to a scalar reference built here from the standard library (count,
-// exclusive_scan, stable_sort), at block-boundary sizes, with heavy key
-// duplication, and on record bases off 8-byte alignment.
+// Tests for the delivery sort's record scatter (common/simd.hpp), held to a
+// reference built here from the standard library (stable_sort,
+// exclusive_scan), at block-boundary sizes and on a record base off 8-byte
+// alignment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,71 +64,6 @@ std::vector<std::uint32_t> reference_histogram(const std::vector<std::uint32_t>&
   return counts;
 }
 
-TEST(SimdKernels, HistogramMatchesScalar) {
-  for (const std::size_t n : kSizes) {
-    std::mt19937_64 rng(n * 1009 + 1);
-    const std::uint32_t domain = 37;
-    std::vector<std::uint32_t> keys(n);
-    for (auto& k : keys) k = static_cast<std::uint32_t>(rng()) % domain;
-    std::vector<std::uint32_t> got(domain, 0);
-    simd::histogram_u32(keys.data(), n, got.data());
-    EXPECT_EQ(reference_histogram(keys, domain), got) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, HistogramHeavyDuplicates) {
-  for (const std::size_t n : {16u, 17u, 48u, 1000u}) {
-    std::vector<std::uint32_t> keys(n, 5);
-    for (std::size_t i = 0; i < n; i += 3) keys[i] = 11;
-    // The kernel accumulates into counts it is handed; start from nonzero.
-    std::vector<std::uint32_t> got(16, 2);
-    simd::histogram_u32(keys.data(), n, got.data());
-    auto want = reference_histogram(keys, 16);
-    for (auto& c : want) c += 2;
-    EXPECT_EQ(want, got) << "n=" << n;
-    EXPECT_EQ(got[11], 2 + (n + 2) / 3) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, ExclusiveScanMatchesScalar) {
-  for (const std::size_t n : kSizes) {
-    std::mt19937_64 rng(n * 31 + 7);
-    std::vector<std::uint32_t> values(n);
-    // Include large values so the u32 total wraps on bigger sizes.
-    for (auto& v : values) v = static_cast<std::uint32_t>(rng());
-    std::vector<std::uint32_t> want(n);
-    std::exclusive_scan(values.begin(), values.end(), want.begin(), std::uint32_t{0});
-    const std::uint32_t want_total =
-        std::accumulate(values.begin(), values.end(), std::uint32_t{0});
-    std::vector<std::uint32_t> got = values;
-    const std::uint32_t got_total = simd::exclusive_scan_u32(got.data(), n);
-    EXPECT_EQ(want, got) << "n=" << n;
-    EXPECT_EQ(want_total, got_total) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, BuildKeysMatchesScalarIncludingUnalignedBase) {
-  for (const std::size_t n : kSizes) {
-    for (const std::size_t misalign : {0u, 1u, 5u}) {
-      const RecordBuf buf(n, /*to_limit=*/53, /*tag_limit=*/13, misalign,
-                          /*seed=*/n * 7919 + misalign);
-      const unsigned tag_bits = 4;
-      std::vector<std::uint32_t> want(n + 1, 0xDEADBEEF);
-      std::uint32_t want_max = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t to = buf.field(i, 4);
-        const std::uint32_t tag = buf.field(i, 8);
-        want[i] = (to << tag_bits) | tag;
-        want_max = std::max(want_max, tag);
-      }
-      std::vector<std::uint32_t> got(n + 1, 0xDEADBEEF);
-      const std::uint32_t got_max = simd::build_keys40(buf.records, n, tag_bits, got.data());
-      EXPECT_EQ(want, got) << "n=" << n << " mis=" << misalign;
-      EXPECT_EQ(want_max, got_max) << "n=" << n << " mis=" << misalign;
-    }
-  }
-}
-
 TEST(SimdKernels, ScatterMatchesScalarAndIsStable) {
   for (const std::size_t n : kSizes) {
     const RecordBuf buf(n, /*to_limit=*/7, /*tag_limit=*/3, /*misalign=*/1,
@@ -136,7 +71,7 @@ TEST(SimdKernels, ScatterMatchesScalarAndIsStable) {
     const unsigned tag_bits = 2;
     const std::size_t domain = 7u << tag_bits;
     std::vector<std::uint32_t> keys(n);
-    simd::build_keys40(buf.records, n, tag_bits, keys.data());
+    for (std::size_t i = 0; i < n; ++i) keys[i] = (buf.field(i, 4) << tag_bits) | buf.field(i, 8);
 
     // Reference: record indices stably sorted by key.
     std::vector<std::size_t> order(n);
