@@ -48,11 +48,11 @@ AeaRun run_aea_with(std::shared_ptr<const graph::Graph> little_g, NodeId n, Node
   for (NodeId v = 0; v < n; ++v) {
     auto proc = std::make_unique<core::StageProcess>(v);
     proc->state().candidate = inputs[static_cast<std::size_t>(v)];
-    proc->add_stage(std::make_unique<core::FloodRumorStage>(
-        v, little, little_g, std::max<Round>(1, little - 1), proc->state()));
-    proc->add_stage(std::make_unique<core::ProbeStage>(v, little, little_g, gamma, delta,
+    proc->add_stage(core::FloodRumorStage(
+        v, little, *little_g, std::max<Round>(1, little - 1), proc->state()));
+    proc->add_stage(core::ProbeStage(v, little, *little_g, gamma, delta,
                                                        proc->state(), true));
-    proc->add_stage(std::make_unique<core::NotifyRelatedStage>(v, n, little, proc->state()));
+    proc->add_stage(core::NotifyRelatedStage(v, n, little, proc->state()));
     procs.push_back(proc.get());
     engine.set_process(v, std::move(proc));
   }
@@ -147,11 +147,11 @@ void overlay_family_table() {
       auto proc = std::make_unique<core::StageProcess>(v);
       proc->state().candidate =
           v < l ? attack.inputs[static_cast<std::size_t>(v)] : 0;
-      proc->add_stage(std::make_unique<core::FloodRumorStage>(
-          v, l, g, std::max<Round>(1, l - 1), proc->state()));
+      proc->add_stage(core::FloodRumorStage(
+          v, l, *g, std::max<Round>(1, l - 1), proc->state()));
       proc->add_stage(
-          std::make_unique<core::ProbeStage>(v, l, g, gamma, fam.delta, proc->state(), true));
-      proc->add_stage(std::make_unique<core::NotifyRelatedStage>(v, n, l, proc->state()));
+          core::ProbeStage(v, l, *g, gamma, fam.delta, proc->state(), true));
+      proc->add_stage(core::NotifyRelatedStage(v, n, l, proc->state()));
       procs.push_back(proc.get());
       engine.set_process(v, std::move(proc));
     }

@@ -21,14 +21,15 @@ CheckpointProcess::CheckpointProcess(std::shared_ptr<const GossipConfig> gossip_
                                      NodeId self)
     : gossip_state_(gossip_cfg->params.n, self, /*rumor=*/1),
       vector_state_(vec_cfg->params.n) {
-  driver_.add(std::make_unique<GossipBuildStage>(gossip_cfg, self, gossip_state_));
-  driver_.add(std::make_unique<GossipShareStage>(gossip_cfg, self, gossip_state_));
-  driver_.add(std::make_unique<GossipFinishStage>(gossip_cfg, self, gossip_state_,
-                                                  /*decide_at_end=*/false));
+  stages_.push_back(std::make_unique<GossipBuildStage>(gossip_cfg, self, gossip_state_));
+  stages_.push_back(std::make_unique<GossipShareStage>(gossip_cfg, self, gossip_state_));
+  stages_.push_back(std::make_unique<GossipFinishStage>(gossip_cfg, self, gossip_state_,
+                                                        /*decide_at_end=*/false));
   // Seed the vectorized consensus input from the gossip result: instance i
   // gets input 1 iff node i is present in the local extant set.
-  add_vector_consensus_stages(driver_, vec_cfg, self, vector_state_,
-                              [this]() { return gossip_state_.extant.known(); });
+  append_vector_consensus_stages(stages_, vec_cfg, self, vector_state_,
+                                 [this]() { return gossip_state_.extant.known(); });
+  for (auto& stage : stages_) driver_.add(*stage);
 }
 
 void CheckpointProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {

@@ -35,6 +35,7 @@ class CheckpointProcess final : public sim::Process {
  private:
   GossipState gossip_state_;
   VectorState vector_state_;
+  std::vector<std::unique_ptr<Stage>> stages_;
   StageDriver driver_;
 };
 

@@ -1,6 +1,9 @@
 #include "core/consensus.hpp"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 
 #include "common/assert.hpp"
@@ -29,14 +32,12 @@ bool materialized(const ConsensusParams& p, int degree) {
   return static_cast<std::int64_t>(p.n) * degree <= kMaterializedEntryBudget;
 }
 
-void add_aea_stages(StageProcess& proc, const ConsensusParams& p, NodeId self,
-                    const std::shared_ptr<const graph::Graph>& g) {
-  proc.add_stage(std::make_unique<FloodRumorStage>(self, p.little_count, g,
-                                                   p.flood_rounds_little, proc.state()));
-  proc.add_stage(std::make_unique<ProbeStage>(self, p.little_count, g, p.probe_gamma_little,
-                                              p.probe_delta_little, proc.state(),
-                                              /*decide_on_survive=*/true));
-  proc.add_stage(std::make_unique<NotifyRelatedStage>(self, p.n, p.little_count, proc.state()));
+void add_aea_stages(StageProcess& proc, const ConsensusParams& p, const graph::Graph& g) {
+  const NodeId self = proc.self();
+  proc.add_stage(FloodRumorStage(self, p.little_count, g, p.flood_rounds_little, proc.state()));
+  proc.add_stage(ProbeStage(self, p.little_count, g, p.probe_gamma_little, p.probe_delta_little,
+                            proc.state(), /*decide_on_survive=*/true));
+  proc.add_stage(NotifyRelatedStage(self, p.n, p.little_count, proc.state()));
 }
 
 /// SCV's overlays: H, plus the inquiry family unless little-pull replaces it.
@@ -46,21 +47,53 @@ OverlayRequest scv_request(const ConsensusParams& p) {
           .inquiry_tag = p.overlay_tag ^ kOverlayInquiryBase};
 }
 
-void add_scv_stages(StageProcess& proc, const ConsensusParams& p, NodeId self,
-                    ConsensusOverlays& overlays) {
-  proc.add_stage(std::make_unique<SpreadFloodStage>(self, std::move(overlays.spread_h),
-                                                    p.spread_rounds, proc.state()));
+void add_scv_stages(StageProcess& proc, const ConsensusParams& p,
+                    const ConsensusOverlays& overlays) {
+  const NodeId self = proc.self();
+  proc.add_stage(SpreadFloodStage(self, *overlays.spread_h, p.spread_rounds, proc.state()));
   if (p.use_little_pull) {
-    proc.add_stage(std::make_unique<PullStage>(self, p.little_count, proc.state(),
-                                               /*fallback_metric=*/false));
+    proc.add_stage(PullStage(self, p.little_count, proc.state(), /*fallback_metric=*/false));
   } else {
-    proc.add_stage(
-        std::make_unique<InquiryPhasesStage>(self, std::move(overlays.inquiry), proc.state()));
+    proc.add_stage(InquiryPhasesStage(self, overlays.inquiry, proc.state()));
     if (p.guarantee_termination) {
-      proc.add_stage(std::make_unique<PullStage>(self, p.little_count, proc.state(),
-                                                 /*fallback_metric=*/true));
+      proc.add_stage(PullStage(self, p.little_count, proc.state(), /*fallback_metric=*/true));
     }
   }
+}
+
+void check_few_crashes(const ConsensusParams& p, int input) {
+  LFT_ASSERT(input == 0 || input == 1);
+  LFT_ASSERT_MSG(5 * p.t < p.n, "Few-Crashes-Consensus requires t < n/5");
+}
+
+/// Figure 3's stages on a freshly constructed process.
+void assemble_few_crashes(StageProcess& proc, const ConsensusParams& p, int input) {
+  proc.state().candidate = input;
+  proc.state().is_little = proc.self() < p.little_count;
+  const ConsensusOverlays& overlays = proc.config()->overlays;
+  add_aea_stages(proc, p, *overlays.little_g);
+  add_scv_stages(proc, p, overlays);
+}
+
+/// Orders the config cache's keys.
+struct ConfigKey {
+  ConsensusParams params;
+  OverlayRequest request;
+  friend auto operator<=>(const ConfigKey&, const ConfigKey&) = default;
+};
+
+/// The config cache. `generation` is the graph::overlay_cache_generation()
+/// its entries were built under; a newer one means the overlay cache was
+/// cleared, and the entries go with it.
+struct ConfigCache {
+  std::mutex mutex;
+  std::uint64_t generation = 0;
+  std::map<ConfigKey, std::shared_ptr<const ConsensusConfig>> configs;
+};
+
+ConfigCache& config_cache() {
+  static ConfigCache cache;
+  return cache;
 }
 
 }  // namespace
@@ -109,73 +142,97 @@ ConsensusOverlays consensus_overlays(const ConsensusParams& p, const OverlayRequ
   return out;
 }
 
+std::shared_ptr<const ConsensusConfig> shared_consensus_config(const ConsensusParams& p,
+                                                               const OverlayRequest& request) {
+  ConfigCache& cache = config_cache();
+  const ConfigKey key{p, request};
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    generation = graph::overlay_cache_generation();
+    if (generation != cache.generation) {
+      cache.configs.clear();
+      cache.generation = generation;
+    }
+    if (auto it = cache.configs.find(key); it != cache.configs.end()) return it->second;
+  }
+  // Built outside the lock: the overlay cache already makes concurrent
+  // builders of one key wait for a single build of each graph.
+  auto config = std::make_shared<const ConsensusConfig>(
+      ConsensusConfig{p, consensus_overlays(p, request)});
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  // A clear during the build may have handed this config graphs from before
+  // it; such a config serves its caller but is not cached.
+  if (graph::overlay_cache_generation() != generation) return config;
+  return cache.configs.try_emplace(key, std::move(config)).first->second;
+}
+
+OverlayRequest few_crashes_request(const ConsensusParams& p) {
+  OverlayRequest request = scv_request(p);
+  request.little_g = true;
+  return request;
+}
+
 std::unique_ptr<StageProcess> make_aea_process(const ConsensusParams& p, NodeId self,
                                                int input) {
   LFT_ASSERT(input == 0 || input == 1);
-  auto proc = std::make_unique<StageProcess>(self);
+  auto proc =
+      std::make_unique<StageProcess>(self, shared_consensus_config(p, {.little_g = true}));
   proc->state().candidate = input;
   proc->state().is_little = self < p.little_count;
-  add_aea_stages(*proc, p, self, consensus_overlays(p, {.little_g = true}).little_g);
+  add_aea_stages(*proc, p, *proc->config()->overlays.little_g);
   return proc;
 }
 
 std::unique_ptr<StageProcess> make_scv_process(const ConsensusParams& p, NodeId self,
                                                std::optional<std::uint64_t> initial) {
-  auto proc = std::make_unique<StageProcess>(self);
+  auto proc = std::make_unique<StageProcess>(self, shared_consensus_config(p, scv_request(p)));
   if (initial.has_value()) {
     proc->state().has_value = true;
     proc->state().value = *initial;
     proc->state().candidate = static_cast<int>(*initial & 1);
   }
   proc->state().is_little = self < p.little_count;
-  auto overlays = consensus_overlays(p, scv_request(p));
-  add_scv_stages(*proc, p, self, overlays);
+  add_scv_stages(*proc, p, proc->config()->overlays);
   return proc;
 }
 
 std::unique_ptr<StageProcess> make_few_crashes_process(const ConsensusParams& p, NodeId self,
                                                        int input) {
-  LFT_ASSERT(input == 0 || input == 1);
-  LFT_ASSERT_MSG(5 * p.t < p.n, "Few-Crashes-Consensus requires t < n/5");
-  auto proc = std::make_unique<StageProcess>(self);
-  proc->state().candidate = input;
-  proc->state().is_little = self < p.little_count;
-  OverlayRequest request = scv_request(p);
-  request.little_g = true;
-  auto overlays = consensus_overlays(p, request);
-  add_aea_stages(*proc, p, self, overlays.little_g);
-  add_scv_stages(*proc, p, self, overlays);
+  check_few_crashes(p, input);
+  auto proc =
+      std::make_unique<StageProcess>(self, shared_consensus_config(p, few_crashes_request(p)));
+  assemble_few_crashes(*proc, p, input);
   return proc;
 }
 
-bool reset_few_crashes_process(StageProcess& proc, const ConsensusParams& p, int input) {
-  LFT_ASSERT(input == 0 || input == 1);
-  BinaryState initial{};
-  initial.candidate = input;
-  initial.is_little = proc.self() < p.little_count;
-  return proc.reset(initial);
+void rebuild_few_crashes_process(StageProcess& proc, int input) {
+  LFT_ASSERT(proc.config() != nullptr);
+  check_few_crashes(proc.config()->params, input);
+  auto config = std::move(proc.config_);  // outlives the old process
+  const NodeId self = proc.self();
+  std::destroy_at(&proc);
+  std::construct_at(&proc, self, std::move(config));
+  assemble_few_crashes(proc, proc.config()->params, input);
 }
 
 std::unique_ptr<StageProcess> make_many_crashes_process(const ConsensusParams& p, NodeId self,
                                                         int input) {
   LFT_ASSERT(input == 0 || input == 1);
-  auto proc = std::make_unique<StageProcess>(self);
+  auto proc = std::make_unique<StageProcess>(
+      self, shared_consensus_config(
+                p, {.all_g = true,
+                    .inquiry_phases = p.many_phases,
+                    .inquiry_tag = p.overlay_tag ^ (kOverlayInquiryBase + 500)}));
   proc->state().candidate = input;
-  auto overlays =
-      consensus_overlays(p, {.all_g = true,
-                             .inquiry_phases = p.many_phases,
-                             .inquiry_tag = p.overlay_tag ^ (kOverlayInquiryBase + 500)});
-  const auto& g = overlays.all_g;
-  proc->add_stage(std::make_unique<FloodRumorStage>(self, p.n, g, p.flood_rounds_all,
-                                                    proc->state()));
-  proc->add_stage(std::make_unique<ProbeStage>(self, p.n, g, p.probe_gamma_all,
-                                               p.probe_delta_all, proc->state(),
-                                               /*decide_on_survive=*/true));
-  proc->add_stage(
-      std::make_unique<InquiryPhasesStage>(self, std::move(overlays.inquiry), proc->state()));
+  const ConsensusOverlays& overlays = proc->config()->overlays;
+  const graph::Graph& g = *overlays.all_g;
+  proc->add_stage(FloodRumorStage(self, p.n, g, p.flood_rounds_all, proc->state()));
+  proc->add_stage(ProbeStage(self, p.n, g, p.probe_gamma_all, p.probe_delta_all, proc->state(),
+                             /*decide_on_survive=*/true));
+  proc->add_stage(InquiryPhasesStage(self, overlays.inquiry, proc->state()));
   if (p.guarantee_termination) {
-    proc->add_stage(std::make_unique<PullStage>(self, p.n, proc->state(),
-                                                /*fallback_metric=*/true));
+    proc->add_stage(PullStage(self, p.n, proc->state(), /*fallback_metric=*/true));
   }
   return proc;
 }

@@ -7,6 +7,7 @@
 // invariants (agreement, validity, termination).
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <optional>
 #include <span>
@@ -15,6 +16,7 @@
 #include "core/io.hpp"
 #include "core/params.hpp"
 #include "core/run_options.hpp"
+#include "core/stages.hpp"
 #include "graph/graph.hpp"
 #include "graph/overlay.hpp"
 #include "graph/phase_graph.hpp"
@@ -37,6 +39,7 @@ struct OverlayRequest {
   bool all_g = false;     ///< G on all n nodes (Figure 4)
   int inquiry_phases = 0;
   std::uint64_t inquiry_tag = 0;
+  friend auto operator<=>(const OverlayRequest&, const OverlayRequest&) = default;
 };
 
 /// The requested overlays; the ones not requested stay null / empty.
@@ -52,6 +55,27 @@ struct ConsensusOverlays {
 [[nodiscard]] ConsensusOverlays consensus_overlays(const ConsensusParams& params,
                                                    const OverlayRequest& request);
 
+/// What every node of a binary-consensus execution shares: apart from a
+/// node's own variables everything is common knowledge, so one config holds
+/// the overlays one (params, request) asks for, and every node's stages
+/// borrow their graphs from it.
+struct ConsensusConfig {
+  ConsensusParams params;
+  ConsensusOverlays overlays;
+};
+
+/// The config of (params, request): built on first use from one
+/// consensus_overlays batch, then shared from a cache that
+/// graph::clear_overlay_cache() drops together with the overlays (a process
+/// still holding a config keeps its graphs alive).
+[[nodiscard]] std::shared_ptr<const ConsensusConfig> shared_consensus_config(
+    const ConsensusParams& params, const OverlayRequest& request);
+
+/// The request of Figure 3 (little G, H and SCV's inquiry family, or the
+/// little-pull branch): Few-Crashes-Consensus and single-port
+/// Linear-Consensus share its config.
+[[nodiscard]] OverlayRequest few_crashes_request(const ConsensusParams& params);
+
 /// Figure 1. `input` is the node's binary input.
 [[nodiscard]] std::unique_ptr<StageProcess> make_aea_process(const ConsensusParams& params,
                                                              NodeId self, int input);
@@ -65,16 +89,15 @@ struct ConsensusOverlays {
 [[nodiscard]] std::unique_ptr<StageProcess> make_few_crashes_process(
     const ConsensusParams& params, NodeId self, int input);
 
+/// Pooling support (the service's pooled slots): destroys `proc`, built by
+/// make_few_crashes_process, and builds the same node with `input` in its
+/// place from the config it holds, so the node's heap block is reused and
+/// nothing is looked up.
+void rebuild_few_crashes_process(StageProcess& proc, int input);
+
 /// Figure 4.
 [[nodiscard]] std::unique_ptr<StageProcess> make_many_crashes_process(
     const ConsensusParams& params, NodeId self, int input);
-
-/// Pooling support (the service plane's pooled slot context): rewinds a process
-/// built by make_few_crashes_process to the state a fresh construction with
-/// `input` would have — every stage reset, shared BinaryState reinitialized.
-/// False when any stage lacks reset support; the caller rebuilds instead.
-[[nodiscard]] bool reset_few_crashes_process(StageProcess& proc,
-                                             const ConsensusParams& params, int input);
 
 /// Consensus invariants evaluated over a finished execution.
 struct ConsensusOutcome {

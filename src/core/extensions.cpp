@@ -16,11 +16,11 @@ class AggregateProcess final : public sim::Process {
       : n_(gossip_cfg->params.n),
         gossip_state_(n_, self, static_cast<std::uint64_t>(input)),
         vector_state_(vec_cfg->instances) {
-    driver_.add(std::make_unique<GossipBuildStage>(gossip_cfg, self, gossip_state_));
-    driver_.add(std::make_unique<GossipShareStage>(gossip_cfg, self, gossip_state_));
-    driver_.add(std::make_unique<GossipFinishStage>(gossip_cfg, self, gossip_state_,
-                                                    /*decide_at_end=*/false));
-    add_vector_consensus_stages(driver_, vec_cfg, self, vector_state_, [this]() {
+    stages_.push_back(std::make_unique<GossipBuildStage>(gossip_cfg, self, gossip_state_));
+    stages_.push_back(std::make_unique<GossipShareStage>(gossip_cfg, self, gossip_state_));
+    stages_.push_back(std::make_unique<GossipFinishStage>(gossip_cfg, self, gossip_state_,
+                                                          /*decide_at_end=*/false));
+    append_vector_consensus_stages(stages_, vec_cfg, self, vector_state_, [this]() {
       DynamicBitset seed(2 * static_cast<std::size_t>(n_));
       gossip_state_.extant.known().for_each([&](std::size_t j) {
         seed.set(j);
@@ -30,6 +30,7 @@ class AggregateProcess final : public sim::Process {
       });
       return seed;
     });
+    for (auto& stage : stages_) driver_.add(*stage);
   }
 
   void on_round(sim::Context& ctx, const sim::Inbox& inbox) override {
@@ -59,6 +60,7 @@ class AggregateProcess final : public sim::Process {
   NodeId n_;
   GossipState gossip_state_;
   VectorState vector_state_;
+  std::vector<std::unique_ptr<Stage>> stages_;
   StageDriver driver_;
 };
 

@@ -331,9 +331,11 @@ void GossipFinishStage::on_round(Round r, std::span<const sim::Message> inbox, P
 GossipProcess::GossipProcess(std::shared_ptr<const GossipConfig> cfg, NodeId self,
                              std::uint64_t rumor)
     : state_(cfg->params.n, self, rumor) {
-  driver_.add(std::make_unique<GossipBuildStage>(cfg, self, state_));
-  driver_.add(std::make_unique<GossipShareStage>(cfg, self, state_));
-  driver_.add(std::make_unique<GossipFinishStage>(cfg, self, state_, /*decide_at_end=*/true));
+  stages_.push_back(std::make_unique<GossipBuildStage>(cfg, self, state_));
+  stages_.push_back(std::make_unique<GossipShareStage>(cfg, self, state_));
+  stages_.push_back(std::make_unique<GossipFinishStage>(cfg, self, state_,
+                                                        /*decide_at_end=*/true));
+  for (auto& stage : stages_) driver_.add(*stage);
 }
 
 void GossipProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {

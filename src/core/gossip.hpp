@@ -134,6 +134,7 @@ class GossipProcess final : public sim::Process {
 
  private:
   GossipState state_;
+  std::vector<std::unique_ptr<Stage>> stages_;
   StageDriver driver_;
 };
 

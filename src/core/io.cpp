@@ -2,44 +2,32 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
+
 namespace lft::core {
 
-Round StageDriver::total_duration() const {
-  if (total_cached_ < 0) {
-    Round total = 0;
-    for (const auto& s : stages_) total += s->duration();
-    total_cached_ = total;
-  }
-  return total_cached_;
+void StageDriver::add(Stage& stage) {
+  LFT_ASSERT(count_ < kMaxStages);
+  stages_[count_++] = &stage;
+  total_ += stage.duration();
 }
 
 Round StageDriver::quiescent_until(Round round) const {
-  if (current_ >= stages_.size()) return round + 1;
+  if (current_ >= count_) return round + 1;
   const Round wake =
       stage_start_ + stages_[current_]->quiescent_until(round - stage_start_);
   return std::min(wake, total_duration() - 1);
 }
 
 bool StageDriver::drive(Round round, std::span<const sim::Message> inbox, ProtocolIo& io) {
-  while (current_ < stages_.size() && round - stage_start_ >= stages_[current_]->duration()) {
+  while (current_ < count_ && round - stage_start_ >= stages_[current_]->duration()) {
     stage_start_ += stages_[current_]->duration();
     ++current_;
   }
-  if (current_ >= stages_.size()) return true;
+  if (current_ >= count_) return true;
   stages_[current_]->on_round(round - stage_start_, inbox, io);
-  return current_ + 1 == stages_.size() &&
+  return current_ + 1 == count_ &&
          round - stage_start_ + 1 >= stages_[current_]->duration();
-}
-
-void StageProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
-  ContextIo io(ctx);
-  const Round round = ctx.round();
-  if (driver_.drive(round, inbox.all(), io)) {
-    io.halt();
-    return;
-  }
-  const Round wake = driver_.quiescent_until(round);
-  if (wake > round + 1) io.sleep_until(wake);
 }
 
 }  // namespace lft::core

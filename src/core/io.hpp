@@ -1,10 +1,10 @@
 // Protocol/stage abstractions. The paper's algorithms are sequences of
 // time-separated parts (flooding, local probing, notification, value
 // spreading, inquiry phases); each part is a Stage driven round by round.
-// Stages are engine-agnostic: the multi-port StageProcess drives them on the
-// sim::Engine, and the single-port adapter (src/singleport) expands each
-// stage round into send/poll slots using the stage's declared link plans —
-// the Section 8 construction.
+// Stages are engine-agnostic: the multi-port StageProcess (stages.hpp)
+// drives them on the sim::Engine, and the single-port adapter
+// (src/singleport) expands each stage round into send/poll slots using the
+// stage's declared link plans — the Section 8 construction.
 //
 // ProtocolIo is the per-round seam: it carries the complete surface a
 // protocol participant needs (send, decide, halt, sleep, fallback
@@ -14,8 +14,8 @@
 // QueueIo.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -91,36 +91,37 @@ class Stage {
   /// provably have no spontaneous action AND the stage's on_round tolerates
   /// round jumps.
   [[nodiscard]] virtual Round quiescent_until(Round r) const { return r + 1; }
-
-  /// Pooling support: restores the stage to its freshly-constructed state so
-  /// the same object can run another execution without reallocation. Returns
-  /// false when unsupported (the default) — callers must then rebuild the
-  /// process instead. Overrides must leave the stage indistinguishable from
-  /// a new construction with the same arguments (shared immutable graphs are
-  /// kept; only per-execution scratch rewinds).
-  [[nodiscard]] virtual bool reset() { return false; }
 };
 
 /// Shared per-node protocol state threaded through consecutive stages.
 struct BinaryState {
+  std::uint64_t value = 0;    // the common value once acquired
   int candidate = 0;          // current candidate decision value (0/1)
   bool has_value = false;     // holds the common value (has decided)
-  std::uint64_t value = 0;    // the common value once acquired
   bool survived_probe = false;
   bool is_little = false;
 };
 
 /// Sequences stages over engine rounds (round offsets are implicit in the
-/// stage durations). Shared by all multi-port protocol processes.
+/// stage durations). Shared by all multi-port protocol processes. It borrows
+/// its stages: their owner (the process holding the driver) keeps them at
+/// fixed addresses for the driver's lifetime, so neither can be copied.
 class StageDriver {
  public:
-  void add(std::unique_ptr<Stage> stage) {
-    stages_.push_back(std::move(stage));
-    total_cached_ = -1;
-  }
+  /// The most stages one process sequences: checkpointing's three gossip
+  /// stages plus the six-stage vectorized consensus.
+  static constexpr std::size_t kMaxStages = 9;
 
-  [[nodiscard]] Round total_duration() const;
-  [[nodiscard]] const Stage& stage(std::size_t i) const { return *stages_[i]; }
+  StageDriver() = default;
+  StageDriver(const StageDriver&) = delete;
+  StageDriver& operator=(const StageDriver&) = delete;
+
+  void add(Stage& stage);
+
+  [[nodiscard]] Round total_duration() const noexcept { return total_; }
+  [[nodiscard]] std::span<Stage* const> stages() const noexcept {
+    return std::span<Stage* const>(stages_.data(), count_);
+  }
 
   /// Drives the stage owning `round`; returns true when this was the last
   /// round of the last stage (the caller should halt).
@@ -132,56 +133,12 @@ class StageDriver {
   /// execution.
   [[nodiscard]] Round quiescent_until(Round round) const;
 
-  /// Rewinds the round cursor and resets every stage; false when any stage
-  /// declines (the driver is then in a torn state and must be discarded).
-  [[nodiscard]] bool reset_stages() {
-    current_ = 0;
-    stage_start_ = 0;
-    for (auto& stage : stages_) {
-      if (!stage->reset()) return false;
-    }
-    return true;
-  }
-
  private:
-  std::vector<std::unique_ptr<Stage>> stages_;
-  std::size_t current_ = 0;
+  std::array<Stage*, kMaxStages> stages_{};
+  std::uint32_t count_ = 0;
+  std::uint32_t current_ = 0;
   Round stage_start_ = 0;
-  mutable Round total_cached_ = -1;
-};
-
-/// Multi-port driver process for protocols whose shared state is a
-/// BinaryState (AEA, SCV, both consensus algorithms).
-class StageProcess final : public sim::Process {
- public:
-  explicit StageProcess(NodeId self) : self_(self) {}
-
-  void add_stage(std::unique_ptr<Stage> stage) { driver_.add(std::move(stage)); }
-
-  [[nodiscard]] NodeId self() const noexcept { return self_; }
-  [[nodiscard]] Round total_duration() const { return driver_.total_duration(); }
-  [[nodiscard]] StageDriver& driver() noexcept { return driver_; }
-
-  void on_round(sim::Context& ctx, const sim::Inbox& inbox) override;
-
-  /// Post-run inspection.
-  [[nodiscard]] const BinaryState& state() const noexcept { return state_; }
-  [[nodiscard]] BinaryState& state() noexcept { return state_; }
-  [[nodiscard]] const Stage& stage(std::size_t i) const { return driver_.stage(i); }
-
-  /// Pooling support: rewinds the process for a fresh execution — stage
-  /// cursor to 0, every stage reset, shared state to `initial`. False when
-  /// any stage lacks reset support; the process must then be rebuilt.
-  [[nodiscard]] bool reset(const BinaryState& initial) {
-    if (!driver_.reset_stages()) return false;
-    state_ = initial;
-    return true;
-  }
-
- private:
-  NodeId self_;
-  StageDriver driver_;
-  BinaryState state_;
+  Round total_ = 0;
 };
 
 /// Adapts the engine context to ProtocolIo: every protocol Process's

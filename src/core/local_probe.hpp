@@ -34,13 +34,6 @@ class LocalProbe {
     return send_now;
   }
 
-  /// Rewinds to a fresh instance with the same (gamma, delta) — the probe
-  /// automaton's whole mutable state is the round counter and pause flag.
-  void reset() noexcept {
-    round_ = 0;
-    paused_ = false;
-  }
-
   [[nodiscard]] bool finished() const noexcept { return round_ > gamma_; }
   [[nodiscard]] bool survived() const noexcept { return finished() && !paused_; }
   [[nodiscard]] bool paused() const noexcept { return paused_; }

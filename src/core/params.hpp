@@ -5,6 +5,7 @@
 // by the property tests and benches.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -45,6 +46,8 @@ struct ConsensusParams {
   /// Variant used by the single-port adaptation (Section 8): inquiry degrees
   /// capped at 3t+1 and the all-little pull disabled.
   [[nodiscard]] static ConsensusParams single_port(NodeId n, std::int64_t t);
+
+  friend auto operator<=>(const ConsensusParams&, const ConsensusParams&) = default;
 };
 
 }  // namespace lft::core

@@ -21,12 +21,11 @@ LinkPlan graph_plan(const graph::Graph& g, NodeId self, bool member) {
 
 // ---- FloodRumorStage ---------------------------------------------------------
 
-FloodRumorStage::FloodRumorStage(NodeId self, NodeId member_count,
-                                 std::shared_ptr<const graph::Graph> g, Round rounds,
-                                 BinaryState& state)
-    : self_(self), members_(member_count), g_(std::move(g)), rounds_(rounds), state_(&state) {
+FloodRumorStage::FloodRumorStage(NodeId self, NodeId member_count, const graph::Graph& g,
+                                 Round rounds, BinaryState& state)
+    : self_(self), members_(member_count), g_(g), rounds_(rounds), state_(&state) {
   LFT_ASSERT(rounds_ >= 1);
-  LFT_ASSERT(g_->num_vertices() >= members_);
+  LFT_ASSERT(g_.num_vertices() >= members_);
 }
 
 void FloodRumorStage::on_round(Round r, std::span<const sim::Message> inbox, ProtocolIo& io) {
@@ -41,27 +40,27 @@ void FloodRumorStage::on_round(Round r, std::span<const sim::Message> inbox, Pro
   const bool start_broadcast = (r == 0 && state_->candidate == 1);
   if ((start_broadcast || flipped) && !sent_) {
     sent_ = true;
-    for (NodeId nb : g_->neighbors(self_)) io.send(nb, kTagRumor, 1, 1);
+    for (NodeId nb : g_.neighbors(self_)) io.send(nb, kTagRumor, 1, 1);
   }
 }
 
 LinkBudget FloodRumorStage::link_budget(Round) const {
-  return LinkBudget{g_->max_degree(), g_->max_degree()};
+  return LinkBudget{g_.max_degree(), g_.max_degree()};
 }
 
-LinkPlan FloodRumorStage::link_plan(Round) const { return graph_plan(*g_, self_, is_member()); }
+LinkPlan FloodRumorStage::link_plan(Round) const { return graph_plan(g_, self_, is_member()); }
 
 // ---- ProbeStage ----------------------------------------------------------------
 
-ProbeStage::ProbeStage(NodeId self, NodeId member_count, std::shared_ptr<const graph::Graph> g,
-                       int gamma, int delta, BinaryState& state, bool decide_on_survive)
+ProbeStage::ProbeStage(NodeId self, NodeId member_count, const graph::Graph& g, int gamma,
+                       int delta, BinaryState& state, bool decide_on_survive)
     : self_(self),
       members_(member_count),
-      g_(std::move(g)),
+      g_(g),
       probe_(gamma, delta),
       state_(&state),
       decide_on_survive_(decide_on_survive) {
-  LFT_ASSERT(g_->num_vertices() >= members_);
+  LFT_ASSERT(g_.num_vertices() >= members_);
 }
 
 void ProbeStage::on_round(Round r, std::span<const sim::Message> inbox, ProtocolIo& io) {
@@ -74,7 +73,7 @@ void ProbeStage::on_round(Round r, std::span<const sim::Message> inbox, Protocol
     }
   }
   if (probe_.step(probe_count)) {
-    for (NodeId nb : g_->neighbors(self_)) {
+    for (NodeId nb : g_.neighbors(self_)) {
       io.send(nb, kTagProbe, static_cast<std::uint64_t>(state_->candidate), 1);
     }
   }
@@ -89,10 +88,10 @@ void ProbeStage::on_round(Round r, std::span<const sim::Message> inbox, Protocol
 }
 
 LinkBudget ProbeStage::link_budget(Round) const {
-  return LinkBudget{g_->max_degree(), g_->max_degree()};
+  return LinkBudget{g_.max_degree(), g_.max_degree()};
 }
 
-LinkPlan ProbeStage::link_plan(Round) const { return graph_plan(*g_, self_, is_member()); }
+LinkPlan ProbeStage::link_plan(Round) const { return graph_plan(g_, self_, is_member()); }
 
 // ---- NotifyRelatedStage ---------------------------------------------------------
 
@@ -144,9 +143,9 @@ LinkPlan NotifyRelatedStage::link_plan(Round r) const {
 
 // ---- SpreadFloodStage --------------------------------------------------------------
 
-SpreadFloodStage::SpreadFloodStage(NodeId self, std::shared_ptr<const graph::Graph> h,
-                                   Round rounds, BinaryState& state, std::uint64_t value_bits)
-    : self_(self), h_(std::move(h)), rounds_(rounds), state_(&state), value_bits_(value_bits) {
+SpreadFloodStage::SpreadFloodStage(NodeId self, const graph::Graph& h, Round rounds,
+                                   BinaryState& state, std::uint64_t value_bits)
+    : self_(self), h_(h), rounds_(rounds), state_(&state), value_bits_(value_bits) {
   LFT_ASSERT(rounds_ >= 1);
 }
 
@@ -168,25 +167,25 @@ void SpreadFloodStage::on_round(Round r, std::span<const sim::Message> inbox, Pr
   }
   if ((start_broadcast || adopted) && !forwarded_ && r < rounds_) {
     forwarded_ = true;
-    for (NodeId nb : h_->neighbors(self_)) io.send(nb, kTagSpread, state_->value, value_bits_);
+    for (NodeId nb : h_.neighbors(self_)) io.send(nb, kTagSpread, state_->value, value_bits_);
   }
 }
 
 LinkBudget SpreadFloodStage::link_budget(Round r) const {
   if (r >= rounds_) return {};
-  return LinkBudget{h_->max_degree(), h_->max_degree()};
+  return LinkBudget{h_.max_degree(), h_.max_degree()};
 }
 
 LinkPlan SpreadFloodStage::link_plan(Round r) const {
   if (r >= rounds_) return {};
-  return graph_plan(*h_, self_, true);
+  return graph_plan(h_, self_, true);
 }
 
 // ---- InquiryPhasesStage --------------------------------------------------------------
 
-InquiryPhasesStage::InquiryPhasesStage(NodeId self, std::vector<graph::PhaseGraph> graphs,
+InquiryPhasesStage::InquiryPhasesStage(NodeId self, std::span<const graph::PhaseGraph> graphs,
                                        BinaryState& state, std::uint64_t value_bits)
-    : self_(self), graphs_(std::move(graphs)), state_(&state), value_bits_(value_bits) {
+    : self_(self), graphs_(graphs), state_(&state), value_bits_(value_bits) {
   LFT_ASSERT(!graphs_.empty());
 }
 
@@ -281,6 +280,19 @@ void PullStage::on_round(Round r, std::span<const sim::Message> inbox, ProtocolI
       }
       break;
   }
+}
+
+// ---- StageProcess --------------------------------------------------------------------
+
+void StageProcess::on_round(sim::Context& ctx, const sim::Inbox& inbox) {
+  ContextIo io(ctx);
+  const Round round = ctx.round();
+  if (driver_.drive(round, inbox.all(), io)) {
+    io.halt();
+    return;
+  }
+  const Round wake = driver_.quiescent_until(round);
+  if (wake > round + 1) io.sleep_until(wake);
 }
 
 }  // namespace lft::core

@@ -256,19 +256,19 @@ void VecInquiryStage::on_round(Round r, std::span<const sim::Message> inbox, Pro
 
 // ---- pipeline ---------------------------------------------------------------------------
 
-void add_vector_consensus_stages(StageDriver& driver,
-                                 std::shared_ptr<const VectorConsensusConfig> cfg, NodeId self,
-                                 VectorState& state, VectorInit init) {
-  driver.add(std::make_unique<VecFloodStage>(cfg, self, state, std::move(init)));
-  driver.add(std::make_unique<VecProbeStage>(cfg, self, state));
-  driver.add(std::make_unique<VecNotifyStage>(cfg, self, state));
-  driver.add(std::make_unique<VecSpreadStage>(cfg, self, state));
+void append_vector_consensus_stages(std::vector<std::unique_ptr<Stage>>& stages,
+                                    std::shared_ptr<const VectorConsensusConfig> cfg,
+                                    NodeId self, VectorState& state, VectorInit init) {
+  stages.push_back(std::make_unique<VecFloodStage>(cfg, self, state, std::move(init)));
+  stages.push_back(std::make_unique<VecProbeStage>(cfg, self, state));
+  stages.push_back(std::make_unique<VecNotifyStage>(cfg, self, state));
+  stages.push_back(std::make_unique<VecSpreadStage>(cfg, self, state));
   if (cfg->params.use_little_pull) {
-    driver.add(std::make_unique<VecInquiryStage>(cfg, self, state, 1));
+    stages.push_back(std::make_unique<VecInquiryStage>(cfg, self, state, 1));
   } else {
-    driver.add(std::make_unique<VecInquiryStage>(cfg, self, state, 0));
+    stages.push_back(std::make_unique<VecInquiryStage>(cfg, self, state, 0));
     if (cfg->params.guarantee_termination) {
-      driver.add(std::make_unique<VecInquiryStage>(cfg, self, state, 2));
+      stages.push_back(std::make_unique<VecInquiryStage>(cfg, self, state, 2));
     }
   }
 }

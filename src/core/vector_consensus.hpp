@@ -132,9 +132,9 @@ class VecInquiryStage final : public Stage {
   std::vector<std::byte> scratch_;  // payload build buffer, reused per send
 };
 
-/// Appends the full vectorized-consensus pipeline to a driver.
-void add_vector_consensus_stages(StageDriver& driver,
-                                 std::shared_ptr<const VectorConsensusConfig> cfg, NodeId self,
-                                 VectorState& state, VectorInit init);
+/// Appends the full vectorized-consensus pipeline to `stages`.
+void append_vector_consensus_stages(std::vector<std::unique_ptr<Stage>>& stages,
+                                    std::shared_ptr<const VectorConsensusConfig> cfg,
+                                    NodeId self, VectorState& state, VectorInit init);
 
 }  // namespace lft::core

@@ -57,24 +57,8 @@ std::map<Key, Pending>& cache() {
   return c;
 }
 
-std::mutex& implicit_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-// Orders spec lists lexicographically; transparent, so a lookup by span
-// needs no vector of its own.
-struct ListLess {
-  using is_transparent = void;
-  bool operator()(std::span<const OverlaySpec> a, std::span<const OverlaySpec> b) const {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-  }
-};
-
-std::map<std::vector<OverlaySpec>, std::vector<PhaseGraph>, ListLess>& implicit_lists() {
-  static std::map<std::vector<OverlaySpec>, std::vector<PhaseGraph>, ListLess> c;
-  return c;
-}
+// Bumped by every clear_overlay_cache(), under cache_mutex().
+std::atomic<std::uint64_t> generation{0};
 
 /// The spec of the graph make_overlay actually builds: the degree after
 /// the parity bump, and one complete graph per n whatever the tag.
@@ -244,34 +228,24 @@ std::shared_ptr<const Graph> shared_overlay(const OverlaySpec& spec) {
 }
 
 void append_implicit_overlays(std::span<const OverlaySpec> specs, std::vector<PhaseGraph>& out) {
-  std::lock_guard<std::mutex> lock(implicit_mutex());
-  auto it = implicit_lists().find(specs);
-  if (it == implicit_lists().end()) {
-    std::vector<PhaseGraph> phases;
-    phases.reserve(specs.size());
-    for (const auto& spec : specs) {
-      const NodeId n = spec.n;
-      const int d = spec.degree;
-      phases.push_back(d >= n - 1 ? PhaseGraph::complete(n)
-                                  : PhaseGraph::circulant(
-                                        n, d,
-                                        make_seed(kCirculantPurpose, static_cast<std::uint64_t>(n),
-                                                  static_cast<std::uint64_t>(d), spec.tag)));
-    }
-    it = implicit_lists()
-             .emplace(std::vector<OverlaySpec>(specs.begin(), specs.end()), std::move(phases))
-             .first;
+  out.reserve(out.size() + specs.size());
+  for (const auto& spec : specs) {
+    const NodeId n = spec.n;
+    const int d = spec.degree;
+    out.push_back(d >= n - 1 ? PhaseGraph::complete(n)
+                             : PhaseGraph::circulant(
+                                   n, d,
+                                   make_seed(kCirculantPurpose, static_cast<std::uint64_t>(n),
+                                             static_cast<std::uint64_t>(d), spec.tag)));
   }
-  out.insert(out.end(), it->second.begin(), it->second.end());
 }
 
 void clear_overlay_cache() {
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex());
-    cache().clear();
-  }
-  std::lock_guard<std::mutex> lock(implicit_mutex());
-  implicit_lists().clear();
+  std::lock_guard<std::mutex> lock(cache_mutex());
+  cache().clear();
+  generation.fetch_add(1, std::memory_order_release);
 }
+
+std::uint64_t overlay_cache_generation() { return generation.load(std::memory_order_acquire); }
 
 }  // namespace lft::graph

@@ -46,17 +46,21 @@ struct OverlaySpec {
 
 /// Appends, in spec order, the implicit PhaseGraph of each spec: overlays
 /// too large to materialize. A spec of degree >= n-1 is the complete graph;
-/// any other is a circulant seeded from (n, degree, tag). Each distinct list
-/// of specs is assembled once and cached under the specs themselves, so
-/// every process of a configuration copies it with one lookup.
+/// any other is a circulant seeded from (n, degree, tag), whose stride set
+/// is cached, so a repeated spec costs O(1).
 void append_implicit_overlays(std::span<const OverlaySpec> specs, std::vector<PhaseGraph>& out);
 
 /// Non-cached variant, mainly for tests.
 [[nodiscard]] Graph make_overlay(NodeId n, int degree, std::uint64_t tag);
 
-/// Drops the overlay cache and the cached implicit lists (test isolation /
-/// memory reclamation). Circulant stride sets stay cached: every circulant
-/// PhaseGraph still alive points into them.
+/// Drops the overlay cache (test isolation / memory reclamation). Circulant
+/// stride sets stay cached: every circulant PhaseGraph still alive points
+/// into them.
 void clear_overlay_cache();
+
+/// Counts clear_overlay_cache() calls. Caches of objects assembled from
+/// overlays (core::shared_consensus_config) key on it, so one clear drops
+/// them too.
+[[nodiscard]] std::uint64_t overlay_cache_generation();
 
 }  // namespace lft::graph

@@ -50,12 +50,14 @@ void SlotContext::begin(sim::TraceSink* trace) {
   config.scratch = &scratch_;
   config.trace = trace;
   engine_.emplace(n_, config);
-  const auto params = core::ConsensusParams::practical(n_, t_);
   processes_.resize(static_cast<std::size_t>(n_));
   for (NodeId v = 0; v < n_; ++v) {
     auto& proc = processes_[static_cast<std::size_t>(v)];
-    if (proc == nullptr || !core::reset_few_crashes_process(*proc, params, /*input=*/1)) {
-      proc = core::make_few_crashes_process(params, v, /*input=*/1);
+    if (proc == nullptr) {
+      proc = core::make_few_crashes_process(core::ConsensusParams::practical(n_, t_), v,
+                                            /*input=*/1);
+    } else {
+      core::rebuild_few_crashes_process(*proc, /*input=*/1);
     }
     engine_->set_process(v, std::make_unique<Borrowed>(*proc));
   }

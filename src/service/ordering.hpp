@@ -12,8 +12,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/io.hpp"
 #include "core/run_options.hpp"
+#include "core/stages.hpp"
 #include "sim/engine.hpp"
 
 namespace lft::service {
@@ -43,10 +43,11 @@ struct SlotOutcome {
                                              const core::RunOptions& options = {});
 
 /// A pooled slot execution context: the consensus Processes and the engine
-/// buffers for one slot, reusable across slots. begin() *resets* the pooled
-/// StageProcesses instead of reconstructing them and builds a fresh
+/// buffers for one slot, reusable across slots. begin() rebuilds each pooled
+/// StageProcess in place from the cached ConsensusConfig (the node's heap
+/// block is reused, no stage needs a reset hook) and builds a fresh
 /// sim::Engine over them that adopts this context's EngineScratch, so every
-/// slot reuses the last one's message buffers. A reset context executes
+/// slot reuses the last one's message buffers. A rebuilt context executes
 /// bit-identically to a freshly built one — the pooled-slot twin tests pin
 /// this down.
 class SlotContext {

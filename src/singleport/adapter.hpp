@@ -15,11 +15,19 @@
 #include "core/io.hpp"
 #include "singleport/port.hpp"
 
+namespace lft::core {
+struct ConsensusConfig;
+}  // namespace lft::core
+
 namespace lft::singleport {
 
 class SinglePortStageProcess final : public SinglePortProcess {
  public:
-  explicit SinglePortStageProcess(NodeId self) : self_(self) {}
+  /// `config`, when given, is the shared ConsensusConfig the stages borrow
+  /// their graphs from; the process keeps it alive.
+  explicit SinglePortStageProcess(NodeId self,
+                                  std::shared_ptr<const core::ConsensusConfig> config = nullptr)
+      : self_(self), config_(std::move(config)) {}
 
   void add_stage(std::unique_ptr<core::Stage> stage) { stages_.push_back(std::move(stage)); }
 
@@ -67,6 +75,7 @@ class SinglePortStageProcess final : public SinglePortProcess {
   void advance_mp_round();
 
   NodeId self_;
+  std::shared_ptr<const core::ConsensusConfig> config_;
   std::vector<std::unique_ptr<core::Stage>> stages_;
   core::BinaryState state_;
 

@@ -12,16 +12,15 @@ std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
   LFT_ASSERT_MSG(!p.use_little_pull && !p.guarantee_termination,
                  "use core::ConsensusParams::single_port for the single-port model");
 
-  auto proc = std::make_unique<SinglePortStageProcess>(self);
+  // The process holds the config, so the graphs its stages borrow outlive
+  // them.
+  auto config = core::shared_consensus_config(p, core::few_crashes_request(p));
+  const core::ConsensusOverlays& overlays = config->overlays;
+  auto proc = std::make_unique<SinglePortStageProcess>(self, std::move(config));
   proc->state().candidate = input;
   proc->state().is_little = self < p.little_count;
 
-  auto overlays = core::consensus_overlays(
-      p, {.little_g = true,
-          .spread_h = true,
-          .inquiry_phases = p.scv_phases,
-          .inquiry_tag = p.overlay_tag ^ core::kOverlayInquiryBase});
-  const auto& g = overlays.little_g;
+  const graph::Graph& g = *overlays.little_g;
   proc->add_stage(std::make_unique<core::FloodRumorStage>(self, p.little_count, g,
                                                           p.flood_rounds_little, proc->state()));
   proc->add_stage(std::make_unique<core::ProbeStage>(self, p.little_count, g,
@@ -34,10 +33,10 @@ std::unique_ptr<SinglePortStageProcess> make_linear_consensus_process(
     proc->add_stage(
         std::make_unique<core::NotifyRelatedStage>(self, p.n, p.little_count, proc->state()));
   }
-  proc->add_stage(std::make_unique<core::SpreadFloodStage>(
-      self, std::move(overlays.spread_h), p.spread_rounds, proc->state()));
-  proc->add_stage(std::make_unique<core::InquiryPhasesStage>(
-      self, std::move(overlays.inquiry), proc->state()));
+  proc->add_stage(std::make_unique<core::SpreadFloodStage>(self, *overlays.spread_h,
+                                                           p.spread_rounds, proc->state()));
+  proc->add_stage(
+      std::make_unique<core::InquiryPhasesStage>(self, overlays.inquiry, proc->state()));
   return proc;
 }
 

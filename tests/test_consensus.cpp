@@ -6,10 +6,13 @@
 // theorems claim (round counts, message counts, zero fallback activations).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -19,6 +22,7 @@
 #include "core/params.hpp"
 #include "core/stages.hpp"
 #include "graph/overlay.hpp"
+#include "scenarios/scenarios.hpp"
 #include "sim/adversary.hpp"
 #include "test_util.hpp"
 
@@ -415,6 +419,88 @@ TEST(ConsensusOverlays, ImplicitInquiryPhasesMatchTheirPinnedDigest) {
   EXPECT_EQ(digest(consensus_overlays(p, request).inquiry), 0xe80be79d642e5013ULL);
   graph::clear_overlay_cache();
   EXPECT_EQ(digest(consensus_overlays(p, request).inquiry), 0xe80be79d642e5013ULL);
+}
+
+// ---- the shared config cache -------------------------------------------------------
+
+TEST(ConsensusConfigCache, OneConfigPerParamsAndRequest) {
+  const auto p = ConsensusParams::practical(200, 30);
+  const auto a = make_few_crashes_process(p, 0, 1);
+  const auto b = make_few_crashes_process(p, 199, 0);
+  ASSERT_NE(a->config(), nullptr);
+  EXPECT_EQ(a->config(), b->config());
+  EXPECT_EQ(a->config(), shared_consensus_config(p, few_crashes_request(p)));
+  EXPECT_NE(make_many_crashes_process(p, 0, 1)->config(), a->config());
+  EXPECT_NE(make_few_crashes_process(ConsensusParams::practical(220, 30), 0, 1)->config(),
+            a->config());
+}
+
+TEST(ConsensusConfigCache, ClearDropsTheConfigs) {
+  const auto p = ConsensusParams::practical(200, 30);
+  const OverlayRequest request = few_crashes_request(p);
+  const auto before = shared_consensus_config(p, request);
+  graph::clear_overlay_cache();
+  const auto after = shared_consensus_config(p, request);
+  EXPECT_NE(after, before);
+  EXPECT_NE(after->overlays.little_g.get(), before->overlays.little_g.get());
+  EXPECT_NE(after->overlays.spread_h.get(), before->overlays.spread_h.get());
+  ASSERT_TRUE(after->overlays.inquiry.front().is_materialized());
+  EXPECT_NE(&after->overlays.inquiry.front().materialized(),
+            &before->overlays.inquiry.front().materialized());
+  EXPECT_EQ(shared_consensus_config(p, request), after);
+}
+
+TEST(ConsensusConfigCache, ProcessHeldAcrossAClearRunsBitIdentically) {
+  const auto p = ConsensusParams::practical(300, 40);
+  const auto inputs = make_inputs(p.n, "random", 11);
+  auto crashes = [&] { return sim::make_scheduled(sim::burst_crash_schedule(p.n, p.t, 3, 5)); };
+  auto make = [&](NodeId v) {
+    return make_few_crashes_process(p, v, inputs[static_cast<std::size_t>(v)]);
+  };
+  const auto fresh = run_system(p.n, p.t, make, crashes());
+
+  std::vector<std::unique_ptr<StageProcess>> held;
+  for (NodeId v = 0; v < p.n; ++v) held.push_back(make(v));
+  graph::clear_overlay_cache();
+  std::size_t next = 0;
+  const auto rerun = run_system(
+      p.n, p.t, [&](NodeId) { return std::move(held[next++]); }, crashes());
+  EXPECT_EQ(scenarios::fingerprint(rerun), scenarios::fingerprint(fresh));
+  EXPECT_EQ(rerun.rounds, fresh.rounds);
+  EXPECT_EQ(rerun.metrics.messages_total, fresh.metrics.messages_total);
+}
+
+TEST(ConsensusConfigCache, ConcurrentBuildsAndClears) {
+  // Four builders, two per parameter set, against a fifth thread clearing
+  // the cache: every process gets a whole config of its own parameters.
+  const std::vector<ConsensusParams> params = {ConsensusParams::practical(200, 30),
+                                               ConsensusParams::practical(240, 40)};
+  std::atomic<bool> done{false};
+  std::thread clearer([&] {
+    while (!done.load()) {
+      graph::clear_overlay_cache();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::thread> builders;
+  for (int k = 0; k < 4; ++k) {
+    builders.emplace_back([&params, k] {
+      const ConsensusParams& p = params[static_cast<std::size_t>(k % 2)];
+      for (int i = 0; i < 40; ++i) {
+        const auto proc = make_few_crashes_process(p, static_cast<NodeId>(i), i % 2);
+        const ConsensusConfig& config = *proc->config();
+        EXPECT_EQ(config.params, p);
+        EXPECT_EQ(config.overlays.little_g->num_vertices(), p.little_count);
+        EXPECT_EQ(config.overlays.spread_h->num_vertices(), p.n);
+        EXPECT_EQ(config.overlays.inquiry.size(), static_cast<std::size_t>(p.scv_phases));
+      }
+    });
+  }
+  for (auto& b : builders) b.join();
+  done.store(true);
+  clearer.join();
+  const auto inputs = make_inputs(params[0].n, "half", 0);
+  EXPECT_TRUE(run_few_crashes_consensus(params[0], inputs, nullptr).all_good());
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST(FloodRumorStage, PropagatesOneThroughConnectedGraph) {
   std::vector<int> candidates(n, 0);
   candidates[3] = 1;
   const auto states = StageHarness::run(n, candidates, [&](NodeId self, BinaryState& st) {
-    return std::make_unique<FloodRumorStage>(self, n, g, n - 1, st);
+    return FloodRumorStage(self, n, *g, n - 1, st);
   });
   for (const auto& st : states) EXPECT_EQ(st.candidate, 1);
 }
@@ -110,7 +110,7 @@ TEST(FloodRumorStage, AllZeroStaysSilent) {
   sim::Engine engine(n, config);
   for (NodeId v = 0; v < n; ++v) {
     auto proc = std::make_unique<StageProcess>(v);
-    proc->add_stage(std::make_unique<FloodRumorStage>(v, n, g, 5, proc->state()));
+    proc->add_stage(FloodRumorStage(v, n, *g, 5, proc->state()));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
@@ -124,7 +124,7 @@ TEST(FloodRumorStage, NonMembersDoNotParticipate) {
   std::vector<int> candidates(n, 0);
   candidates[7] = 1;  // a non-member holds 1: must not spread
   const auto states = StageHarness::run(n, candidates, [&](NodeId self, BinaryState& st) {
-    return std::make_unique<FloodRumorStage>(self, members, g, 4, st);
+    return FloodRumorStage(self, members, *g, 4, st);
   });
   for (NodeId v = 0; v < members; ++v) {
     EXPECT_EQ(states[static_cast<std::size_t>(v)].candidate, 0);
@@ -139,7 +139,7 @@ TEST(FloodRumorStage, EachMemberForwardsAtMostOnce) {
   for (NodeId v = 0; v < n; ++v) {
     auto proc = std::make_unique<StageProcess>(v);
     proc->state().candidate = 1;
-    proc->add_stage(std::make_unique<FloodRumorStage>(v, n, g, 6, proc->state()));
+    proc->add_stage(FloodRumorStage(v, n, *g, 6, proc->state()));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
@@ -153,7 +153,7 @@ TEST(ProbeStage, AllSurviveWithoutCrashes) {
   auto g = std::make_shared<const graph::Graph>(graph::make_overlay(n, 6, 1));
   std::vector<int> candidates(n, 0);
   const auto states = StageHarness::run(n, candidates, [&](NodeId self, BinaryState& st) {
-    return std::make_unique<ProbeStage>(self, n, g, 4, 3, st, true);
+    return ProbeStage(self, n, *g, 4, 3, st, true);
   });
   for (const auto& st : states) {
     EXPECT_TRUE(st.survived_probe);
@@ -179,7 +179,7 @@ TEST(ProbeStage, Proposition1SurvivalMatchesGraphPredicates) {
   const auto states = StageHarness::run(
       n, candidates,
       [&](NodeId self, BinaryState& st) {
-        return std::make_unique<ProbeStage>(self, n, g, gamma, delta, st, false);
+        return ProbeStage(self, n, *g, gamma, delta, st, false);
       },
       sim::make_scheduled(std::move(schedule)), t);
 
@@ -208,7 +208,7 @@ TEST(ProbeStage, IsolatedNodeDoesNotSurvive) {
   const auto states = StageHarness::run(
       n, candidates,
       [&](NodeId self, BinaryState& st) {
-        return std::make_unique<ProbeStage>(self, n, g, 3, 1, st, true);
+        return ProbeStage(self, n, *g, 3, 1, st, true);
       },
       sim::make_scheduled({sim::CrashEvent{0, 0, 0.0}}), 1);
   for (NodeId v = 1; v < n; ++v) {
@@ -224,7 +224,7 @@ TEST(ProbeStage, RumorOneLiftsCandidateDuringProbing) {
   std::vector<int> candidates(n, 0);
   candidates[0] = 1;
   const auto states = StageHarness::run(n, candidates, [&](NodeId self, BinaryState& st) {
-    return std::make_unique<ProbeStage>(self, n, g, 4, 2, st, true);
+    return ProbeStage(self, n, *g, 4, 2, st, true);
   });
   for (const auto& st : states) {
     EXPECT_EQ(st.candidate, 1);
@@ -246,7 +246,7 @@ TEST(NotifyRelatedStage, EveryNonLittleHearsItsResidueClass) {
       proc->state().has_value = true;
       proc->state().value = 40 + static_cast<std::uint64_t>(v);  // per-little value
     }
-    proc->add_stage(std::make_unique<NotifyRelatedStage>(v, n, little, proc->state()));
+    proc->add_stage(NotifyRelatedStage(v, n, little, proc->state()));
     procs.push_back(proc.get());
     engine.set_process(v, std::move(proc));
   }
@@ -264,7 +264,7 @@ TEST(NotifyRelatedStage, UndecidedLittleSendsNothing) {
   sim::Engine engine(n, {});
   for (NodeId v = 0; v < n; ++v) {
     auto proc = std::make_unique<StageProcess>(v);
-    proc->add_stage(std::make_unique<NotifyRelatedStage>(v, n, little, proc->state()));
+    proc->add_stage(NotifyRelatedStage(v, n, little, proc->state()));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
@@ -284,7 +284,7 @@ TEST(SpreadFloodStage, SpreadsToAllOnConnectedGraphWithoutCrashes) {
       proc->state().has_value = true;
       proc->state().value = 9;
     }
-    proc->add_stage(std::make_unique<SpreadFloodStage>(v, h, 3 * 7, proc->state()));
+    proc->add_stage(SpreadFloodStage(v, *h, 3 * 7, proc->state()));
     procs.push_back(proc.get());
     engine.set_process(v, std::move(proc));
   }
@@ -303,7 +303,7 @@ TEST(SpreadFloodStage, ForwardsOnlyOnce) {
     auto proc = std::make_unique<StageProcess>(v);
     proc->state().has_value = true;  // everyone already decided
     proc->state().value = 1;
-    proc->add_stage(std::make_unique<SpreadFloodStage>(v, h, 6, proc->state()));
+    proc->add_stage(SpreadFloodStage(v, *h, 6, proc->state()));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
@@ -324,7 +324,7 @@ TEST(InquiryPhasesStage, UndecidedAdoptFromDecidedNeighbors) {
       proc->state().has_value = true;
       proc->state().value = 5;
     }
-    proc->add_stage(std::make_unique<InquiryPhasesStage>(v, graphs, proc->state()));
+    proc->add_stage(InquiryPhasesStage(v, graphs, proc->state()));
     procs.push_back(proc.get());
     engine.set_process(v, std::move(proc));
   }
@@ -342,7 +342,7 @@ TEST(InquiryPhasesStage, NobodyDecidedMeansNoReplies) {
   sim::Engine engine(n, {});
   for (NodeId v = 0; v < n; ++v) {
     auto proc = std::make_unique<StageProcess>(v);
-    proc->add_stage(std::make_unique<InquiryPhasesStage>(v, graphs, proc->state()));
+    proc->add_stage(InquiryPhasesStage(v, graphs, proc->state()));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
@@ -364,7 +364,7 @@ TEST(PullStage, StragglerPullsFromTargetsAndCountsFallback) {
       proc->state().has_value = true;
       proc->state().value = 3;
     }
-    proc->add_stage(std::make_unique<PullStage>(v, targets, proc->state(),
+    proc->add_stage(PullStage(v, targets, proc->state(),
                                                 /*fallback_metric=*/true));
     procs.push_back(proc.get());
     engine.set_process(v, std::move(proc));
@@ -381,7 +381,7 @@ TEST(PullStage, DecidedNodesStayQuiet) {
     auto proc = std::make_unique<StageProcess>(v);
     proc->state().has_value = true;
     proc->state().value = 1;
-    proc->add_stage(std::make_unique<PullStage>(v, n, proc->state(), true));
+    proc->add_stage(PullStage(v, n, proc->state(), true));
     engine.set_process(v, std::move(proc));
   }
   const auto report = engine.run();
